@@ -11,7 +11,7 @@ import json
 import sys
 
 from .config import TrainConfig
-from .data import GenConfig, generate_corpus, read_jsonl, write_jsonl
+from .data import GenConfig, QASample, generate_corpus, read_jsonl, write_jsonl
 from .errors import JaegerError
 from .fusion import predict_answer_set
 from .harness.ablate import ablate, format_ablation_table
@@ -36,10 +36,7 @@ def _cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def _load_train_config(args: argparse.Namespace) -> TrainConfig:
-    cfg = TrainConfig.from_json(args.config) if args.config else TrainConfig()
-    if getattr(args, "data", None):
-        cfg.data_path = args.data
-    return cfg
+    return TrainConfig.from_json(args.config) if args.config else TrainConfig()
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -70,7 +67,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
         print(f"error: document {args.doc_id!r} not found in {args.data}", file=sys.stderr)
         return 1
     doc = matches[0]
-    probe = _ProbeQuestion(args.question)
+    probe = QASample(qid="probe", qtype="children", target=-1, question=args.question,
+                     answers=frozenset())
     sample = encode_sample(doc, probe, model.vocab, model.cfg)
     logits = model.forward(sample)
     picked = predict_answer_set(logits, model.cfg.threshold)
@@ -78,17 +76,6 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     print(json.dumps({"doc_id": doc.doc_id, "question": args.question,
                       "predicted": predicted}, sort_keys=True))
     return 0
-
-
-class _ProbeQuestion:
-    """Ad-hoc question shell for predict; no gold answers attached."""
-
-    def __init__(self, question: str):
-        self.qid = "probe"
-        self.qtype = "children"
-        self.target = -1
-        self.question = question
-        self.answers = frozenset()
 
 
 def _cmd_ablate(args: argparse.Namespace) -> int:

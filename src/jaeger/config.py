@@ -9,6 +9,10 @@ from .errors import ContractError, SchemaError
 
 VARIANTS = ("dual", "bidir_only", "causal_only")
 
+# Fields that earlier versions wrote into config sidecars and that are
+# no longer read; from_dict skips them so old checkpoints still load.
+LEGACY_FIELDS = ("data_path",)
+
 
 @dataclass
 class TrainConfig:
@@ -39,7 +43,6 @@ class TrainConfig:
     n_layers: int = 2
     ff_multiplier: int = 2
     split_ratios: tuple[float, ...] = (0.8, 0.1, 0.1)
-    data_path: str | None = None
 
     def __post_init__(self):
         self.split_ratios = tuple(self.split_ratios)
@@ -76,10 +79,10 @@ class TrainConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
         known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        unknown = set(raw) - known - set(LEGACY_FIELDS)
         if unknown:
             raise SchemaError(f"unknown config field {sorted(unknown)[0]!r}")
-        return cls(**raw)
+        return cls(**{k: v for k, v in raw.items() if k in known})
 
     @classmethod
     def from_json(cls, path: str) -> "TrainConfig":

@@ -15,9 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .numerics import (Tensor, add, concat_last, layer_norm, linear, masked_mean_rows,
-                       matmul, relu, scale, seeded_init, select_row, slice_last,
-                       softmax_last, transpose)
+from .numerics import (Tensor, add, layer_norm, linear, masked_mean_rows, matmul, relu,
+                       reshape, scale, seeded_init, select_row, softmax_last, transpose)
 from .text import embed_sequence
 
 
@@ -121,42 +120,43 @@ def init_encoder(cfg: EncoderConfig, vocab_size: int, seed: int, prefix: str,
 
 
 def attention_bias(mask: np.ndarray, causal: bool, dtype) -> Tensor:
-    """(L, L) additive bias: 0 where key j is visible to query i, -inf otherwise."""
+    """(..., L, L) additive bias: 0 where key j is visible to query i, -inf otherwise."""
     m = np.asarray(mask, dtype=bool)
-    length = m.shape[0]
-    bias = np.zeros((length, length), dtype=dtype)
-    bias[:, ~m] = -np.inf
+    length = m.shape[-1]
+    visible = np.broadcast_to(m[..., None, :], m.shape + (length,))
     if causal:
-        bias[np.triu_indices(length, k=1)] = -np.inf
-    return Tensor(bias)
+        visible = visible & np.tri(length, dtype=bool)
+    return Tensor(np.where(visible, 0.0, -np.inf).astype(dtype))
 
 
 def multi_head_attention(x: Tensor, mask: np.ndarray, params: BlockParams,
                          cfg: EncoderConfig) -> Tensor:
-    """Masked scaled dot-product attention over all heads, then output projection."""
-    q = linear(x, params.wq, params.bq)
-    k = linear(x, params.wk, params.bk)
-    v = linear(x, params.wv, params.bv)
-    bias = attention_bias(mask, cfg.causal, x.data.dtype)
-    inv_scale = 1.0 / math.sqrt(cfg.d_head)
-    ctx = None
-    for h in range(cfg.n_heads):
-        lo, hi = h * cfg.d_head, (h + 1) * cfg.d_head
-        qh, kh, vh = slice_last(q, lo, hi), slice_last(k, lo, hi), slice_last(v, lo, hi)
-        scores = add(scale(matmul(qh, transpose(kh)), inv_scale), bias)
-        weights = softmax_last(scores)
-        head = matmul(weights, vh)
-        ctx = head if ctx is None else concat_last(ctx, head)
-    return linear(ctx, params.wo, params.bo)
+    """Masked scaled dot-product attention over all heads, then output projection.
+
+    x has shape (..., L, d_model); heads become an axis, (..., H, L, d_head).
+    """
+    *lead, length, d = x.data.shape
+    split = (*lead, length, cfg.n_heads, cfg.d_head)
+
+    def heads(w: Tensor, b: Tensor) -> Tensor:
+        return transpose(reshape(linear(x, w, b), split), -3, -2)
+
+    q, k, v = heads(params.wq, params.bq), heads(params.wk, params.bk), heads(params.wv, params.bv)
+    # The mask gains a head axis of size 1, so one bias serves every head.
+    bias = attention_bias(np.asarray(mask)[..., None, :], cfg.causal, x.data.dtype)
+    scores = add(scale(matmul(q, transpose(k)), 1.0 / math.sqrt(cfg.d_head)), bias)
+    ctx = matmul(softmax_last(scores), v)
+    merged = reshape(transpose(ctx, -3, -2), (*lead, length, d))
+    return linear(merged, params.wo, params.bo)
 
 
 def transformer_block(x: Tensor, mask: np.ndarray, params: BlockParams,
                       cfg: EncoderConfig) -> Tensor:
-    """One post-norm block; preserves the (L, d_model) shape."""
-    if x.data.ndim != 2 or x.data.shape[1] != cfg.d_model:
+    """One post-norm block; preserves the (..., L, d_model) shape."""
+    if x.data.ndim < 2 or x.data.shape[-1] != cfg.d_model:
         raise ShapeError(f"block input {x.data.shape} does not match d_model {cfg.d_model}")
-    if x.data.shape[0] > cfg.max_seq:
-        raise ContractError(f"sequence of {x.data.shape[0]} exceeds max_seq {cfg.max_seq}")
+    if x.data.shape[-2] > cfg.max_seq:
+        raise ContractError(f"sequence of {x.data.shape[-2]} exceeds max_seq {cfg.max_seq}")
     attn = multi_head_attention(x, mask, params, cfg)
     h = layer_norm(add(x, attn), params.ln1_g, params.ln1_b)
     ff = linear(relu(linear(h, params.w1, params.b1)), params.w2, params.b2)
@@ -165,7 +165,7 @@ def transformer_block(x: Tensor, mask: np.ndarray, params: BlockParams,
 
 def run_blocks(ids, mask: np.ndarray, params: EncoderParams, cfg: EncoderConfig,
                extra: Tensor | None = None) -> Tensor:
-    """Embed a sequence, optionally add a per-sequence vector, run the stack."""
+    """Embed (..., L) ids, optionally add extra (broadcast over positions), run the stack."""
     x = embed_sequence(ids, params.token_table, params.pos_table)
     if extra is not None:
         x = add(x, extra)
@@ -218,20 +218,26 @@ def init_content(cfg: EncoderConfig, vocab_size: int, seed: int, prefix: str,
 
 def encode_content(ids, mask: np.ndarray, bbox, params: ContentParams,
                    cfg: EncoderConfig) -> Tensor:
-    """Element feature: text plus bbox geometry, mean-pooled over non-PAD rows.
+    """Element features: text plus bbox geometry, mean-pooled over non-PAD rows.
 
-    The bbox is mapped through a learned affine layer and the result is
-    added to every token embedding before the block stack.
+    ids and mask have shape (..., L) and bbox (..., 4), one element per
+    leading index; the result has shape (..., d_model). The bbox is mapped
+    through a learned affine layer and the result is added to every token
+    embedding of its element before the block stack.
     """
+    ids = np.asarray(ids)
     box = np.asarray(bbox, dtype=np.float64)
-    if box.shape != (4,):
-        raise ShapeError(f"bbox must have 4 coordinates, got shape {box.shape}")
-    x1, y1, x2, y2 = (float(c) for c in box)
-    if not (x1 < x2 and y1 < y2):
-        raise ContractError(f"degenerate bbox ({x1}, {y1}, {x2}, {y2})")
+    if box.shape != ids.shape[:-1] + (4,):
+        raise ShapeError(f"bbox must have 4 coordinates per element, got shape {box.shape} "
+                         f"for ids of shape {ids.shape}")
+    x1, y1, x2, y2 = np.moveaxis(box, -1, 0)
+    degenerate = ~((x1 < x2) & (y1 < y2))
+    if degenerate.any():
+        raise ContractError(f"degenerate bbox {tuple(box[degenerate][0].tolist())}")
     dtype = params.bbox_w.data.dtype
     proj = linear(Tensor(box.astype(dtype)), params.bbox_w, params.bbox_b)
-    hidden = run_blocks(ids, mask, params.encoder, cfg, extra=proj)
+    per_token = reshape(proj, (*box.shape[:-1], 1, cfg.d_model))
+    hidden = run_blocks(ids, mask, params.encoder, cfg, extra=per_token)
     return masked_mean_rows(hidden, mask)
 
 
@@ -260,10 +266,10 @@ def init_visual(d_in: int, d_hidden: int, d_out: int, seed: int, prefix: str,
 
 
 def encode_visual(descriptor, params: VisualParams) -> Tensor:
-    """relu affine then affine, mapping a raw descriptor to d_v."""
+    """relu affine then affine, mapping (..., d_in) raw descriptors to d_v."""
     dtype = params.w1.data.dtype
     x = Tensor(np.asarray(descriptor, dtype=dtype))
-    if x.data.ndim != 1 or x.data.shape[0] != params.w1.data.shape[0]:
+    if x.data.ndim == 0 or x.data.shape[-1] != params.w1.data.shape[0]:
         raise ShapeError(
             f"descriptor shape {x.data.shape} does not match input width {params.w1.data.shape[0]}")
     return linear(relu(linear(x, params.w1, params.b1)), params.w2, params.b2)

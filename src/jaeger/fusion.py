@@ -14,36 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .numerics import (Tensor, add, concat_last, linear, matmul, relu, seeded_init,
-                       select_row, stack_rows, _sigmoid)
-
-
-@dataclass
-class FeatureBundle:
-    """Every intermediate feature of one forward pass.
-
-    qfeat1/qfeat2 are None for single-encoder variants; qfeat is then
-    the surviving feature itself rather than a concatenation.
-    """
-
-    qfeat1: Tensor | None
-    qfeat2: Tensor | None
-    qfeat: Tensor
-    qreduced: Tensor
-    content_feats: Tensor
-    visual_feats: Tensor
-
-    def __post_init__(self):
-        n = self.content_feats.data.shape[0]
-        if self.visual_feats.data.shape[0] != n:
-            raise ShapeError(
-                f"{n} content rows but {self.visual_feats.data.shape[0]} visual rows")
-        if self.qfeat1 is not None and self.qfeat2 is not None:
-            d1 = self.qfeat1.data.shape[0]
-            d2 = self.qfeat2.data.shape[0]
-            if self.qfeat.data.shape[0] != d1 + d2:
-                raise ShapeError(
-                    f"concatenated width {self.qfeat.data.shape[0]} != {d1} + {d2}")
+from .numerics import (Tensor, add, concat_last, linear, mul, relu, reshape, seeded_init,
+                       sum_axis, tile_rows, _sigmoid)
 
 
 @dataclass
@@ -104,22 +76,24 @@ def score_candidates(qreduced: Tensor, content_feats: Tensor, visual_feats: Tens
                      params: FusionParams) -> Tensor:
     """One logit per candidate; no cross-candidate terms.
 
-    Each row is scored by its own pass through the perceptron, so a
-    candidate's logit is bit-identical no matter which other candidates
-    are present or in what order.
+    All candidates are scored at once, yet a candidate's logit is
+    bit-identical no matter which other candidates are present or in what
+    order.
     """
     if content_feats.data.ndim != 2 or visual_feats.data.ndim != 2:
         raise ShapeError("candidate features must be matrices")
     n = content_feats.data.shape[0]
     if visual_feats.data.shape[0] != n:
         raise ShapeError(f"{n} content rows but {visual_feats.data.shape[0]} visual rows")
-    logits = []
-    for i in range(n):
-        f = concat_last(concat_last(qreduced, select_row(content_feats, i)),
-                        select_row(visual_feats, i))
-        h = relu(linear(f, params.score_w1, params.score_b1))
-        logits.append(add(matmul(h, params.score_w2), params.score_b2))
-    return stack_rows(logits, row_shape=(), dtype=qreduced.data.dtype)
+    f = concat_last(concat_last(tile_rows(qreduced, n), content_feats), visual_feats)
+    # Both layers multiply and sum along an axis instead of calling BLAS:
+    # BLAS picks its kernel and blocking from the row count (one row goes
+    # through GEMV), so a row's result would depend on how many other
+    # candidates share the call. An axis sum does the same arithmetic for
+    # each row whatever the row count.
+    pre = sum_axis(mul(reshape(f, (n, f.data.shape[1], 1)), params.score_w1), axis=1)
+    h = relu(add(pre, params.score_b1))
+    return add(sum_axis(mul(h, params.score_w2), axis=1), params.score_b2)
 
 
 def predict_answer_set(logits, threshold: float = 0.5) -> set[int]:

@@ -10,25 +10,30 @@ from .config import TrainConfig, VARIANTS
 from .encoders import (ContentParams, EncoderConfig, EncoderParams, VisualParams,
                        encode_content, encode_question_bidir, encode_question_causal,
                        encode_visual, init_content, init_encoder, init_visual)
-from .errors import CompatibilityError, ContractError
-from .fusion import (FeatureBundle, FusionParams, concat_question_features, init_fusion,
-                     reduce_dim, score_candidates)
-from .numerics import Tensor, stack_rows
+from .errors import CompatibilityError, ContractError, ShapeError
+from .fusion import (FusionParams, concat_question_features, init_fusion, reduce_dim,
+                     score_candidates)
+from .numerics import Tensor
 from .text import Vocabulary, encode_text
 
 
 @dataclass
 class EncodedSample:
-    """One question of one document, fully converted to model inputs."""
+    """One question of one document, fully converted to model inputs.
+
+    The per-candidate arrays are stacked along a leading candidate axis:
+    content_ids and content_masks are (n, max_content_len), bboxes (n, 4)
+    and visuals (n, d_vis_in).
+    """
 
     qid: str
     doc_id: str
     question_ids: np.ndarray
     question_mask: np.ndarray
-    content_ids: list[np.ndarray]
-    content_masks: list[np.ndarray]
-    bboxes: list[np.ndarray]
-    visuals: list[np.ndarray]
+    content_ids: np.ndarray
+    content_masks: np.ndarray
+    bboxes: np.ndarray
+    visuals: np.ndarray
     candidate_ids: list[int]
     targets: np.ndarray
     gold: frozenset[int] = field(default_factory=frozenset)
@@ -40,24 +45,26 @@ def encode_sample(doc, question, vocab: Vocabulary, cfg: TrainConfig) -> Encoded
     Candidates are the document's elements in stored order; targets mark
     gold answer membership per candidate.
     """
+    elements = doc.elements
+    n = len(elements)
+    for el in elements:
+        if len(el.vis) != cfg.d_vis_in:
+            raise ShapeError(f"element {el.id} of {doc.doc_id} has a visual descriptor of "
+                             f"width {len(el.vis)}, the model expects {cfg.d_vis_in}")
     q_ids, q_mask = encode_text(question.question, vocab, cfg.max_question_len)
-    content_ids, content_masks, bboxes, visuals = [], [], [], []
-    for el in doc.elements:
-        ids, mask = encode_text(el.text, vocab, cfg.max_content_len)
-        content_ids.append(ids)
-        content_masks.append(mask)
-        bboxes.append(np.asarray(el.bbox, dtype=np.float64))
-        visuals.append(np.asarray(el.vis, dtype=np.float64))
+    texts = [encode_text(el.text, vocab, cfg.max_content_len) for el in elements]
+    shape = (n, cfg.max_content_len)
     gold = frozenset(question.answers)
-    targets = np.asarray([1.0 if el.id in gold else 0.0 for el in doc.elements],
-                         dtype=np.float64)
     return EncodedSample(
         qid=question.qid, doc_id=doc.doc_id,
         question_ids=q_ids, question_mask=q_mask,
-        content_ids=content_ids, content_masks=content_masks,
-        bboxes=bboxes, visuals=visuals,
-        candidate_ids=[el.id for el in doc.elements],
-        targets=targets, gold=gold,
+        content_ids=np.array([ids for ids, _ in texts], dtype=np.int64).reshape(shape),
+        content_masks=np.array([mask for _, mask in texts], dtype=bool).reshape(shape),
+        bboxes=np.array([el.bbox for el in elements], dtype=np.float64).reshape(n, 4),
+        visuals=np.array([el.vis for el in elements], dtype=np.float64).reshape(n, cfg.d_vis_in),
+        candidate_ids=[el.id for el in elements],
+        targets=np.array([el.id in gold for el in elements], dtype=np.float64),
+        gold=gold,
     )
 
 
@@ -134,41 +141,21 @@ class JaegerModel:
                     f"parameter {name!r} has shape {arr.shape}, model expects {p.data.shape}")
             p.data = np.array(arr, dtype=self.dtype, order="C")
 
-    def question_features(self, sample: EncodedSample) -> tuple[Tensor | None, Tensor | None, Tensor]:
-        q1 = q2 = None
+    def question_features(self, sample: EncodedSample) -> Tensor:
+        """The question feature: both encoders concatenated, or the one the variant has."""
+        feats = []
         if self.bidir is not None:
-            q1 = encode_question_bidir(sample.question_ids, sample.question_mask,
-                                       self.bidir, self.bidir_cfg)
+            feats.append(encode_question_bidir(sample.question_ids, sample.question_mask,
+                                               self.bidir, self.bidir_cfg))
         if self.causal is not None:
-            q2 = encode_question_causal(sample.question_ids, sample.question_mask,
-                                        self.causal, self.causal_cfg)
-        if q1 is not None and q2 is not None:
-            return q1, q2, concat_question_features(q1, q2)
-        return q1, q2, q1 if q1 is not None else q2
+            feats.append(encode_question_causal(sample.question_ids, sample.question_mask,
+                                                self.causal, self.causal_cfg))
+        return concat_question_features(*feats) if len(feats) == 2 else feats[0]
 
     def forward(self, sample: EncodedSample) -> Tensor:
         """Logits over the sample's candidates, in candidate order."""
-        return self.forward_with_features(sample)[0]
-
-    def forward_with_features(self, sample: EncodedSample) -> tuple[Tensor, FeatureBundle]:
-        q1, q2, qfeat = self.question_features(sample)
-        qreduced = reduce_dim(qfeat, self.fusion)
-        content_rows = [
-            encode_content(ids, mask, bbox, self.content, self.content_cfg)
-            for ids, mask, bbox in zip(sample.content_ids, sample.content_masks,
-                                       sample.bboxes)
-        ]
-        visual_rows = [encode_visual(vis, self.visual) for vis in sample.visuals]
-        content_feats = stack_rows(content_rows, row_shape=(self.cfg.d_content,),
-                                   dtype=self.dtype)
-        visual_feats = stack_rows(visual_rows, row_shape=(self.cfg.d_visual,),
-                                  dtype=self.dtype)
-        logits = score_candidates(qreduced, content_feats, visual_feats, self.fusion)
-        bundle = FeatureBundle(qfeat1=q1, qfeat2=q2, qfeat=qfeat, qreduced=qreduced,
-                               content_feats=content_feats, visual_feats=visual_feats)
-        return logits, bundle
-
-
-def jaeger_forward(model: JaegerModel, sample: EncodedSample) -> Tensor:
-    """Full pipeline: encode, concatenate, reduce, score each candidate."""
-    return model.forward(sample)
+        qreduced = reduce_dim(self.question_features(sample), self.fusion)
+        content = encode_content(sample.content_ids, sample.content_masks, sample.bboxes,
+                                 self.content, self.content_cfg)
+        visual = encode_visual(sample.visuals, self.visual)
+        return score_candidates(qreduced, content, visual, self.fusion)

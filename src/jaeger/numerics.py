@@ -144,6 +144,10 @@ class Tape:
         Parameters that do not reach the loss get an exact zero gradient.
         Extra tensors passed via params are zero-filled too, even if the
         forward pass never touched them.
+
+        The sweep consumes the tape: its records are dropped afterwards.
+        They close over tensors that point back at the tape, so keeping
+        them would leave a finished tape for the cyclic collector to free.
         """
         if loss.data.ndim != 0:
             raise ContractError(f"loss must be a scalar, got shape {loss.data.shape}")
@@ -159,6 +163,8 @@ class Tape:
                     continue
                 acc = grads.get(tid)
                 grads[tid] = gin if acc is None else acc + gin
+        self.records = []
+        self._output_ids = set()
         targets = list(self._grad_targets)
         if params is not None:
             seen = {id(t) for t in targets}
@@ -191,11 +197,28 @@ def _emit(op: str, inputs: tuple[Tensor, ...], out_data: Array, backward_fn) -> 
     return out
 
 
+def _sum_to(g: Array, shape: tuple[int, ...]) -> Array:
+    """Sum a gradient over the axes that broadcasting added to an operand of this shape."""
+    lead = g.ndim - len(shape)
+    if lead:
+        g = g.sum(axis=tuple(range(lead)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    return g.sum(axis=axes, keepdims=True) if axes else g
+
+
+def _check_broadcast(op: str, a: Array, b: Array) -> None:
+    try:
+        np.broadcast_shapes(a.shape, b.shape)
+    except ValueError:
+        raise ShapeError(f"{op} shapes {a.shape} and {b.shape} are incompatible") from None
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """c = a @ b with numpy matmul semantics.
 
     Supports 1-D x 2-D, 2-D x 1-D, 1-D x 1-D (dot product) and stacks of
-    matrices with identical leading dimensions.
+    matrices, either with identical leading dimensions or against a
+    single matrix, whose gradient is then summed over the stack.
     """
     _check_dtypes("matmul", a, b)
     ad, bd = a.data, b.data
@@ -220,40 +243,31 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             return np.outer(g, bd), np.matmul(ad.swapaxes(-1, -2), g)
         ga = np.matmul(g, bd.swapaxes(-1, -2))
         gb = np.matmul(ad.swapaxes(-1, -2), g)
-        return ga, gb
+        return _sum_to(ga, ad.shape), _sum_to(gb, bd.shape)
 
     return _emit("matmul", (a, b), out, bwd)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """a + b; b may also be a bias over the last axis or a scalar."""
+    """a + b with numpy broadcasting, e.g. a bias over the last axis or a scalar."""
     _check_dtypes("add", a, b)
     ad, bd = a.data, b.data
-    if ad.shape == bd.shape:
-        def bwd(g: Array):
-            return g, g
-    elif bd.ndim == 0:
-        def bwd(g: Array):
-            return g, g.sum()
-    elif bd.ndim == 1 and ad.ndim >= 2 and ad.shape[-1] == bd.shape[0]:
-        axes = tuple(range(ad.ndim - 1))
+    _check_broadcast("add", ad, bd)
 
-        def bwd(g: Array):
-            return g, g.sum(axis=axes)
-    else:
-        raise ShapeError(f"add shapes {ad.shape} and {bd.shape} are incompatible")
+    def bwd(g: Array):
+        return _sum_to(g, ad.shape), _sum_to(g, bd.shape)
+
     return _emit("add", (a, b), ad + bd, bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of equal-shape tensors."""
+    """Elementwise product with numpy broadcasting."""
     _check_dtypes("mul", a, b)
-    if a.data.shape != b.data.shape:
-        raise ShapeError(f"mul shapes {a.data.shape} and {b.data.shape} differ")
     ad, bd = a.data, b.data
+    _check_broadcast("mul", ad, bd)
 
     def bwd(g: Array):
-        return g * bd, g * ad
+        return _sum_to(g * bd, ad.shape), _sum_to(g * ad, bd.shape)
 
     return _emit("mul", (a, b), ad * bd, bwd)
 
@@ -282,20 +296,6 @@ def concat_last(a: Tensor, b: Tensor) -> Tensor:
     return _emit("concat_last", (a, b), out, bwd)
 
 
-def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
-    """Take x[..., start:stop]."""
-    d = x.data.shape[-1]
-    if not (0 <= start <= stop <= d):
-        raise ShapeError(f"slice [{start}:{stop}] out of bounds for width {d}")
-
-    def bwd(g: Array):
-        gx = np.zeros_like(x.data)
-        gx[..., start:stop] = g
-        return (gx,)
-
-    return _emit("slice_last", (x,), x.data[..., start:stop], bwd)
-
-
 def select_row(x: Tensor, i: int) -> Tensor:
     """Take row i of a matrix as a vector."""
     if x.data.ndim != 2:
@@ -311,15 +311,42 @@ def select_row(x: Tensor, i: int) -> Tensor:
     return _emit("select_row", (x,), x.data[i], bwd)
 
 
-def transpose(x: Tensor) -> Tensor:
-    """Matrix transpose."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose needs a matrix, got shape {x.data.shape}")
+def transpose(x: Tensor, axis1: int = -2, axis2: int = -1) -> Tensor:
+    """Swap two axes; by default the last two, a matrix transpose."""
+    nd = x.data.ndim
+    if not (-nd <= axis1 < nd and -nd <= axis2 < nd) or axis1 % nd == axis2 % nd:
+        raise ShapeError(f"cannot swap axes {axis1} and {axis2} of shape {x.data.shape}")
 
     def bwd(g: Array):
-        return (g.T,)
+        return (g.swapaxes(axis1, axis2),)
 
-    return _emit("transpose", (x,), x.data.T, bwd)
+    return _emit("transpose", (x,), x.data.swapaxes(axis1, axis2), bwd)
+
+
+def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
+    """The same entries in row-major order under a new shape."""
+    shape = tuple(int(d) for d in shape)
+    if math.prod(shape) != x.data.size:
+        raise ShapeError(f"cannot reshape {x.data.shape} to {shape}")
+
+    def bwd(g: Array):
+        return (g.reshape(x.data.shape),)
+
+    return _emit("reshape", (x,), x.data.reshape(shape), bwd)
+
+
+def sum_axis(x: Tensor, axis: int) -> Tensor:
+    """Sum over one axis, which the result drops."""
+    nd = x.data.ndim
+    if not -nd <= axis < nd:
+        raise ShapeError(f"axis {axis} out of range for shape {x.data.shape}")
+
+    def bwd(g: Array):
+        gx = np.empty_like(x.data)
+        gx[...] = np.expand_dims(g, axis)
+        return (gx,)
+
+    return _emit("sum_axis", (x,), x.data.sum(axis=axis), bwd)
 
 
 def tile_rows(v: Tensor, n: int) -> Tensor:
@@ -335,44 +362,23 @@ def tile_rows(v: Tensor, n: int) -> Tensor:
     return _emit("tile_rows", (v,), np.repeat(v.data[None, :], n, axis=0), bwd)
 
 
-def stack_rows(rows: Sequence[Tensor], row_shape: tuple[int, ...] | None = None,
-               dtype=None) -> Tensor:
-    """Stack equal-shape tensors along a new leading axis.
-
-    An empty sequence needs an explicit row_shape and dtype so the empty
-    result still has a definite width.
-    """
-    if not rows:
-        if row_shape is None or dtype is None:
-            raise ContractError("stacking nothing needs an explicit row_shape and dtype")
-        return Tensor(np.zeros((0, *row_shape), dtype=dtype))
-    shape = rows[0].data.shape
-    for r in rows[1:]:
-        if r.data.shape != shape:
-            raise ShapeError(f"stack_rows mixes shapes {shape} and {r.data.shape}")
-    _check_dtypes("stack_rows", *rows)
-    out = np.stack([r.data for r in rows])
-
-    def bwd(g: Array):
-        return tuple(g[i] for i in range(len(rows)))
-
-    return _emit("stack_rows", tuple(rows), out, bwd)
-
-
 def masked_mean_rows(x: Tensor, mask: Array) -> Tensor:
-    """Mean of the rows of x selected by a boolean mask."""
-    m = np.asarray(mask)
-    if x.data.ndim != 2 or m.shape != (x.data.shape[0],):
+    """Mean of the rows of x selected by a boolean mask, over (..., L, d) stacks.
+
+    The mask has shape (..., L) and every stack entry must select a row.
+    """
+    m = np.asarray(mask, dtype=bool)
+    if x.data.ndim < 2 or m.shape != x.data.shape[:-1]:
         raise ShapeError(f"masked_mean_rows got x {x.data.shape} and mask {m.shape}")
-    count = int(m.sum())
-    if count == 0:
+    count = m.sum(axis=-1, keepdims=True)
+    if (count == 0).any():
         raise ContractError("masked_mean_rows needs at least one selected row")
-    w = m.astype(x.data.dtype) / x.data.dtype.type(count)
+    w = m.astype(x.data.dtype) / count.astype(x.data.dtype)
 
     def bwd(g: Array):
-        return (np.outer(w, g),)
+        return (w[..., :, None] * g[..., None, :],)
 
-    return _emit("masked_mean_rows", (x,), np.matmul(w, x.data), bwd)
+    return _emit("masked_mean_rows", (x,), np.matmul(w[..., None, :], x.data)[..., 0, :], bwd)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -432,19 +438,16 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         dxhat = g * gamma.data
         gx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
                     - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-        if g.ndim == 1:
-            return gx, g * xhat, g.copy()
-        axes = tuple(range(g.ndim - 1))
-        return gx, (g * xhat).sum(axis=axes), g.sum(axis=axes)
+        return gx, _sum_to(g * xhat, gamma.data.shape), _sum_to(g, beta.data.shape)
 
     return _emit("layer_norm", (x, gamma, beta), out, bwd)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
-    """Gather rows of an embedding table; backward scatter-adds."""
+    """Gather rows of an embedding table for ids of any shape; backward scatter-adds."""
     idx = np.asarray(ids, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError(f"ids must be a flat sequence, got shape {idx.shape}")
+    if idx.ndim == 0:
+        raise ShapeError("ids must be a sequence, got a scalar")
     if table.data.ndim != 2:
         raise ShapeError(f"embedding table must be a matrix, got shape {table.data.shape}")
     rows = table.data.shape[0]
@@ -455,7 +458,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
 
     def bwd(g: Array):
         gt = np.zeros_like(table.data)
-        np.add.at(gt, idx, g)
+        np.add.at(gt, idx.reshape(-1), g.reshape(-1, gt.shape[1]))
         return (gt,)
 
     return _emit("embedding_lookup", (table,), table.data[idx], bwd)

@@ -124,14 +124,18 @@ def encode_text(text: str, vocab: Vocabulary, max_len: int) -> tuple[np.ndarray,
 
 
 def embed_sequence(ids, token_table: Tensor, pos_table: Tensor) -> Tensor:
-    """Token embeddings plus learned absolute position embeddings."""
+    """Token embeddings plus learned absolute position embeddings.
+
+    ids has shape (..., L); the result has shape (..., L, d).
+    """
     idx = np.asarray(ids, dtype=np.int64)
-    if idx.shape[0] > pos_table.data.shape[0]:
+    length = idx.shape[-1]
+    if length > pos_table.data.shape[0]:
         raise IndexOutOfRange(
-            f"sequence of {idx.shape[0]} exceeds the {pos_table.data.shape[0]} known positions")
+            f"sequence of {length} exceeds the {pos_table.data.shape[0]} known positions")
     if token_table.data.shape[-1] != pos_table.data.shape[-1]:
         raise ContractError(
             f"token width {token_table.data.shape[-1]} != position width {pos_table.data.shape[-1]}")
     tok = embedding_lookup(token_table, idx)
-    pos = embedding_lookup(pos_table, np.arange(idx.shape[0]))
+    pos = embedding_lookup(pos_table, np.arange(length))
     return add(tok, pos)

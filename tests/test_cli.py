@@ -118,6 +118,37 @@ class TestTrainEvalPredict:
         assert "line 11" in captured.err
 
 
+class TestStackedInputBoundaries:
+    def test_predict_on_a_document_without_elements(self, tmp_path, tiny_config, capsys):
+        corpus = gen_corpus(tmp_path)
+        ckpt = str(tmp_path / "model.ckpt")
+        assert main(["train", "--config", tiny_config, "--data", corpus,
+                     "--out", ckpt]) == 0
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text(json.dumps({"doc_id": "doc-empty", "elements": [],
+                                     "questions": []}) + "\n")
+        capsys.readouterr()
+        code = main(["predict", "--ckpt", ckpt, "--data", str(empty),
+                     "--doc-id", "doc-empty", "--question", "what is the parent of the title?"])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out)["predicted"] == []
+
+    @pytest.mark.parametrize("d_vis", [9, 16])
+    def test_visual_width_mismatch_fails_cleanly(self, tmp_path, tiny_config, capsys, d_vis):
+        """The model expects 8-wide descriptors; narrower and wider ones,
+        dividing 8 evenly or not, end in one clean error."""
+        corpus = str(tmp_path / "corpus.jsonl")
+        assert main(["gen-data", "--seed", "9", "--docs", "10", "--out", corpus,
+                     "--min-elements", "4", "--max-elements", "5", "--questions", "2",
+                     "--d-vis", str(d_vis)]) == 0
+        capsys.readouterr()
+        code = main(["train", "--config", tiny_config, "--data", corpus,
+                     "--out", str(tmp_path / "m.ckpt")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "width" in err
+
+
 class TestAblateCommand:
     def test_prints_all_variants(self, tmp_path, tiny_config, capsys):
         corpus = gen_corpus(tmp_path)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from jaeger.errors import ContractError, ShapeError
-from jaeger.fusion import (FeatureBundle, concat_question_features, init_fusion,
-                           per_candidate_mult_count, predict_answer_set, reduce_dim,
-                           score_candidates)
+from jaeger.fusion import (concat_question_features, init_fusion, per_candidate_mult_count,
+                           predict_answer_set, reduce_dim, score_candidates)
 from jaeger.numerics import Tensor
 from jaeger.rng import Xoshiro256
 
@@ -84,26 +83,28 @@ class TestScoreCandidates:
     def test_permutation_equivariance_is_bit_exact(self):
         """Shuffling candidate rows shuffles the logits, nothing else."""
         params = init_fusion(6, 6, 5, 3, 8, seed=2)
-        q, content, visual = random_features(2, n=6)
-        base = score_candidates(q, content, visual, params).data
-        perm = Xoshiro256(9, "perm")
-        order = list(range(6))
-        perm.shuffle(order)
-        shuffled = score_candidates(q, Tensor(content.data[order]),
-                                    Tensor(visual.data[order]), params).data
-        np.testing.assert_array_equal(shuffled, base[order])
+        for n in (6, 30):
+            q, content, visual = random_features(2, n=n)
+            base = score_candidates(q, content, visual, params).data
+            perm = Xoshiro256(9, "perm")
+            order = list(range(n))
+            perm.shuffle(order)
+            shuffled = score_candidates(q, Tensor(content.data[order]),
+                                        Tensor(visual.data[order]), params).data
+            np.testing.assert_array_equal(shuffled, base[order])
 
     def test_appending_candidates_never_moves_existing_logits(self):
         params = init_fusion(6, 6, 5, 3, 8, seed=3)
-        q, content, visual = random_features(3, n=4)
-        base = score_candidates(q, content, visual, params).data
-        _, extra_c, extra_v = random_features(4, n=3)
-        grown = score_candidates(
-            q,
-            Tensor(np.concatenate([content.data, extra_c.data])),
-            Tensor(np.concatenate([visual.data, extra_v.data])),
-            params).data
-        np.testing.assert_array_equal(grown[:4], base)
+        for n in (4, 1):
+            q, content, visual = random_features(3, n=n)
+            base = score_candidates(q, content, visual, params).data
+            _, extra_c, extra_v = random_features(4, n=3)
+            grown = score_candidates(
+                q,
+                Tensor(np.concatenate([content.data, extra_c.data])),
+                Tensor(np.concatenate([visual.data, extra_v.data])),
+                params).data
+            np.testing.assert_array_equal(grown[:n], base)
 
     def test_row_count_mismatch_rejected(self):
         params = init_fusion(6, 6, 5, 3, 8, seed=1)
@@ -143,32 +144,3 @@ class TestPredictAnswerSet:
     def test_matrix_logits_rejected(self):
         with pytest.raises(ShapeError):
             predict_answer_set(np.zeros((2, 2)))
-
-
-class TestFeatureBundle:
-    def test_valid_bundle(self):
-        q1 = Tensor(np.zeros(4, dtype=np.float32))
-        q2 = Tensor(np.zeros(6, dtype=np.float32))
-        FeatureBundle(qfeat1=q1, qfeat2=q2,
-                      qfeat=Tensor(np.zeros(10, dtype=np.float32)),
-                      qreduced=Tensor(np.zeros(5, dtype=np.float32)),
-                      content_feats=Tensor(np.zeros((3, 5), dtype=np.float32)),
-                      visual_feats=Tensor(np.zeros((3, 2), dtype=np.float32)))
-
-    def test_width_mismatch_rejected(self):
-        q1 = Tensor(np.zeros(4, dtype=np.float32))
-        q2 = Tensor(np.zeros(6, dtype=np.float32))
-        with pytest.raises(ShapeError):
-            FeatureBundle(qfeat1=q1, qfeat2=q2,
-                          qfeat=Tensor(np.zeros(9, dtype=np.float32)),
-                          qreduced=Tensor(np.zeros(5, dtype=np.float32)),
-                          content_feats=Tensor(np.zeros((3, 5), dtype=np.float32)),
-                          visual_feats=Tensor(np.zeros((3, 2), dtype=np.float32)))
-
-    def test_row_count_mismatch_rejected(self):
-        with pytest.raises(ShapeError):
-            FeatureBundle(qfeat1=None, qfeat2=None,
-                          qfeat=Tensor(np.zeros(4, dtype=np.float32)),
-                          qreduced=Tensor(np.zeros(4, dtype=np.float32)),
-                          content_feats=Tensor(np.zeros((3, 5), dtype=np.float32)),
-                          visual_feats=Tensor(np.zeros((2, 2), dtype=np.float32)))

@@ -1,7 +1,10 @@
 """Training determinism, metrics, checkpoints, gradcheck, and ablation."""
 
 import dataclasses
+import gc
+import importlib
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -9,7 +12,7 @@ import pytest
 import jaeger.fusion
 from jaeger import numerics
 from jaeger.config import TrainConfig
-from jaeger.data import GenConfig, generate_corpus
+from jaeger.data import GenConfig, generate_corpus, generate_document, generate_questions
 from jaeger.errors import (CheckpointFormatError, CompatibilityError, ContractError,
                            SchemaError, TrainingDiverged)
 from jaeger.harness import (ablate, ema, evaluate, evaluate_checkpoint,
@@ -18,8 +21,8 @@ from jaeger.harness import (ablate, ema, evaluate, evaluate_checkpoint,
 from jaeger.harness.checkpoint import config_path
 from jaeger.harness.gradcheck import format_gradcheck
 from jaeger.harness.train import corpus_texts, encode_split, three_way_split, train_step
-from jaeger.model import JaegerModel
-from jaeger.numerics import SgdConfig
+from jaeger.model import JaegerModel, encode_sample
+from jaeger.numerics import SgdConfig, Tape
 from jaeger.text import build_vocab
 
 
@@ -79,6 +82,13 @@ class TestTrainConfig:
         raw["momentum"] = 0.9
         with pytest.raises(SchemaError, match="momentum"):
             TrainConfig.from_dict(raw)
+
+    def test_legacy_data_path_is_accepted(self):
+        """Sidecars written before data_path was dropped still load."""
+        raw = small_config().to_dict()
+        assert "data_path" not in raw
+        raw["data_path"] = "corpus.jsonl"
+        assert TrainConfig.from_dict(raw) == small_config()
 
     def test_question_width_per_variant(self):
         assert small_config(variant="dual").question_width == 16
@@ -151,6 +161,51 @@ class TestTraining:
         samples = encode_split(train_docs, vocab, cfg)
         with pytest.raises(TrainingDiverged, match="step 3"):
             train_step(model, samples[:2], SgdConfig(cfg.learning_rate), step=3)
+
+
+    def test_finished_tape_is_freed_without_the_cyclic_collector(self, monkeypatch):
+        corpus = small_corpus(n_docs=4)
+        cfg = small_config(split_ratios=(1.0,))
+        train_docs, _, _ = three_way_split(corpus, cfg)
+        vocab = build_vocab(corpus_texts(train_docs), cfg.min_count)
+        model = JaegerModel(cfg, vocab)
+        samples = encode_split(train_docs, vocab, cfg)
+        tapes = []
+
+        class WatchedTape(Tape):
+            def __init__(self):
+                super().__init__()
+                tapes.append(weakref.ref(self))
+
+        # jaeger.harness re-exports the train() function under the module's name.
+        monkeypatch.setattr(importlib.import_module("jaeger.harness.train"), "Tape", WatchedTape)
+        gc.disable()
+        try:
+            for step in range(2):
+                train_step(model, samples[:2], SgdConfig(cfg.learning_rate), step)
+            assert len(tapes) == 2
+            assert tapes[0]() is None
+        finally:
+            gc.enable()
+
+
+class TestForward:
+    def test_tape_records_do_not_grow_with_candidates(self):
+        """Elements, heads and candidates are tensor axes, so a forward
+        records the same ops for 4 candidates as for 30."""
+        cfg = small_config()
+        seen = []
+        for pages, per_page in ((1, 4), (3, 10)):
+            doc = generate_document(3, GenConfig(n_pages=pages,
+                                                 elements_per_page=(per_page, per_page)))
+            doc.questions = generate_questions(doc, 3, 1)
+            vocab = build_vocab(corpus_texts([doc]))
+            sample = encode_sample(doc, doc.questions[0], vocab, cfg)
+            with Tape() as tape:
+                JaegerModel(cfg, vocab).forward(sample)
+            seen.append((len(sample.candidate_ids), len(tape.records)))
+        assert [n for n, _ in seen] == [4, 30]
+        assert seen[0][1] == seen[1][1]
 
 
 class TestEvaluate:

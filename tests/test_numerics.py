@@ -6,9 +6,9 @@ import pytest
 from jaeger.errors import ContractError, IndexOutOfRange, ShapeError
 from jaeger.numerics import (SgdConfig, Tape, Tensor, add, backward, bce_with_logits,
                              concat_last, embedding_lookup, layer_norm, linear,
-                             masked_mean_rows, matmul, mul, relu, scale, seeded_init,
-                             select_row, sgd_step, slice_last, softmax_last, stack_rows,
-                             sum_all, tile_rows, transpose, xavier_bound)
+                             masked_mean_rows, matmul, mul, relu, reshape, scale, seeded_init,
+                             select_row, sgd_step, softmax_last, sum_all, sum_axis, tile_rows,
+                             transpose, xavier_bound)
 
 from fdcheck import assert_grads_match, random_param
 
@@ -69,6 +69,15 @@ class TestMatmul:
         w = Tensor(rng.normal(size=3), dtype=np.float64)
         assert_grads_match([v, m], lambda: sum_all(mul(matmul(v, m), w)))
 
+    def test_stacked_input_gradients(self):
+        """A matrix applied to a stack of inputs gets one gradient of its own shape."""
+        rng = np.random.default_rng(16)
+        a = random_param(rng, 2, 3, 4)
+        m = random_param(rng, 4, 5)
+        w = Tensor(rng.normal(size=(2, 3, 5)), dtype=np.float64)
+        assert_grads_match([a, m], lambda: sum_all(mul(matmul(a, m), w)))
+        assert a.grad.shape == (2, 3, 4) and m.grad.shape == (4, 5)
+
 
 class TestConcat:
     def test_values(self):
@@ -90,8 +99,8 @@ class TestConcat:
         a = rng.normal(size=(3, 5)).astype(np.float32)
         b = rng.normal(size=(3, 2)).astype(np.float32)
         cat = concat_last(Tensor(a), Tensor(b))
-        np.testing.assert_array_equal(slice_last(cat, 0, 5).data, a)
-        np.testing.assert_array_equal(slice_last(cat, 5, 7).data, b)
+        np.testing.assert_array_equal(cat.data[:, 0:5], a)
+        np.testing.assert_array_equal(cat.data[:, 5:7], b)
 
     def test_leading_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -291,7 +300,44 @@ class TestSmallOps:
         assert_grads_match([x], lambda: sum_all(mul(select_row(x, 2), w)))
         assert_grads_match([x], lambda: sum_all(transpose(x)))
         assert_grads_match([s], lambda: sum_all(tile_rows(s, 3)))
-        assert_grads_match([x, b], lambda: sum_all(stack_rows([select_row(x, 0), b])))
+
+    def test_batched_and_broadcast_gradients(self):
+        rng = np.random.default_rng(17)
+        x = random_param(rng, 2, 3, 4)
+        col = random_param(rng, 2, 1, 4)
+        row = random_param(rng, 4)
+        mask = np.array([[True, False, True], [False, True, False]])
+        w = Tensor(rng.normal(size=(4, 3, 2)), dtype=np.float64)
+        v = Tensor(rng.normal(size=(2, 4)), dtype=np.float64)
+
+        assert_grads_match([x, col], lambda: sum_all(mul(add(x, col), x)))
+        assert_grads_match([x, row], lambda: sum_all(mul(mul(x, row), x)))
+        assert_grads_match([x], lambda: sum_all(mul(reshape(x, (4, 3, 2)), w)))
+        assert_grads_match([x], lambda: sum_all(mul(transpose(x, 0, 2), w)))
+        assert_grads_match([x], lambda: sum_all(mul(masked_mean_rows(x, mask), v)))
+        assert_grads_match([x], lambda: sum_all(mul(sum_axis(x, 1), v)))
+
+    def test_broadcast_values_match_numpy(self):
+        rng = np.random.default_rng(18)
+        a, b = rng.normal(size=(2, 1, 4)), rng.normal(size=(3, 1))
+        np.testing.assert_array_equal(add(Tensor(a), Tensor(b)).data, a + b)
+        np.testing.assert_array_equal(mul(Tensor(a), Tensor(b)).data, a * b)
+
+    def test_batched_masked_mean_matches_each_entry(self):
+        rng = np.random.default_rng(19)
+        x = rng.normal(size=(3, 5, 2))
+        mask = rng.random((3, 5)) > 0.4
+        mask[:, 0] = True
+        got = masked_mean_rows(Tensor(x), mask).data
+        for i in range(3):
+            np.testing.assert_allclose(got[i], x[i][mask[i]].mean(axis=0), rtol=1e-12)
+
+    def test_reshape_and_transpose_reject_bad_shapes(self):
+        x = Tensor(np.zeros((2, 3)))
+        with pytest.raises(ShapeError):
+            reshape(x, (4, 2))
+        with pytest.raises(ShapeError):
+            transpose(x, 0, 2)
 
     def test_masked_mean_requires_a_row(self):
         with pytest.raises(ContractError):
@@ -347,6 +393,16 @@ class TestTapeAndBackward:
         x = Tensor(np.ones(3), requires_grad=True)
         y = add(x, x)
         assert y._tape is None
+
+    def test_backward_consumes_the_tape(self):
+        """A finished tape drops its records, so a second sweep is refused."""
+        x = Tensor(np.array(2.0), requires_grad=True, dtype=np.float64)
+        with Tape() as tape:
+            loss = mul(x, x)
+            tape.backward(loss, [x])
+        assert tape.records == []
+        with pytest.raises(ContractError):
+            tape.backward(loss, [x])
 
     def test_params_reusable_across_tapes(self):
         x = Tensor(np.array(2.0), requires_grad=True, dtype=np.float64)
