@@ -14,6 +14,16 @@ VARIANTS = ("dual", "bidir_only", "causal_only")
 LEGACY_FIELDS = ("data_path",)
 
 
+def _fits(annotation: str, value) -> bool:
+    """Whether a JSON value fits a TrainConfig field annotation; a bool is not a number."""
+    if annotation == "int | None" and value is None:
+        return True
+    if annotation == "tuple[float, ...]":
+        return isinstance(value, (list, tuple)) and all(_fits("float", v) for v in value)
+    kinds = {"float": (int, float), "int": int, "int | None": int, "str": str}[annotation]
+    return not isinstance(value, bool) and isinstance(value, kinds)
+
+
 @dataclass
 class TrainConfig:
     """Everything a run needs: optimizer, widths, data handling.
@@ -78,16 +88,22 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "TrainConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known - set(LEGACY_FIELDS)
+        known = {f.name: f.type for f in fields(cls)}
+        unknown = set(raw) - set(known) - set(LEGACY_FIELDS)
         if unknown:
             raise SchemaError(f"unknown config field {sorted(unknown)[0]!r}")
+        for name, value in raw.items():
+            if name in known and not _fits(known[name], value):
+                raise SchemaError(f"config field {name!r} must be {known[name]}, got {value!r}")
         return cls(**{k: v for k, v in raw.items() if k in known})
 
     @classmethod
     def from_json(cls, path: str) -> "TrainConfig":
         with open(path, encoding="utf-8") as f:
-            raw = json.load(f)
+            try:
+                raw = json.load(f)
+            except ValueError as e:
+                raise SchemaError(f"{path} is not valid JSON ({e})") from None
         if not isinstance(raw, dict):
             raise SchemaError("config file must hold a JSON object")
         return cls.from_dict(raw)

@@ -10,6 +10,7 @@ streams, so a seed fully pins a corpus byte for byte.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 from .errors import (ContractError, GenerationError, ParseError, SchemaError,
@@ -31,6 +32,10 @@ _MARKERS = ("alpha", "bravo", "charlie", "delta", "echo", "foxtrot", "golf", "ho
             "xray", "yankee", "zulu")
 
 _VIS_NOISE_SIGMA = 0.1
+# json.loads returns a number as exactly int or float (a bool has its own
+# type), and the range test rejects NaN, ±Infinity and ints too big for a float.
+_JSON_NUMBERS = (int, float)
+_FLOAT_MAX = sys.float_info.max
 _MIN_HEIGHT = 0.03
 _GAP = 0.012
 _MARGIN = 0.04
@@ -362,12 +367,12 @@ def _element_from_record(raw: dict, where: str) -> DocumentElement:
     if len(bbox) != 4:
         raise SchemaError(f"{where}.bbox must have 4 coordinates")
     for c in bbox:
-        if isinstance(c, bool) or not isinstance(c, (int, float)):
-            raise SchemaError(f"{where}.bbox must hold numbers")
+        if type(c) not in _JSON_NUMBERS or not -_FLOAT_MAX <= c <= _FLOAT_MAX:
+            raise SchemaError(f"{where}.bbox must hold finite numbers")
     vis = _take(raw, "vis", list, where)
     for c in vis:
-        if isinstance(c, bool) or not isinstance(c, (int, float)):
-            raise SchemaError(f"{where}.vis must hold numbers")
+        if type(c) not in _JSON_NUMBERS or not -_FLOAT_MAX <= c <= _FLOAT_MAX:
+            raise SchemaError(f"{where}.vis must hold finite numbers")
     return DocumentElement(
         id=_take(raw, "id", int, where),
         category=_take(raw, "category", str, where),

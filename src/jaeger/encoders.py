@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .numerics import (Tensor, add, layer_norm, linear, masked_mean_rows, matmul, relu,
-                       reshape, scale, seeded_init, select_row, softmax_last, transpose)
+from .numerics import (ParamSource, Tensor, add, layer_norm, linear, make_params,
+                       masked_mean_rows, matmul, relu, reshape, scale, select_row,
+                       softmax_last, transpose)
 from .text import embed_sequence
 
 
@@ -84,38 +85,26 @@ class EncoderParams:
             yield from blk.named(f"{prefix}.blk{i}")
 
 
-def init_block(cfg: EncoderConfig, seed: int, prefix: str, dtype=np.float32) -> BlockParams:
+def init_block(cfg: EncoderConfig, make: ParamSource, prefix: str) -> BlockParams:
     d, f = cfg.d_model, cfg.d_ff
-
-    def xav(name, shape):
-        return seeded_init(shape, "xavier_uniform", seed, f"{prefix}.{name}", dtype=dtype)
-
-    def zeros(name, shape):
-        return seeded_init(shape, "zeros", seed, f"{prefix}.{name}", dtype=dtype)
-
-    def ones(name, shape):
-        return seeded_init(shape, "ones", seed, f"{prefix}.{name}", dtype=dtype)
-
-    return BlockParams(
-        wq=xav("wq", (d, d)), bq=zeros("bq", (d,)),
-        wk=xav("wk", (d, d)), bk=zeros("bk", (d,)),
-        wv=xav("wv", (d, d)), bv=zeros("bv", (d,)),
-        wo=xav("wo", (d, d)), bo=zeros("bo", (d,)),
-        ln1_g=ones("ln1_g", (d,)), ln1_b=zeros("ln1_b", (d,)),
-        w1=xav("w1", (d, f)), b1=zeros("b1", (f,)),
-        w2=xav("w2", (f, d)), b2=zeros("b2", (d,)),
-        ln2_g=ones("ln2_g", (d,)), ln2_b=zeros("ln2_b", (d,)),
-    )
+    x, z, o = "xavier_uniform", "zeros", "ones"
+    return BlockParams(**make_params(make, prefix, {
+        "wq": ((d, d), x), "bq": ((d,), z),
+        "wk": ((d, d), x), "bk": ((d,), z),
+        "wv": ((d, d), x), "bv": ((d,), z),
+        "wo": ((d, d), x), "bo": ((d,), z),
+        "ln1_g": ((d,), o), "ln1_b": ((d,), z),
+        "w1": ((d, f), x), "b1": ((f,), z),
+        "w2": ((f, d), x), "b2": ((d,), z),
+        "ln2_g": ((d,), o), "ln2_b": ((d,), z),
+    }))
 
 
-def init_encoder(cfg: EncoderConfig, vocab_size: int, seed: int, prefix: str,
-                 dtype=np.float32) -> EncoderParams:
-    token = seeded_init((vocab_size, cfg.d_model), "xavier_uniform", seed,
-                        f"{prefix}.tok", dtype=dtype)
-    pos = seeded_init((cfg.max_seq, cfg.d_model), "xavier_uniform", seed,
-                      f"{prefix}.pos", dtype=dtype)
-    blocks = [init_block(cfg, seed, f"{prefix}.blk{i}", dtype=dtype)
-              for i in range(cfg.n_layers)]
+def init_encoder(cfg: EncoderConfig, vocab_size: int, make: ParamSource,
+                 prefix: str) -> EncoderParams:
+    token = make(f"{prefix}.tok", (vocab_size, cfg.d_model), "xavier_uniform")
+    pos = make(f"{prefix}.pos", (cfg.max_seq, cfg.d_model), "xavier_uniform")
+    blocks = [init_block(cfg, make, f"{prefix}.blk{i}") for i in range(cfg.n_layers)]
     return EncoderParams(token, pos, blocks)
 
 
@@ -207,12 +196,11 @@ class ContentParams:
         yield f"{prefix}.bbox_b", self.bbox_b
 
 
-def init_content(cfg: EncoderConfig, vocab_size: int, seed: int, prefix: str,
-                 dtype=np.float32) -> ContentParams:
-    enc = init_encoder(cfg, vocab_size, seed, prefix, dtype=dtype)
-    bbox_w = seeded_init((4, cfg.d_model), "xavier_uniform", seed, f"{prefix}.bbox_w",
-                         dtype=dtype)
-    bbox_b = seeded_init((cfg.d_model,), "zeros", seed, f"{prefix}.bbox_b", dtype=dtype)
+def init_content(cfg: EncoderConfig, vocab_size: int, make: ParamSource,
+                 prefix: str) -> ContentParams:
+    enc = init_encoder(cfg, vocab_size, make, prefix)
+    bbox_w = make(f"{prefix}.bbox_w", (4, cfg.d_model), "xavier_uniform")
+    bbox_b = make(f"{prefix}.bbox_b", (cfg.d_model,), "zeros")
     return ContentParams(enc, bbox_w, bbox_b)
 
 
@@ -255,14 +243,12 @@ class VisualParams:
             yield f"{prefix}.{name}", getattr(self, name)
 
 
-def init_visual(d_in: int, d_hidden: int, d_out: int, seed: int, prefix: str,
-                dtype=np.float32) -> VisualParams:
-    return VisualParams(
-        w1=seeded_init((d_in, d_hidden), "xavier_uniform", seed, f"{prefix}.w1", dtype=dtype),
-        b1=seeded_init((d_hidden,), "zeros", seed, f"{prefix}.b1", dtype=dtype),
-        w2=seeded_init((d_hidden, d_out), "xavier_uniform", seed, f"{prefix}.w2", dtype=dtype),
-        b2=seeded_init((d_out,), "zeros", seed, f"{prefix}.b2", dtype=dtype),
-    )
+def init_visual(d_in: int, d_hidden: int, d_out: int, make: ParamSource,
+                prefix: str) -> VisualParams:
+    return VisualParams(**make_params(make, prefix, {
+        "w1": ((d_in, d_hidden), "xavier_uniform"), "b1": ((d_hidden,), "zeros"),
+        "w2": ((d_hidden, d_out), "xavier_uniform"), "b2": ((d_out,), "zeros"),
+    }))
 
 
 def encode_visual(descriptor, params: VisualParams) -> Tensor:

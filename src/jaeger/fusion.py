@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .numerics import (Tensor, add, concat_last, linear, mul, relu, reshape, seeded_init,
-                       sum_axis, tile_rows, _sigmoid)
+from .numerics import (ParamSource, Tensor, add, concat_last, linear, make_params, mul, relu,
+                       reshape, sum_axis, tile_rows, _sigmoid)
 
 
 @dataclass
@@ -35,24 +35,16 @@ class FusionParams:
 
 
 def init_fusion(q_width: int, d_reduced: int, d_content: int, d_visual: int,
-                hidden: int, seed: int, prefix: str = "fusion",
-                dtype=np.float32) -> FusionParams:
+                hidden: int, make: ParamSource, prefix: str = "fusion") -> FusionParams:
     f_width = d_reduced + d_content + d_visual
-
-    def xav(name, shape):
-        return seeded_init(shape, "xavier_uniform", seed, f"{prefix}.{name}", dtype=dtype)
-
-    def zeros(name, shape):
-        return seeded_init(shape, "zeros", seed, f"{prefix}.{name}", dtype=dtype)
-
-    return FusionParams(
-        reduce_w=xav("reduce_w", (q_width, d_reduced)),
-        reduce_b=zeros("reduce_b", (d_reduced,)),
-        score_w1=xav("score_w1", (f_width, hidden)),
-        score_b1=zeros("score_b1", (hidden,)),
-        score_w2=xav("score_w2", (hidden,)),
-        score_b2=zeros("score_b2", ()),
-    )
+    return FusionParams(**make_params(make, prefix, {
+        "reduce_w": ((q_width, d_reduced), "xavier_uniform"),
+        "reduce_b": ((d_reduced,), "zeros"),
+        "score_w1": ((f_width, hidden), "xavier_uniform"),
+        "score_b1": ((hidden,), "zeros"),
+        "score_w2": ((hidden,), "xavier_uniform"),
+        "score_b2": ((), "zeros"),
+    }))
 
 
 def concat_question_features(qfeat1: Tensor, qfeat2: Tensor) -> Tensor:

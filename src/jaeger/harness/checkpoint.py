@@ -19,8 +19,9 @@ import struct
 import numpy as np
 
 from ..config import TrainConfig
-from ..errors import CheckpointFormatError, SchemaError
+from ..errors import CheckpointFormatError, CompatibilityError, SchemaError
 from ..model import JaegerModel
+from ..numerics import ParamSource, Tensor
 from ..text import Vocabulary
 
 MAGIC = b"JGR1"
@@ -108,7 +109,10 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], TrainConfig, Voca
         raise CheckpointFormatError(f"{path} has {len(blob) - r.pos} trailing bytes")
 
     with open(config_path(path), encoding="utf-8") as f:
-        sidecar = json.load(f)
+        try:
+            sidecar = json.load(f)
+        except ValueError as e:
+            raise CheckpointFormatError(f"{config_path(path)} is not valid JSON ({e})") from None
     if not isinstance(sidecar, dict) or "config" not in sidecar:
         raise SchemaError(f"{config_path(path)} is missing the config object")
     cfg = TrainConfig.from_dict(sidecar["config"])
@@ -116,9 +120,24 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], TrainConfig, Voca
     return arrays, cfg, vocab
 
 
+def _checkpoint_source(arrays: dict[str, np.ndarray]) -> ParamSource:
+    """Parameters taken from a checkpoint's tensors by name; nothing is drawn."""
+    def make(name: str, shape: tuple[int, ...], scheme: str) -> Tensor:
+        if name not in arrays:
+            raise CompatibilityError(f"checkpoint is missing parameter {name!r}")
+        arr = arrays[name]
+        if arr.shape != shape:
+            raise CompatibilityError(
+                f"parameter {name!r} has shape {arr.shape}, model expects {shape}")
+        return Tensor(arr, requires_grad=True)
+    return make
+
+
 def load_model(path: str) -> JaegerModel:
     """Rebuild a model from a checkpoint; raises CompatibilityError on mismatch."""
     arrays, cfg, vocab = load_checkpoint(path)
-    model = JaegerModel(cfg, vocab)
-    model.load_arrays(arrays)
+    model = JaegerModel(cfg, vocab, _checkpoint_source(arrays))
+    extra = sorted(set(arrays) - set(model.named_parameters()))
+    if extra:
+        raise CompatibilityError(f"checkpoint has unexpected parameter {extra[0]!r}")
     return model

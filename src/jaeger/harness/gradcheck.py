@@ -17,7 +17,7 @@ from ..config import TrainConfig
 from ..data import GenConfig, generate_document, generate_questions
 from ..errors import ContractError
 from ..model import JaegerModel, encode_sample
-from ..numerics import Tape, bce_with_logits
+from ..numerics import Tape, bce_with_logits, seeded
 from ..rng import Xoshiro256
 from ..text import build_vocab
 from .train import corpus_texts
@@ -57,7 +57,7 @@ def _gradcheck_sample(cfg: TrainConfig):
     doc = generate_document(cfg.seed, gen)
     doc.questions = generate_questions(doc, cfg.seed, 1)
     vocab = build_vocab(corpus_texts([doc]), cfg.min_count)
-    model = JaegerModel(cfg, vocab, dtype=np.float64)
+    model = JaegerModel(cfg, vocab, seeded(cfg.seed, np.float64))
     sample = encode_sample(doc, doc.questions[0], vocab, cfg)
     return model, sample
 

@@ -10,10 +10,10 @@ from .config import TrainConfig, VARIANTS
 from .encoders import (ContentParams, EncoderConfig, EncoderParams, VisualParams,
                        encode_content, encode_question_bidir, encode_question_causal,
                        encode_visual, init_content, init_encoder, init_visual)
-from .errors import CompatibilityError, ContractError, ShapeError
+from .errors import ContractError, ShapeError
 from .fusion import (FusionParams, concat_question_features, init_fusion, reduce_dim,
                      score_candidates)
-from .numerics import Tensor
+from .numerics import ParamSource, Tensor, seeded
 from .text import Vocabulary, encode_text
 
 
@@ -75,13 +75,13 @@ class JaegerModel:
     and ablation comparisons can address weights by name.
     """
 
-    def __init__(self, cfg: TrainConfig, vocab: Vocabulary, dtype=np.float32):
+    def __init__(self, cfg: TrainConfig, vocab: Vocabulary, make: ParamSource | None = None):
+        """Build every parameter from make; a fresh float32 draw from cfg.seed by default."""
         if cfg.variant not in VARIANTS:
             raise ContractError(f"unknown variant {cfg.variant!r}")
         self.cfg = cfg
         self.vocab = vocab
-        self.dtype = np.dtype(dtype)
-        seed = cfg.seed
+        make = make or seeded(cfg.seed)
         v = len(vocab)
 
         self.bidir_cfg = EncoderConfig(cfg.d_bidir, cfg.n_heads, cfg.n_layers,
@@ -97,14 +97,13 @@ class JaegerModel:
         self.bidir: EncoderParams | None = None
         self.causal: EncoderParams | None = None
         if cfg.variant in ("dual", "bidir_only"):
-            self.bidir = init_encoder(self.bidir_cfg, v, seed, "q_bidir", dtype=dtype)
+            self.bidir = init_encoder(self.bidir_cfg, v, make, "q_bidir")
         if cfg.variant in ("dual", "causal_only"):
-            self.causal = init_encoder(self.causal_cfg, v, seed, "q_causal", dtype=dtype)
-        self.content = init_content(self.content_cfg, v, seed, "content", dtype=dtype)
-        self.visual = init_visual(cfg.d_vis_in, cfg.scorer_hidden, cfg.d_visual,
-                                  seed, "visual", dtype=dtype)
+            self.causal = init_encoder(self.causal_cfg, v, make, "q_causal")
+        self.content = init_content(self.content_cfg, v, make, "content")
+        self.visual = init_visual(cfg.d_vis_in, cfg.scorer_hidden, cfg.d_visual, make, "visual")
         self.fusion = init_fusion(cfg.question_width, cfg.d_reduced, cfg.d_content,
-                                  cfg.d_visual, cfg.scorer_hidden, seed, dtype=dtype)
+                                  cfg.d_visual, cfg.scorer_hidden, make)
 
         self._named: dict[str, Tensor] = {}
         if self.bidir is not None:
@@ -114,6 +113,7 @@ class JaegerModel:
         self._named.update(self.content.named("content"))
         self._named.update(self.visual.named("visual"))
         self._named.update(self.fusion.named("fusion"))
+        self.dtype = self.content.bbox_w.data.dtype
 
     def named_parameters(self) -> dict[str, Tensor]:
         return dict(self._named)
@@ -125,21 +125,6 @@ class JaegerModel:
         """Name to float32 array snapshot, in registry order."""
         return {name: np.array(p.data, dtype=np.float32, order="C")
                 for name, p in self._named.items()}
-
-    def load_arrays(self, arrays: dict[str, np.ndarray]) -> None:
-        """Install a named snapshot; names and shapes must match exactly."""
-        missing = sorted(set(self._named) - set(arrays))
-        if missing:
-            raise CompatibilityError(f"checkpoint is missing parameter {missing[0]!r}")
-        extra = sorted(set(arrays) - set(self._named))
-        if extra:
-            raise CompatibilityError(f"checkpoint has unexpected parameter {extra[0]!r}")
-        for name, p in self._named.items():
-            arr = np.asarray(arrays[name])
-            if arr.shape != p.data.shape:
-                raise CompatibilityError(
-                    f"parameter {name!r} has shape {arr.shape}, model expects {p.data.shape}")
-            p.data = np.array(arr, dtype=self.dtype, order="C")
 
     def question_features(self, sample: EncodedSample) -> Tensor:
         """The question feature: both encoders concatenated, or the one the variant has."""

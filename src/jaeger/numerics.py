@@ -556,3 +556,20 @@ def seeded_init(shape: Sequence[int], scheme: str, seed: int, stream: str = "",
     else:
         raise ContractError(f"unknown init scheme {scheme!r}")
     return Tensor(data, requires_grad=True)
+
+
+# make(name, shape, scheme) builds the parameter registered as `name`, e.g.
+# "q_bidir.blk0.wq": fresh init and checkpoint loading share one build path.
+ParamSource = Callable[[str, tuple[int, ...], str], Tensor]
+
+
+def seeded(seed: int, dtype=np.float32) -> ParamSource:
+    """Fresh parameters: seeded_init with each tensor's name as its stream."""
+    return lambda name, shape, scheme: seeded_init(shape, scheme, seed, name, dtype=dtype)
+
+
+def make_params(make: ParamSource, prefix: str,
+                layout: dict[str, tuple[tuple[int, ...], str]]) -> dict[str, Tensor]:
+    """{name: tensor} for a {name: (shape, scheme)} layout, named f"{prefix}.{name}"."""
+    return {name: make(f"{prefix}.{name}", shape, scheme)
+            for name, (shape, scheme) in layout.items()}

@@ -21,7 +21,7 @@ from jaeger.harness.train import encode_split, three_way_split
 from jaeger.config import TrainConfig
 from jaeger.errors import CheckpointFormatError
 from jaeger.model import JaegerModel
-from jaeger.numerics import Tensor, concat_last, softmax_last
+from jaeger.numerics import Tensor, concat_last, seeded, softmax_last
 from jaeger.rng import Xoshiro256
 from jaeger.text import build_vocab, encode_text
 from jaeger.encoders import init_encoder, run_blocks, EncoderConfig
@@ -215,7 +215,7 @@ def test_c08_structural_invariants():
     vocab = build_vocab(["a study of soil and rain during winter"])
     causal_cfg = EncoderConfig(d_model=8, n_heads=2, n_layers=2, d_ff=16,
                                max_seq=16, causal=True)
-    params = init_encoder(causal_cfg, len(vocab), seed=3, prefix="q")
+    params = init_encoder(causal_cfg, len(vocab), seeded(3), prefix="q")
     ids, mask = encode_text("a study of soil and rain", vocab, 10)
     base = run_blocks(ids, mask, params, causal_cfg).data
     for t in range(1, 7):
@@ -231,7 +231,7 @@ def test_c08_structural_invariants():
         worst = max(worst, abs(total - 1.0))
     assert worst <= 1e-6
 
-    fparams = init_fusion(6, 6, 5, 3, 8, seed=5)
+    fparams = init_fusion(6, 6, 5, 3, 8, seeded(5))
     q = Tensor(rng.normal(size=6).astype(np.float32))
     content = Tensor(rng.normal(size=(7, 5)).astype(np.float32))
     visual = Tensor(rng.normal(size=(7, 3)).astype(np.float32))

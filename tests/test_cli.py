@@ -149,6 +149,42 @@ class TestStackedInputBoundaries:
         assert err.startswith("error:") and "width" in err
 
 
+class TestBadJsonAtTheBoundary:
+    def test_malformed_sidecar(self, tmp_path, tiny_config, capsys):
+        corpus = gen_corpus(tmp_path)
+        ckpt = str(tmp_path / "model.ckpt")
+        assert main(["train", "--config", tiny_config, "--data", corpus,
+                     "--out", ckpt]) == 0
+        (tmp_path / "model.ckpt.json").write_text("{not json")
+        capsys.readouterr()
+        doc_id = json.loads(open(corpus).readline())["doc_id"]
+        code = main(["predict", "--ckpt", ckpt, "--data", corpus,
+                     "--doc-id", doc_id, "--question", "anything?"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "model.ckpt.json" in err
+
+    def test_malformed_config(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("{not json")
+        code = main(["train", "--config", str(config), "--data", str(tmp_path / "x.jsonl"),
+                     "--out", str(tmp_path / "m.ckpt")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "config.json" in err
+
+    @pytest.mark.parametrize("field,value", [("epochs", "3"), ("epochs", True),
+                                             ("learning_rate", "0.1"), ("max_steps", 2.5)])
+    def test_config_field_of_wrong_type(self, tmp_path, capsys, field, value):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({field: value}))
+        code = main(["train", "--config", str(config), "--data", str(tmp_path / "x.jsonl"),
+                     "--out", str(tmp_path / "m.ckpt")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and field in err
+
+
 class TestAblateCommand:
     def test_prints_all_variants(self, tmp_path, tiny_config, capsys):
         corpus = gen_corpus(tmp_path)

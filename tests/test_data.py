@@ -243,6 +243,19 @@ class TestJsonl:
         with pytest.raises(SchemaError):
             read_jsonl(path)
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999",
+                                         pytest.param("1" + "0" * 400, id="huge-int")])
+    def test_non_finite_visual_value_names_the_line(self, tmp_path, literal):
+        path = tmp_path / "vis.jsonl"
+        write_jsonl(generate_corpus(2, 2), path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        record["elements"][0]["vis"][3] = "PLACEHOLDER"
+        lines[1] = json.dumps(record).replace('"PLACEHOLDER"', literal)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match="line 2.*vis"):
+            read_jsonl(path)
+
     def test_bool_id_rejected(self, tmp_path):
         path = self._mutate_first_record(
             tmp_path, lambda r: r["elements"][0].__setitem__("id", True))

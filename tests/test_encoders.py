@@ -8,7 +8,7 @@ from jaeger.encoders import (ContentParams, EncoderConfig, attention_bias, encod
                              init_block, init_content, init_encoder, init_visual,
                              multi_head_attention, run_blocks, transformer_block)
 from jaeger.errors import ContractError, ShapeError
-from jaeger.numerics import Tensor, linear, mul, sum_all
+from jaeger.numerics import Tensor, linear, mul, seeded, sum_all
 from jaeger.text import build_vocab, encode_text
 
 from fdcheck import assert_grads_match
@@ -51,7 +51,7 @@ class TestAttention:
         """With one visible token the attention weight is exactly 1, so the
         output is just the value projection followed by the output projection."""
         cfg = EncoderConfig(d_model=8, n_heads=2, n_layers=1, d_ff=16, max_seq=4)
-        blk = init_block(cfg, seed=3, prefix="t")
+        blk = init_block(cfg, seeded(3), prefix="t")
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(1, 8)).astype(np.float32))
         got = multi_head_attention(x, np.array([True]), blk, cfg).data
@@ -59,14 +59,14 @@ class TestAttention:
         np.testing.assert_array_equal(got, want)
 
     def test_output_shape(self):
-        blk = init_block(CFG, seed=1, prefix="t")
+        blk = init_block(CFG, seeded(1), prefix="t")
         x = Tensor(np.zeros((5, 8), dtype=np.float32))
         out = multi_head_attention(x, np.ones(5, dtype=bool), blk, CFG)
         assert out.shape == (5, 8)
 
     def test_gradients_through_block(self):
         cfg = EncoderConfig(d_model=4, n_heads=2, n_layers=1, d_ff=8, max_seq=5)
-        blk = init_block(cfg, seed=11, prefix="g", dtype=np.float64)
+        blk = init_block(cfg, seeded(11, np.float64), prefix="g")
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True, dtype=np.float64)
         mask = np.array([True, True, False])
@@ -79,21 +79,21 @@ class TestAttention:
 
 class TestTransformerBlock:
     def test_preserves_shape(self):
-        blk = init_block(CFG, seed=2, prefix="t")
+        blk = init_block(CFG, seeded(2), prefix="t")
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(size=(6, 8)).astype(np.float32))
         out = transformer_block(x, np.ones(6, dtype=bool), blk, CFG)
         assert out.shape == (6, 8)
 
     def test_wrong_width_rejected(self):
-        blk = init_block(CFG, seed=2, prefix="t")
+        blk = init_block(CFG, seeded(2), prefix="t")
         with pytest.raises(ShapeError):
             transformer_block(Tensor(np.zeros((3, 4), dtype=np.float32)),
                               np.ones(3, dtype=bool), blk, CFG)
 
     def test_sequence_over_max_rejected(self):
         cfg = EncoderConfig(d_model=8, n_heads=2, n_layers=1, d_ff=16, max_seq=4)
-        blk = init_block(cfg, seed=2, prefix="t")
+        blk = init_block(cfg, seeded(2), prefix="t")
         with pytest.raises(ContractError):
             transformer_block(Tensor(np.zeros((5, 8), dtype=np.float32)),
                               np.ones(5, dtype=bool), blk, cfg)
@@ -101,26 +101,26 @@ class TestTransformerBlock:
 
 class TestQuestionEncoders:
     def test_bidir_is_deterministic(self):
-        params = init_encoder(CFG, len(VOCAB), seed=5, prefix="q")
+        params = init_encoder(CFG, len(VOCAB), seeded(5), prefix="q")
         ids, mask = encode_text("a study of soil", VOCAB, 12)
         a = encode_question_bidir(ids, mask, params, CFG).data
         b = encode_question_bidir(ids, mask, params, CFG).data
         np.testing.assert_array_equal(a, b)
 
     def test_bidir_rejects_causal_config(self):
-        params = init_encoder(CAUSAL_CFG, len(VOCAB), seed=5, prefix="q")
+        params = init_encoder(CAUSAL_CFG, len(VOCAB), seeded(5), prefix="q")
         ids, mask = encode_text("a", VOCAB, 8)
         with pytest.raises(ContractError):
             encode_question_bidir(ids, mask, params, CAUSAL_CFG)
 
     def test_causal_rejects_bidir_config(self):
-        params = init_encoder(CFG, len(VOCAB), seed=5, prefix="q")
+        params = init_encoder(CFG, len(VOCAB), seeded(5), prefix="q")
         ids, mask = encode_text("a", VOCAB, 8)
         with pytest.raises(ContractError):
             encode_question_causal(ids, mask, params, CFG)
 
     def test_causal_rejects_all_pad(self):
-        params = init_encoder(CAUSAL_CFG, len(VOCAB), seed=5, prefix="q")
+        params = init_encoder(CAUSAL_CFG, len(VOCAB), seeded(5), prefix="q")
         with pytest.raises(ContractError):
             encode_question_causal(np.zeros(4, dtype=np.int64),
                                    np.zeros(4, dtype=bool), params, CAUSAL_CFG)
@@ -128,7 +128,7 @@ class TestQuestionEncoders:
     def test_pad_extension_changes_little(self):
         """Padding a sequence further must not change the pooled feature
         beyond float32 summation noise."""
-        params = init_encoder(CFG, len(VOCAB), seed=6, prefix="q")
+        params = init_encoder(CFG, len(VOCAB), seeded(6), prefix="q")
         text = "a study of soil"
         short = encode_text(text, VOCAB, 8)
         long = encode_text(text, VOCAB, 16)
@@ -137,7 +137,7 @@ class TestQuestionEncoders:
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-6)
 
     def test_causal_pad_extension(self):
-        params = init_encoder(CAUSAL_CFG, len(VOCAB), seed=6, prefix="q")
+        params = init_encoder(CAUSAL_CFG, len(VOCAB), seeded(6), prefix="q")
         text = "what is rain"
         short = encode_text(text, VOCAB, 8)
         long = encode_text(text, VOCAB, 16)
@@ -147,7 +147,7 @@ class TestQuestionEncoders:
 
     def test_causal_future_invariance_is_bit_exact(self):
         """Perturbing token t+1 cannot move any hidden row at or before t."""
-        params = init_encoder(CAUSAL_CFG, len(VOCAB), seed=7, prefix="q")
+        params = init_encoder(CAUSAL_CFG, len(VOCAB), seeded(7), prefix="q")
         ids, mask = encode_text("a study of soil and rain", VOCAB, 10)
         base = run_blocks(ids, mask, params, CAUSAL_CFG).data
         t = 4
@@ -159,7 +159,7 @@ class TestQuestionEncoders:
 
     def test_bidir_sees_the_future(self):
         """The bidirectional pool must react to late tokens."""
-        params = init_encoder(CFG, len(VOCAB), seed=7, prefix="q")
+        params = init_encoder(CFG, len(VOCAB), seeded(7), prefix="q")
         a_ids, mask = encode_text("a study of soil", VOCAB, 10)
         b_ids = a_ids.copy()
         b_ids[4] = (b_ids[4] + 1) % len(VOCAB)
@@ -168,7 +168,7 @@ class TestQuestionEncoders:
         assert not np.array_equal(a, b)
 
     def test_outputs_stay_finite(self):
-        params = init_encoder(CFG, len(VOCAB), seed=8, prefix="q")
+        params = init_encoder(CFG, len(VOCAB), seeded(8), prefix="q")
         texts = ["a", "soil rain", "what is the parent of beta", "study of a study",
                  "rain rain rain rain rain rain"]
         for text in texts:
@@ -179,7 +179,7 @@ class TestQuestionEncoders:
 
 class TestContentEncoder:
     def setup_method(self):
-        self.params = init_content(CFG, len(VOCAB), seed=9, prefix="c")
+        self.params = init_content(CFG, len(VOCAB), seeded(9), prefix="c")
         self.ids, self.mask = encode_text("a study of soil", VOCAB, 10)
 
     def test_deterministic(self):
@@ -194,7 +194,7 @@ class TestContentEncoder:
         assert not np.array_equal(a, b)
 
     def test_zeroed_bbox_weights_ignore_geometry(self):
-        params = init_content(CFG, len(VOCAB), seed=9, prefix="c")
+        params = init_content(CFG, len(VOCAB), seeded(9), prefix="c")
         params.bbox_w.data[:] = 0.0
         a = encode_content(self.ids, self.mask, (0.1, 0.2, 0.6, 0.4), params, CFG).data
         b = encode_content(self.ids, self.mask, (0.3, 0.5, 0.9, 0.8), params, CFG).data
@@ -216,50 +216,50 @@ class TestContentEncoder:
 
 class TestVisualEncoder:
     def test_output_width(self):
-        params = init_visual(8, 16, 6, seed=10, prefix="v")
+        params = init_visual(8, 16, 6, seeded(10), prefix="v")
         out = encode_visual(np.zeros(8), params)
         assert out.shape == (6,)
 
     def test_zero_params_give_zeros(self):
-        params = init_visual(8, 16, 6, seed=10, prefix="v")
+        params = init_visual(8, 16, 6, seeded(10), prefix="v")
         for t in (params.w1, params.b1, params.w2, params.b2):
             t.data[:] = 0.0
         out = encode_visual(np.ones(8), params)
         np.testing.assert_array_equal(out.data, np.zeros(6))
 
     def test_deterministic(self):
-        params = init_visual(8, 16, 6, seed=10, prefix="v")
+        params = init_visual(8, 16, 6, seeded(10), prefix="v")
         x = np.linspace(-1, 1, 8)
         np.testing.assert_array_equal(encode_visual(x, params).data,
                                       encode_visual(x, params).data)
 
     def test_wrong_width_rejected(self):
-        params = init_visual(8, 16, 6, seed=10, prefix="v")
+        params = init_visual(8, 16, 6, seeded(10), prefix="v")
         with pytest.raises(ShapeError):
             encode_visual(np.zeros(7), params)
 
 
 class TestInit:
     def test_same_seed_same_weights(self):
-        a = init_encoder(CFG, len(VOCAB), seed=0, prefix="q")
-        b = init_encoder(CFG, len(VOCAB), seed=0, prefix="q")
+        a = init_encoder(CFG, len(VOCAB), seeded(0), prefix="q")
+        b = init_encoder(CFG, len(VOCAB), seeded(0), prefix="q")
         for (na, ta), (nb, tb) in zip(a.named("q"), b.named("q")):
             assert na == nb
             np.testing.assert_array_equal(ta.data, tb.data)
 
     def test_prefixes_decorrelate_weights(self):
-        a = init_encoder(CFG, len(VOCAB), seed=0, prefix="q1")
-        b = init_encoder(CFG, len(VOCAB), seed=0, prefix="q2")
+        a = init_encoder(CFG, len(VOCAB), seeded(0), prefix="q1")
+        b = init_encoder(CFG, len(VOCAB), seeded(0), prefix="q2")
         assert not np.array_equal(a.token_table.data, b.token_table.data)
 
     def test_named_covers_all_blocks(self):
-        params = init_encoder(CFG, len(VOCAB), seed=0, prefix="q")
+        params = init_encoder(CFG, len(VOCAB), seeded(0), prefix="q")
         names = [n for n, _ in params.named("q")]
         assert names[0] == "q.tok" and names[1] == "q.pos"
         assert len(names) == 2 + 16 * CFG.n_layers
         assert len(set(names)) == len(names)
 
     def test_content_named_includes_bbox(self):
-        params = init_content(CFG, len(VOCAB), seed=0, prefix="c")
+        params = init_content(CFG, len(VOCAB), seeded(0), prefix="c")
         names = [n for n, _ in params.named("c")]
         assert "c.bbox_w" in names and "c.bbox_b" in names

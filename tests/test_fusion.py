@@ -6,7 +6,7 @@ import pytest
 from jaeger.errors import ContractError, ShapeError
 from jaeger.fusion import (concat_question_features, init_fusion, per_candidate_mult_count,
                            predict_answer_set, reduce_dim, score_candidates)
-from jaeger.numerics import Tensor
+from jaeger.numerics import Tensor, seeded
 from jaeger.rng import Xoshiro256
 
 
@@ -43,19 +43,19 @@ class TestConcat:
 
 class TestReduce:
     def test_identity_weights_pass_through(self):
-        params = init_fusion(4, 4, 5, 3, 8, seed=0)
+        params = init_fusion(4, 4, 5, 3, 8, seeded(0))
         params.reduce_w.data[:] = np.eye(4, dtype=np.float32)
         params.reduce_b.data[:] = 0.0
         q = Tensor(np.array([1.0, -2.0, 3.0, 0.5], dtype=np.float32))
         np.testing.assert_array_equal(reduce_dim(q, params).data, q.data)
 
     def test_output_width(self):
-        params = init_fusion(80, 32, 5, 3, 8, seed=0)
+        params = init_fusion(80, 32, 5, 3, 8, seeded(0))
         out = reduce_dim(Tensor(np.zeros(80, dtype=np.float32)), params)
         assert out.shape == (32,)
 
     def test_wrong_input_width_rejected(self):
-        params = init_fusion(80, 32, 5, 3, 8, seed=0)
+        params = init_fusion(80, 32, 5, 3, 8, seeded(0))
         with pytest.raises(ShapeError):
             reduce_dim(Tensor(np.zeros(79, dtype=np.float32)), params)
 
@@ -68,21 +68,21 @@ class TestReduce:
 
 class TestScoreCandidates:
     def test_one_logit_per_candidate(self):
-        params = init_fusion(6, 6, 5, 3, 8, seed=1)
+        params = init_fusion(6, 6, 5, 3, 8, seeded(1))
         q, content, visual = random_features(1, n=4)
         logits = score_candidates(q, content, visual, params)
         assert logits.shape == (4,)
         assert np.isfinite(logits.data).all()
 
     def test_no_candidates(self):
-        params = init_fusion(6, 6, 5, 3, 8, seed=1)
+        params = init_fusion(6, 6, 5, 3, 8, seeded(1))
         q, content, visual = random_features(1, n=0)
         logits = score_candidates(q, content, visual, params)
         assert logits.shape == (0,)
 
     def test_permutation_equivariance_is_bit_exact(self):
         """Shuffling candidate rows shuffles the logits, nothing else."""
-        params = init_fusion(6, 6, 5, 3, 8, seed=2)
+        params = init_fusion(6, 6, 5, 3, 8, seeded(2))
         for n in (6, 30):
             q, content, visual = random_features(2, n=n)
             base = score_candidates(q, content, visual, params).data
@@ -94,7 +94,7 @@ class TestScoreCandidates:
             np.testing.assert_array_equal(shuffled, base[order])
 
     def test_appending_candidates_never_moves_existing_logits(self):
-        params = init_fusion(6, 6, 5, 3, 8, seed=3)
+        params = init_fusion(6, 6, 5, 3, 8, seeded(3))
         for n in (4, 1):
             q, content, visual = random_features(3, n=n)
             base = score_candidates(q, content, visual, params).data
@@ -107,7 +107,7 @@ class TestScoreCandidates:
             np.testing.assert_array_equal(grown[:n], base)
 
     def test_row_count_mismatch_rejected(self):
-        params = init_fusion(6, 6, 5, 3, 8, seed=1)
+        params = init_fusion(6, 6, 5, 3, 8, seeded(1))
         q, content, _ = random_features(1, n=4)
         _, _, visual = random_features(1, n=3)
         with pytest.raises(ShapeError):

@@ -5,10 +5,12 @@ import gc
 import importlib
 import json
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import jaeger.encoders
 import jaeger.fusion
 from jaeger import numerics
 from jaeger.config import TrainConfig
@@ -22,7 +24,7 @@ from jaeger.harness.checkpoint import config_path
 from jaeger.harness.gradcheck import format_gradcheck
 from jaeger.harness.train import corpus_texts, encode_split, three_way_split, train_step
 from jaeger.model import JaegerModel, encode_sample
-from jaeger.numerics import SgdConfig, Tape
+from jaeger.numerics import SgdConfig, Tape, seeded, seeded_init
 from jaeger.text import build_vocab
 
 
@@ -89,6 +91,20 @@ class TestTrainConfig:
         assert "data_path" not in raw
         raw["data_path"] = "corpus.jsonl"
         assert TrainConfig.from_dict(raw) == small_config()
+
+    def test_json_types_that_fit_are_accepted(self):
+        """An int is a valid float, max_steps may be null, ratios may be a list."""
+        cfg = TrainConfig.from_dict({"learning_rate": 1, "max_steps": None,
+                                     "split_ratios": [1, 0.0]})
+        assert cfg.learning_rate == 1 and cfg.max_steps is None
+        assert cfg.split_ratios == (1, 0.0)
+
+    @pytest.mark.parametrize("field,value", [("n_heads", 2.0), ("variant", 1),
+                                             ("split_ratios", [0.5, "0.5"]),
+                                             ("split_ratios", 0.5), ("threshold", False)])
+    def test_wrong_json_type_names_the_field(self, field, value):
+        with pytest.raises(SchemaError, match=field):
+            TrainConfig.from_dict({field: value})
 
     def test_question_width_per_variant(self):
         assert small_config(variant="dual").question_width == 16
@@ -304,6 +320,64 @@ class TestCheckpoint:
         json.dump(sidecar, open(config_path(path), "w"))
         with pytest.raises(CompatibilityError):
             load_model(path)
+
+    def _rewrite_tensors(self, path, edit):
+        """Rewrite the tensor file with edit applied to its name-to-array map."""
+        arrays, cfg, vocab = load_checkpoint(path)
+        edit(arrays)
+        save_checkpoint(path, SimpleNamespace(state_arrays=lambda: arrays, cfg=cfg, vocab=vocab))
+
+    def test_missing_tensor_rejected(self, tmp_path):
+        _, _, _, path = self._trained(tmp_path)
+        self._rewrite_tensors(path, lambda arrays: arrays.pop("content.blk0.w1"))
+        with pytest.raises(CompatibilityError, match="content.blk0.w1"):
+            load_model(path)
+
+    def test_extra_tensor_rejected(self, tmp_path):
+        _, _, _, path = self._trained(tmp_path)
+        self._rewrite_tensors(
+            path, lambda arrays: arrays.__setitem__("fusion.spare", np.zeros(3, np.float32)))
+        with pytest.raises(CompatibilityError, match="fusion.spare"):
+            load_model(path)
+
+    def test_loading_draws_no_initial_values(self, tmp_path, monkeypatch):
+        """Every weight comes from the tensor file, so init is never called."""
+        corpus, cfg, result, path = self._trained(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("load_model drew initial values")
+
+        for module in (numerics, jaeger.encoders, jaeger.fusion):
+            if hasattr(module, "seeded_init"):
+                monkeypatch.setattr(module, "seeded_init", refuse)
+        restored = load_model(path)
+        train_docs, _, _ = three_way_split(corpus, cfg)
+        sample = encode_split(train_docs, result.vocab, cfg)[0]
+        np.testing.assert_array_equal(result.model.forward(sample).data,
+                                      restored.forward(sample).data)
+
+
+class TestFreshInit:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_each_parameter_is_drawn_from_its_registry_name(self, dtype):
+        """A fresh tensor equals seeded_init with its registry name as the
+        stream; loading a checkpoint by the same names relies on this."""
+        cfg = small_config()
+        vocab = build_vocab(["alpha beta"])
+        model = JaegerModel(cfg, vocab, seeded(cfg.seed, dtype))
+        default = JaegerModel(cfg, vocab).named_parameters()
+        for name, p in model.named_parameters().items():
+            if not p.data.any():
+                scheme = "zeros"
+            elif (p.data == 1).all():
+                scheme = "ones"
+            else:
+                scheme = "xavier_uniform"
+            expected = seeded_init(p.data.shape, scheme, cfg.seed, name, dtype=dtype).data
+            assert p.data.dtype == dtype
+            np.testing.assert_array_equal(p.data, expected, err_msg=name)
+            np.testing.assert_array_equal(default[name].data, expected.astype(np.float32),
+                                          err_msg=name)
 
 
 class TestGradcheck:
