@@ -13,6 +13,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 
+from .atomic import replacing
 from .errors import (ContractError, GenerationError, ParseError, SchemaError,
                      UnknownElementError)
 from .rng import Xoshiro256, derive_stream
@@ -332,8 +333,8 @@ def _doc_to_record(doc: Document) -> dict:
 
 
 def write_jsonl(docs: list[Document], path: str) -> None:
-    """One compact JSON document per line, in corpus order."""
-    with open(path, "w", encoding="utf-8") as f:
+    """One compact JSON document per line, in corpus order; replaces path atomically."""
+    with replacing(path) as (tmp,), open(tmp, "w", encoding="utf-8") as f:
         for doc in docs:
             f.write(json.dumps(_doc_to_record(doc), separators=(",", ":")) + "\n")
 
@@ -426,8 +427,12 @@ def _doc_from_record(raw: dict, where: str) -> Document:
 def read_jsonl(path: str) -> list[Document]:
     """Parse a corpus, rejecting malformed lines and unknown or missing fields."""
     docs = []
-    with open(path, encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
+    with open(path, "rb") as f:
+        for line_no, raw_line in enumerate(f, start=1):
+            try:
+                line = raw_line.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise ParseError(f"{path} line {line_no}: not valid UTF-8 ({e.reason})") from None
             if not line.strip():
                 raise ParseError(f"line {line_no}: blank line in corpus")
             try:

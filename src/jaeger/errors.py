@@ -26,7 +26,7 @@ class UnknownElementError(JaegerError, KeyError):
 
 
 class ParseError(JaegerError, ValueError):
-    """A serialized corpus line is not valid JSON."""
+    """A serialized corpus line or vocabulary file is not valid JSON or UTF-8."""
 
 
 class SchemaError(JaegerError, ValueError):

@@ -18,6 +18,7 @@ import struct
 
 import numpy as np
 
+from ..atomic import replacing
 from ..config import TrainConfig
 from ..errors import CheckpointFormatError, CompatibilityError, SchemaError
 from ..model import JaegerModel
@@ -37,8 +38,22 @@ def vocab_path(path: str) -> str:
 
 
 def save_checkpoint(path: str, model: JaegerModel) -> None:
-    """Write the model's named tensors, config sidecar and vocabulary."""
+    """Write the model's named tensors, config sidecar and vocabulary.
+
+    All three files are written to temporaries first and only then moved
+    into place, so a failed save leaves the previous checkpoint whole.
+    """
     arrays = model.state_arrays()
+    with replacing(path, config_path(path), vocab_path(path)) as (tmp, tmp_config, tmp_vocab):
+        _write_tensors(tmp, arrays)
+        with open(tmp_config, "w", encoding="utf-8") as f:
+            json.dump({"format_version": VERSION, "config": model.cfg.to_dict()}, f,
+                      indent=2, sort_keys=True)
+            f.write("\n")
+        model.vocab.save(tmp_vocab)
+
+
+def _write_tensors(path: str, arrays: dict[str, np.ndarray]) -> None:
     with open(path, "wb") as f:
         f.write(MAGIC)
         f.write(struct.pack("<I", VERSION))
@@ -51,11 +66,6 @@ def save_checkpoint(path: str, model: JaegerModel) -> None:
             for dim in arr.shape:
                 f.write(struct.pack("<I", dim))
             f.write(np.array(arr, dtype="<f4", order="C").tobytes())
-    with open(config_path(path), "w", encoding="utf-8") as f:
-        json.dump({"format_version": VERSION, "config": model.cfg.to_dict()}, f,
-                  indent=2, sort_keys=True)
-        f.write("\n")
-    model.vocab.save(vocab_path(path))
 
 
 class _Reader:
@@ -95,7 +105,11 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], TrainConfig, Voca
     count = r.u32()
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
-        name = r.take(r.u16()).decode("utf-8")
+        try:
+            name = r.take(r.u16()).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointFormatError(
+                f"{path} has a tensor name that is not valid UTF-8") from None
         if name in arrays:
             raise CheckpointFormatError(f"{path} repeats tensor {name!r}")
         rank = r.u8()

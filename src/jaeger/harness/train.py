@@ -16,7 +16,7 @@ from ..config import TrainConfig
 from ..data import Document, split_corpus
 from ..errors import ContractError, TrainingDiverged
 from ..fusion import predict_answer_set
-from ..model import EncodedSample, JaegerModel, encode_sample
+from ..model import EncodedSample, JaegerModel, encode_candidates, encode_sample
 from ..numerics import SgdConfig, Tape, add, bce_with_logits, scale, sgd_step
 from ..rng import Xoshiro256
 from ..text import Vocabulary, build_vocab
@@ -52,7 +52,12 @@ class TrainResult:
 
 def encode_split(docs: list[Document], vocab: Vocabulary,
                  cfg: TrainConfig) -> list[EncodedSample]:
-    return [encode_sample(doc, q, vocab, cfg) for doc in docs for q in doc.questions]
+    """One sample per question; a document's questions share one EncodedCandidates."""
+    samples = []
+    for doc in docs:
+        cands = encode_candidates(doc, vocab, cfg)
+        samples.extend(encode_sample(doc, q, vocab, cfg, cands) for q in doc.questions)
+    return samples
 
 
 def _batch_loss(model: JaegerModel, batch: list[EncodedSample]):
@@ -80,13 +85,20 @@ def train_step(model: JaegerModel, batch: list[EncodedSample], opt: SgdConfig,
 
 def evaluate(model: JaegerModel, samples: list[EncodedSample], split: str,
              threshold: float | None = None) -> dict:
-    """EMA report {"split", "n", "ema"} over pre-encoded samples."""
+    """EMA report {"split", "n", "ema"} over pre-encoded samples.
+
+    Each distinct EncodedCandidates is encoded once for all its questions.
+    The features live only for this call: the next SGD step makes them stale.
+    """
     if not samples:
         raise ContractError(f"cannot evaluate an empty {split!r} split")
     tau = model.cfg.threshold if threshold is None else threshold
+    features = {}
     predictions, golds = [], []
     for s in samples:
-        logits = model.forward(s)
+        if s.candidates not in features:
+            features[s.candidates] = model.candidate_features(s.candidates)
+        logits = model.forward(s, features[s.candidates])
         picked = predict_answer_set(logits, tau)
         predictions.append({s.candidate_ids[i] for i in picked})
         golds.append(set(s.gold))

@@ -17,53 +17,72 @@ from .numerics import ParamSource, Tensor, seeded
 from .text import Vocabulary, encode_text
 
 
-@dataclass
-class EncodedSample:
-    """One question of one document, fully converted to model inputs.
+@dataclass(eq=False)
+class EncodedCandidates:
+    """Every candidate element of one document, converted to model inputs once.
 
-    The per-candidate arrays are stacked along a leading candidate axis:
-    content_ids and content_masks are (n, max_content_len), bboxes (n, 4)
-    and visuals (n, d_vis_in).
+    The arrays are stacked along a leading candidate axis: content_ids
+    and content_masks are (n, max_content_len), bboxes (n, 4) and
+    visuals (n, d_vis_in). All questions of the document share one
+    instance, so eval can compute its candidate features once.
     """
 
-    qid: str
-    doc_id: str
-    question_ids: np.ndarray
-    question_mask: np.ndarray
     content_ids: np.ndarray
     content_masks: np.ndarray
     bboxes: np.ndarray
     visuals: np.ndarray
     candidate_ids: list[int]
+
+
+@dataclass
+class EncodedSample:
+    """One question of one document; candidates are shared with its other questions."""
+
+    qid: str
+    doc_id: str
+    question_ids: np.ndarray
+    question_mask: np.ndarray
+    candidates: EncodedCandidates
     targets: np.ndarray
     gold: frozenset[int] = field(default_factory=frozenset)
 
+    @property
+    def candidate_ids(self) -> list[int]:
+        return self.candidates.candidate_ids
 
-def encode_sample(doc, question, vocab: Vocabulary, cfg: TrainConfig) -> EncodedSample:
-    """Tokenize a question and every candidate element of its document.
 
-    Candidates are the document's elements in stored order; targets mark
-    gold answer membership per candidate.
-    """
+def encode_candidates(doc, vocab: Vocabulary, cfg: TrainConfig) -> EncodedCandidates:
+    """Tokenize every element of a document, in stored order, once."""
     elements = doc.elements
     n = len(elements)
     for el in elements:
         if len(el.vis) != cfg.d_vis_in:
             raise ShapeError(f"element {el.id} of {doc.doc_id} has a visual descriptor of "
                              f"width {len(el.vis)}, the model expects {cfg.d_vis_in}")
-    q_ids, q_mask = encode_text(question.question, vocab, cfg.max_question_len)
     texts = [encode_text(el.text, vocab, cfg.max_content_len) for el in elements]
     shape = (n, cfg.max_content_len)
-    gold = frozenset(question.answers)
-    return EncodedSample(
-        qid=question.qid, doc_id=doc.doc_id,
-        question_ids=q_ids, question_mask=q_mask,
+    return EncodedCandidates(
         content_ids=np.array([ids for ids, _ in texts], dtype=np.int64).reshape(shape),
         content_masks=np.array([mask for _, mask in texts], dtype=bool).reshape(shape),
         bboxes=np.array([el.bbox for el in elements], dtype=np.float64).reshape(n, 4),
         visuals=np.array([el.vis for el in elements], dtype=np.float64).reshape(n, cfg.d_vis_in),
         candidate_ids=[el.id for el in elements],
-        targets=np.array([el.id in gold for el in elements], dtype=np.float64),
+    )
+
+
+def encode_sample(doc, question, vocab: Vocabulary, cfg: TrainConfig,
+                  candidates: EncodedCandidates | None = None) -> EncodedSample:
+    """Tokenize a question; candidates are encode_candidates(doc, ...) unless given.
+
+    targets mark gold answer membership per candidate.
+    """
+    candidates = candidates or encode_candidates(doc, vocab, cfg)
+    q_ids, q_mask = encode_text(question.question, vocab, cfg.max_question_len)
+    gold = frozenset(question.answers)
+    return EncodedSample(
+        qid=question.qid, doc_id=doc.doc_id,
+        question_ids=q_ids, question_mask=q_mask, candidates=candidates,
+        targets=np.array([i in gold for i in candidates.candidate_ids], dtype=np.float64),
         gold=gold,
     )
 
@@ -137,10 +156,18 @@ class JaegerModel:
                                                 self.causal, self.causal_cfg))
         return concat_question_features(*feats) if len(feats) == 2 else feats[0]
 
-    def forward(self, sample: EncodedSample) -> Tensor:
-        """Logits over the sample's candidates, in candidate order."""
-        qreduced = reduce_dim(self.question_features(sample), self.fusion)
-        content = encode_content(sample.content_ids, sample.content_masks, sample.bboxes,
+    def candidate_features(self, cands: EncodedCandidates) -> tuple[Tensor, Tensor]:
+        """(content, visual) feature rows, one per candidate; no question enters them."""
+        content = encode_content(cands.content_ids, cands.content_masks, cands.bboxes,
                                  self.content, self.content_cfg)
-        visual = encode_visual(sample.visuals, self.visual)
+        return content, encode_visual(cands.visuals, self.visual)
+
+    def forward(self, sample: EncodedSample,
+                features: tuple[Tensor, Tensor] | None = None) -> Tensor:
+        """Logits over the sample's candidates, in candidate order.
+
+        features are candidate_features(sample.candidates), computed here unless given.
+        """
+        qreduced = reduce_dim(self.question_features(sample), self.fusion)
+        content, visual = features or self.candidate_features(sample.candidates)
         return score_candidates(qreduced, content, visual, self.fusion)

@@ -12,7 +12,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ContractError, IndexOutOfRange
+from .errors import ContractError, IndexOutOfRange, ParseError
 from .numerics import Tensor, add, embedding_lookup
 
 PAD_TOKEN = "<pad>"
@@ -82,7 +82,11 @@ class Vocabulary:
     @classmethod
     def load(cls, path: str) -> "Vocabulary":
         with open(path, encoding="utf-8") as f:
-            lines = [line.rstrip("\n") for line in f]
+            try:
+                lines = [line.rstrip("\n") for line in f]
+            except UnicodeDecodeError as e:
+                raise ParseError(
+                    f"vocabulary file {path} is not valid UTF-8 ({e.reason})") from None
         while lines and lines[-1] == "":
             lines.pop()
         if tuple(lines[:4]) != RESERVED:

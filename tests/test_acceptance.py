@@ -9,6 +9,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from jaeger.cli import main
 from jaeger.data import GenConfig, generate_document
@@ -66,6 +67,7 @@ def test_c01_benchmark_fidelity_documented():
             "accuracy is not reproducible at desk scale")
 
 
+@pytest.mark.slow
 def test_c02_gradient_correctness():
     started = time.monotonic()
     report = run_gradcheck()
@@ -83,6 +85,7 @@ def test_c02_gradient_correctness():
             f"<= 1e-4 over {len(names)} parameter tensors in {elapsed:.1f}s")
 
 
+@pytest.mark.slow
 def test_c03_overfit_sanity():
     report = run_overfit(seed=42, learning_rate=0.05, max_steps=2000)
     assert report["n"] == 32

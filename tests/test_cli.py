@@ -185,6 +185,49 @@ class TestBadJsonAtTheBoundary:
         assert err.startswith("error:") and field in err
 
 
+class TestInvalidUtf8AtTheBoundary:
+    """Bytes that are not UTF-8 end in `error:` naming the file, not a traceback."""
+
+    def _trained(self, tmp_path, tiny_config, capsys):
+        corpus = gen_corpus(tmp_path)
+        ckpt = str(tmp_path / "model.ckpt")
+        assert main(["train", "--config", tiny_config, "--data", corpus, "--out", ckpt]) == 0
+        capsys.readouterr()
+        return corpus, ckpt
+
+    def _predict(self, corpus, ckpt, capsys):
+        doc_id = json.loads(open(corpus).readline())["doc_id"]
+        code = main(["predict", "--ckpt", ckpt, "--data", corpus,
+                     "--doc-id", doc_id, "--question", "anything?"])
+        return code, capsys.readouterr().err
+
+    def test_corpus_names_the_file_and_line(self, tmp_path, tiny_config, capsys):
+        corpus = tmp_path / "bad.jsonl"
+        corpus.write_bytes(b"\xff\xfe{}\n")
+        code = main(["train", "--config", tiny_config, "--data", str(corpus),
+                     "--out", str(tmp_path / "m.ckpt")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "bad.jsonl" in err and "line 1" in err
+
+    def test_tensor_name(self, tmp_path, tiny_config, capsys):
+        corpus, ckpt = self._trained(tmp_path, tiny_config, capsys)
+        blob = bytearray(open(ckpt, "rb").read())
+        blob[14] = 0xFF  # first byte of the first tensor name
+        open(ckpt, "wb").write(bytes(blob))
+        code, err = self._predict(corpus, ckpt, capsys)
+        assert code == 1
+        assert err.startswith("error:") and "model.ckpt" in err
+
+    def test_vocabulary_sidecar(self, tmp_path, tiny_config, capsys):
+        corpus, ckpt = self._trained(tmp_path, tiny_config, capsys)
+        with open(ckpt + ".vocab", "ab") as f:
+            f.write(b"caf\xff\n")
+        code, err = self._predict(corpus, ckpt, capsys)
+        assert code == 1
+        assert err.startswith("error:") and "model.ckpt.vocab" in err
+
+
 class TestAblateCommand:
     def test_prints_all_variants(self, tmp_path, tiny_config, capsys):
         corpus = gen_corpus(tmp_path)

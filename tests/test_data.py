@@ -1,8 +1,11 @@
 """Synthetic document generation, the hierarchy oracle, JSONL io, and splits."""
 
 import json
+import os
 
 import pytest
+
+import jaeger.data
 
 from jaeger.data import (CATEGORIES, Document, DocumentElement, GenConfig,
                          generate_corpus, generate_document, generate_questions,
@@ -200,6 +203,25 @@ class TestJsonl:
         write_jsonl(docs, p1)
         write_jsonl(read_jsonl(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_write_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(generate_corpus(1, 2), path)
+        before = path.read_bytes()
+        written = []
+        original = jaeger.data._doc_to_record
+
+        def fail_on_second(doc):
+            written.append(doc)
+            if len(written) == 2:
+                raise OSError("no space left on device")
+            return original(doc)
+
+        monkeypatch.setattr(jaeger.data, "_doc_to_record", fail_on_second)
+        with pytest.raises(OSError, match="no space"):
+            write_jsonl(generate_corpus(2, 3), path)
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["corpus.jsonl"]
 
     def test_invalid_json_names_the_line(self, tmp_path):
         docs = generate_corpus(1, 2)

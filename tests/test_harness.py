@@ -4,6 +4,7 @@ import dataclasses
 import gc
 import importlib
 import json
+import os
 import weakref
 from types import SimpleNamespace
 
@@ -12,6 +13,7 @@ import pytest
 
 import jaeger.encoders
 import jaeger.fusion
+import jaeger.model
 from jaeger import numerics
 from jaeger.config import TrainConfig
 from jaeger.data import GenConfig, generate_corpus, generate_document, generate_questions
@@ -25,7 +27,7 @@ from jaeger.harness.gradcheck import format_gradcheck
 from jaeger.harness.train import corpus_texts, encode_split, three_way_split, train_step
 from jaeger.model import JaegerModel, encode_sample
 from jaeger.numerics import SgdConfig, Tape, seeded, seeded_init
-from jaeger.text import build_vocab
+from jaeger.text import Vocabulary, build_vocab
 
 
 def small_config(**overrides) -> TrainConfig:
@@ -264,6 +266,91 @@ class TestEvaluate:
             evaluate_checkpoint(restored, corpus, "holdout")
 
 
+class TestSharedCandidateFeatures:
+    """Eval encodes each document's elements once; its questions share the result."""
+
+    def _model_and_corpus(self, **overrides):
+        corpus = generate_corpus(5, 5, GenConfig(n_pages=1, elements_per_page=(4, 5)),
+                                 questions_per_doc=4)
+        cfg = small_config(**overrides)
+        return JaegerModel(cfg, build_vocab(corpus_texts(corpus))), corpus
+
+    def _count_content_calls(self, monkeypatch) -> list:
+        calls = []
+        original = jaeger.model.encode_content
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(jaeger.model, "encode_content", counting)
+        return calls
+
+    def _record_logits(self, model) -> dict:
+        """qid -> logits of every forward evaluate makes on model."""
+        seen = {}
+        forward = model.forward
+
+        def recording(sample, *args, **kwargs):
+            logits = forward(sample, *args, **kwargs)
+            seen[sample.qid] = logits.data.copy()
+            return logits
+
+        model.forward = recording
+        return seen
+
+    def test_evaluate_encodes_each_document_once(self, monkeypatch):
+        model, corpus = self._model_and_corpus()
+        samples = encode_split(corpus, model.vocab, model.cfg)
+        assert len(samples) == 20
+        calls = self._count_content_calls(monkeypatch)
+        evaluate(model, samples, "val")
+        assert len(calls) == 5
+
+    def test_evaluate_checkpoint_encodes_each_document_once(self, monkeypatch):
+        model, corpus = self._model_and_corpus(split_ratios=(1.0,))
+        calls = self._count_content_calls(monkeypatch)
+        report = evaluate_checkpoint(model, corpus, "train")
+        assert report["n"] == 20
+        assert len(calls) == 5
+
+    def test_shared_features_give_each_question_its_own_logits_bit_for_bit(self):
+        model, corpus = self._model_and_corpus()
+        samples = encode_split(corpus, model.vocab, model.cfg)
+        reference = {q.qid: model.forward(encode_sample(doc, q, model.vocab, model.cfg)).data
+                     for doc in corpus for q in doc.questions}
+        seen = self._record_logits(model)
+        evaluate(model, samples, "val")
+        assert seen.keys() == reference.keys()
+        for qid, logits in reference.items():
+            np.testing.assert_array_equal(seen[qid], logits)
+
+    def test_interleaved_order_gives_the_same_report_and_logits(self):
+        model, corpus = self._model_and_corpus()
+        samples = encode_split(corpus, model.vocab, model.cfg)
+        interleaved = samples[0::2] + samples[1::2][::-1]
+        seen = self._record_logits(model)
+        report = evaluate(model, samples, "val")
+        first = dict(seen)
+        seen.clear()
+        assert evaluate(model, interleaved, "val") == report
+        assert seen.keys() == first.keys()
+        for qid, logits in first.items():
+            np.testing.assert_array_equal(seen[qid], logits)
+
+    def test_questions_of_one_document_share_its_candidates(self):
+        model, corpus = self._model_and_corpus()
+        samples = encode_split(corpus, model.vocab, model.cfg)
+        by_doc: dict[str, set[int]] = {}
+        for s in samples:
+            by_doc.setdefault(s.doc_id, set()).add(id(s.candidates))
+        assert len(by_doc) == 5
+        assert all(len(ids) == 1 for ids in by_doc.values())
+        assert len(set().union(*by_doc.values())) == 5
+        for s, doc in zip(samples[::4], corpus):
+            assert s.candidate_ids == [el.id for el in doc.elements]
+
+
 class TestCheckpoint:
     def _trained(self, tmp_path):
         corpus = small_corpus(n_docs=6)
@@ -355,6 +442,26 @@ class TestCheckpoint:
         sample = encode_split(train_docs, result.vocab, cfg)[0]
         np.testing.assert_array_equal(result.model.forward(sample).data,
                                       restored.forward(sample).data)
+
+
+    def test_failed_save_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
+        """A save that fails while writing a sidecar leaves the old checkpoint
+        whole, with no temporary file beside it."""
+        corpus, cfg, result, path = self._trained(tmp_path)
+        train_docs, _, _ = three_way_split(corpus, cfg)
+        sample = encode_split(train_docs, result.vocab, cfg)[0]
+        before = load_model(path).forward(sample).data
+        files = sorted(os.listdir(tmp_path))
+
+        def disk_full(self, path):
+            raise OSError(f"no space left for {path}")
+
+        monkeypatch.setattr(Vocabulary, "save", disk_full)
+        with pytest.raises(OSError, match="no space"):
+            save_checkpoint(path, JaegerModel(cfg, result.vocab))
+        monkeypatch.undo()
+        assert sorted(os.listdir(tmp_path)) == files
+        np.testing.assert_array_equal(load_model(path).forward(sample).data, before)
 
 
 class TestFreshInit:
