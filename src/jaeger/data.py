@@ -425,23 +425,27 @@ def _doc_from_record(raw: dict, where: str) -> Document:
 
 
 def read_jsonl(path: str) -> list[Document]:
-    """Parse a corpus, rejecting malformed lines and unknown or missing fields."""
+    """Parse a corpus, rejecting malformed lines and unknown or missing fields.
+
+    Every error names the file and the line.
+    """
     docs = []
     with open(path, "rb") as f:
         for line_no, raw_line in enumerate(f, start=1):
+            where = f"{path} line {line_no}"
             try:
                 line = raw_line.decode("utf-8")
             except UnicodeDecodeError as e:
-                raise ParseError(f"{path} line {line_no}: not valid UTF-8 ({e.reason})") from None
+                raise ParseError(f"{where}: not valid UTF-8 ({e.reason})") from None
             if not line.strip():
-                raise ParseError(f"line {line_no}: blank line in corpus")
+                raise ParseError(f"{where}: blank line in corpus")
             try:
                 raw = json.loads(line)
             except json.JSONDecodeError as e:
-                raise ParseError(f"line {line_no}: invalid JSON ({e.msg})") from None
+                raise ParseError(f"{where}: invalid JSON ({e.msg})") from None
             if not isinstance(raw, dict):
-                raise SchemaError(f"line {line_no}: document record must be an object")
-            docs.append(_doc_from_record(raw, f"line {line_no}"))
+                raise SchemaError(f"{where}: document record must be an object")
+            docs.append(_doc_from_record(raw, where))
     return docs
 
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .numerics import (ParamSource, Tensor, add, layer_norm, linear, make_params,
-                       masked_mean_rows, matmul, relu, reshape, scale, select_row,
+from .numerics import (ParamSource, Tensor, add, embedding_lookup, layer_norm, linear,
+                       make_params, masked_mean_rows, matmul, relu, reshape, scale,
                        softmax_last, transpose)
 from .text import embed_sequence
 
@@ -163,23 +163,36 @@ def run_blocks(ids, mask: np.ndarray, params: EncoderParams, cfg: EncoderConfig,
     return x
 
 
+def _pool(hidden: Tensor, pos: np.ndarray) -> Tensor:
+    """hidden[..., pos, :] for each leading index: (..., L, d) and pos (...) -> (..., d)."""
+    *lead, length, d = hidden.data.shape
+    flat = np.arange(pos.size) * length + pos.reshape(-1)
+    rows = embedding_lookup(reshape(hidden, (pos.size * length, d)), flat)
+    return reshape(rows, (*lead, d))
+
+
 def encode_question_bidir(ids, mask: np.ndarray, params: EncoderParams,
                           cfg: EncoderConfig) -> Tensor:
-    """Bidirectional question feature: the final CLS (position 0) vector."""
+    """Bidirectional question feature: the final CLS (position 0) vector.
+
+    ids and mask have shape (..., L), one question per leading index.
+    """
     if cfg.causal:
         raise ContractError("bidirectional encoder configured as causal")
-    return select_row(run_blocks(ids, mask, params, cfg), 0)
+    hidden = run_blocks(ids, mask, params, cfg)
+    return _pool(hidden, np.zeros(np.shape(ids)[:-1], dtype=np.int64))
 
 
 def encode_question_causal(ids, mask: np.ndarray, params: EncoderParams,
                            cfg: EncoderConfig) -> Tensor:
-    """Causal question feature: the hidden state at the last non-PAD position."""
+    """Causal question feature: the hidden state at each question's last non-PAD position."""
     if not cfg.causal:
         raise ContractError("causal encoder configured as bidirectional")
-    nz = np.flatnonzero(np.asarray(mask, dtype=bool))
-    if nz.size == 0:
+    m = np.asarray(mask, dtype=bool)
+    if not m.any(axis=-1).all():
         raise ContractError("cannot pool an all-PAD sequence")
-    return select_row(run_blocks(ids, mask, params, cfg), int(nz[-1]))
+    last = m.shape[-1] - 1 - np.argmax(m[..., ::-1], axis=-1)
+    return _pool(run_blocks(ids, mask, params, cfg), last)
 
 
 @dataclass

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .numerics import (ParamSource, Tensor, add, concat_last, linear, make_params, mul, relu,
-                       reshape, sum_axis, tile_rows, _sigmoid)
+from .numerics import (ParamSource, Tensor, add, concat_last, embedding_lookup, linear,
+                       make_params, relu, reshape, rowwise_matmul, _sigmoid)
 
 
 @dataclass
@@ -48,44 +48,48 @@ def init_fusion(q_width: int, d_reduced: int, d_content: int, d_visual: int,
 
 
 def concat_question_features(qfeat1: Tensor, qfeat2: Tensor) -> Tensor:
-    """Plain concatenation, bidirectional feature first."""
-    if qfeat1.data.ndim != 1 or qfeat2.data.ndim != 1:
-        raise ShapeError(
-            f"question features must be vectors, got {qfeat1.data.shape} and {qfeat2.data.shape}")
+    """Plain concatenation of (..., d1) and (..., d2) features, bidirectional feature first."""
     return concat_last(qfeat1, qfeat2)
 
 
 def reduce_dim(qfeat: Tensor, params: FusionParams) -> Tensor:
-    """Learned affine map down to the reduced question width."""
-    if qfeat.data.shape != (params.reduce_w.data.shape[0],):
-        raise ShapeError(
-            f"question width {qfeat.data.shape} does not match reduction "
-            f"input {params.reduce_w.data.shape[0]}")
-    return linear(qfeat, params.reduce_w, params.reduce_b)
+    """Learned affine map down to the reduced width, for a (..., q) stack of questions.
+
+    Each question goes through its own (1, q) @ (q, r) product: a (B, q)
+    @ (q, r) GEMM rounds differently from the one-row product, which would
+    make a question's reduction depend on the batch it shares.
+    """
+    q, r = params.reduce_w.data.shape
+    if qfeat.data.ndim == 0 or qfeat.data.shape[-1] != q:
+        raise ShapeError(f"question width {qfeat.data.shape} does not match reduction input {q}")
+    lead = qfeat.data.shape[:-1]
+    rows = linear(reshape(qfeat, (*lead, 1, q)), params.reduce_w, params.reduce_b)
+    return reshape(rows, (*lead, r))
 
 
 def score_candidates(qreduced: Tensor, content_feats: Tensor, visual_feats: Tensor,
-                     params: FusionParams) -> Tensor:
+                     params: FusionParams, owner=None) -> Tensor:
     """One logit per candidate; no cross-candidate terms.
 
-    All candidates are scored at once, yet a candidate's logit is
-    bit-identical no matter which other candidates are present or in what
-    order.
+    qreduced holds one reduced question per row, or is a single question's
+    vector; candidate i is paired with question owner[i] (question 0 when
+    owner is None). All candidates are scored at once, yet a candidate's
+    logit is bit-identical no matter which other candidates or questions
+    are present or in what order.
     """
     if content_feats.data.ndim != 2 or visual_feats.data.ndim != 2:
         raise ShapeError("candidate features must be matrices")
     n = content_feats.data.shape[0]
     if visual_feats.data.shape[0] != n:
         raise ShapeError(f"{n} content rows but {visual_feats.data.shape[0]} visual rows")
-    f = concat_last(concat_last(tile_rows(qreduced, n), content_feats), visual_feats)
-    # Both layers multiply and sum along an axis instead of calling BLAS:
-    # BLAS picks its kernel and blocking from the row count (one row goes
-    # through GEMV), so a row's result would depend on how many other
-    # candidates share the call. An axis sum does the same arithmetic for
-    # each row whatever the row count.
-    pre = sum_axis(mul(reshape(f, (n, f.data.shape[1], 1)), params.score_w1), axis=1)
-    h = relu(add(pre, params.score_b1))
-    return add(sum_axis(mul(h, params.score_w2), axis=1), params.score_b2)
+    rows = np.zeros(n, dtype=np.int64) if owner is None else np.asarray(owner)
+    if rows.shape != (n,):
+        raise ShapeError(f"{n} candidates but owner has shape {rows.shape}")
+    width = qreduced.data.shape[-1]
+    questions = reshape(qreduced, (qreduced.data.size // width, width))
+    f = concat_last(concat_last(embedding_lookup(questions, rows), content_feats), visual_feats)
+    h = relu(add(rowwise_matmul(f, params.score_w1), params.score_b1))
+    return add(rowwise_matmul(h, params.score_w2), params.score_b2)
 
 
 def predict_answer_set(logits, threshold: float = 0.5) -> set[int]:

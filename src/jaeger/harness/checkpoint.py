@@ -8,11 +8,15 @@ Layout, all little-endian:
 
 The training config rides in a JSON sidecar at <path>.json and the
 vocabulary at <path>.vocab, one token per line; the tensor file alone
-does not identify the tokens it was trained with.
+does not identify the tokens it was trained with. The sidecar also holds
+the SHA-256 of the tensor file and of the vocabulary file ("sha256":
+{"tensors", "vocab"}), so a sidecar or vocabulary from another run does
+not load. Sidecars written before the digests existed load unchecked.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import struct
 
@@ -43,29 +47,31 @@ def save_checkpoint(path: str, model: JaegerModel) -> None:
     All three files are written to temporaries first and only then moved
     into place, so a failed save leaves the previous checkpoint whole.
     """
-    arrays = model.state_arrays()
+    blob = _tensor_bytes(model.state_arrays())
     with replacing(path, config_path(path), vocab_path(path)) as (tmp, tmp_config, tmp_vocab):
-        _write_tensors(tmp, arrays)
-        with open(tmp_config, "w", encoding="utf-8") as f:
-            json.dump({"format_version": VERSION, "config": model.cfg.to_dict()}, f,
-                      indent=2, sort_keys=True)
-            f.write("\n")
+        with open(tmp, "wb") as f:
+            f.write(blob)
         model.vocab.save(tmp_vocab)
+        with open(tmp_vocab, "rb") as f:
+            digests = {"tensors": _sha256(blob), "vocab": _sha256(f.read())}
+        with open(tmp_config, "w", encoding="utf-8") as f:
+            json.dump({"format_version": VERSION, "config": model.cfg.to_dict(),
+                       "sha256": digests}, f, indent=2, sort_keys=True)
+            f.write("\n")
 
 
-def _write_tensors(path: str, arrays: dict[str, np.ndarray]) -> None:
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<I", VERSION))
-        f.write(struct.pack("<I", len(arrays)))
-        for name, arr in arrays.items():
-            encoded = name.encode("utf-8")
-            f.write(struct.pack("<H", len(encoded)))
-            f.write(encoded)
-            f.write(struct.pack("<B", arr.ndim))
-            for dim in arr.shape:
-                f.write(struct.pack("<I", dim))
-            f.write(np.array(arr, dtype="<f4", order="C").tobytes())
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _tensor_bytes(arrays: dict[str, np.ndarray]) -> bytes:
+    parts = [MAGIC, struct.pack("<I", VERSION), struct.pack("<I", len(arrays))]
+    for name, arr in arrays.items():
+        encoded = name.encode("utf-8")
+        parts += [struct.pack("<H", len(encoded)), encoded, struct.pack("<B", arr.ndim)]
+        parts += [struct.pack("<I", dim) for dim in arr.shape]
+        parts.append(np.array(arr, dtype="<f4", order="C").tobytes())
+    return b"".join(parts)
 
 
 class _Reader:
@@ -118,7 +124,11 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], TrainConfig, Voca
         for d in dims:
             n_values *= d
         raw = r.take(4 * n_values)
-        arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+        try:
+            arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+        except ValueError:
+            raise CheckpointFormatError(
+                f"{path} tensor {name!r} has an unsupported shape of rank {rank}") from None
     if r.pos != len(blob):
         raise CheckpointFormatError(f"{path} has {len(blob) - r.pos} trailing bytes")
 
@@ -130,7 +140,17 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], TrainConfig, Voca
     if not isinstance(sidecar, dict) or "config" not in sidecar:
         raise SchemaError(f"{config_path(path)} is missing the config object")
     cfg = TrainConfig.from_dict(sidecar["config"])
-    vocab = Vocabulary.load(vocab_path(path))
+    with open(vocab_path(path), "rb") as f:
+        vocab_blob = f.read()
+    digests = sidecar.get("sha256", {})
+    if not isinstance(digests, dict):
+        raise SchemaError(f"{config_path(path)} has a malformed sha256 entry")
+    for key, file, data in (("tensors", path, blob), ("vocab", vocab_path(path), vocab_blob)):
+        if key in digests and digests[key] != _sha256(data):
+            raise CheckpointFormatError(
+                f"{file} does not match the digest in {config_path(path)}: "
+                f"it was not saved with this checkpoint")
+    vocab = Vocabulary.parse(vocab_blob, vocab_path(path))
     return arrays, cfg, vocab
 
 

@@ -17,7 +17,7 @@ from ..data import Document, split_corpus
 from ..errors import ContractError, TrainingDiverged
 from ..fusion import predict_answer_set
 from ..model import EncodedSample, JaegerModel, encode_candidates, encode_sample
-from ..numerics import SgdConfig, Tape, add, bce_with_logits, scale, sgd_step
+from ..numerics import SgdConfig, Tape, bce_with_logits, sgd_step
 from ..rng import Xoshiro256
 from ..text import Vocabulary, build_vocab
 from .metrics import ema
@@ -61,12 +61,13 @@ def encode_split(docs: list[Document], vocab: Vocabulary,
 
 
 def _batch_loss(model: JaegerModel, batch: list[EncodedSample]):
-    losses = [bce_with_logits(model.forward(s), s.targets.astype(model.dtype))
-              for s in batch]
-    total = losses[0]
-    for extra in losses[1:]:
-        total = add(total, extra)
-    return scale(total, 1.0 / len(losses))
+    """The mean over the batch of each question's mean BCE, from one pass over the batch."""
+    counts = np.array([len(s.candidate_ids) for s in batch])
+    if not counts.all():
+        raise ContractError("every question in a batch needs at least one candidate")
+    weights = np.repeat(1.0 / (len(batch) * counts), counts)
+    targets = np.concatenate([s.targets for s in batch]).astype(model.dtype)
+    return bce_with_logits(model.batch_logits(batch), targets, weights)
 
 
 def train_step(model: JaegerModel, batch: list[EncodedSample], opt: SgdConfig,

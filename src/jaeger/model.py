@@ -33,6 +33,13 @@ class EncodedCandidates:
     visuals: np.ndarray
     candidate_ids: list[int]
 
+    @classmethod
+    def concat(cls, parts: list["EncodedCandidates"]) -> "EncodedCandidates":
+        """The parts' candidates stacked in order along the candidate axis."""
+        return cls(*(np.concatenate([getattr(p, name) for p in parts]) for name in
+                     ("content_ids", "content_masks", "bboxes", "visuals")),
+                   candidate_ids=[i for p in parts for i in p.candidate_ids])
+
 
 @dataclass
 class EncodedSample:
@@ -145,15 +152,15 @@ class JaegerModel:
         return {name: np.array(p.data, dtype=np.float32, order="C")
                 for name, p in self._named.items()}
 
-    def question_features(self, sample: EncodedSample) -> Tensor:
-        """The question feature: both encoders concatenated, or the one the variant has."""
+    def question_features(self, samples: list[EncodedSample]) -> Tensor:
+        """(B, width) question features: both encoders concatenated, or the one the variant has."""
+        ids = np.stack([s.question_ids for s in samples])
+        mask = np.stack([s.question_mask for s in samples])
         feats = []
         if self.bidir is not None:
-            feats.append(encode_question_bidir(sample.question_ids, sample.question_mask,
-                                               self.bidir, self.bidir_cfg))
+            feats.append(encode_question_bidir(ids, mask, self.bidir, self.bidir_cfg))
         if self.causal is not None:
-            feats.append(encode_question_causal(sample.question_ids, sample.question_mask,
-                                                self.causal, self.causal_cfg))
+            feats.append(encode_question_causal(ids, mask, self.causal, self.causal_cfg))
         return concat_question_features(*feats) if len(feats) == 2 else feats[0]
 
     def candidate_features(self, cands: EncodedCandidates) -> tuple[Tensor, Tensor]:
@@ -162,12 +169,27 @@ class JaegerModel:
                                  self.content, self.content_cfg)
         return content, encode_visual(cands.visuals, self.visual)
 
+    def batch_logits(self, samples: list[EncodedSample],
+                     features: tuple[Tensor, Tensor] | None = None) -> Tensor:
+        """Logits over every sample's candidates, sample after sample, in one pass.
+
+        Questions are a leading axis and all candidates one stacked axis.
+        Stacked products, the per-question reduction and the row-wise scorer
+        compute each row alone, so a question's logits are bit-identical to
+        forward(sample) whatever else shares the batch. features are
+        candidate_features of the samples' candidates stacked in order,
+        computed here unless given.
+        """
+        qreduced = reduce_dim(self.question_features(samples), self.fusion)
+        content, visual = features or self.candidate_features(
+            EncodedCandidates.concat([s.candidates for s in samples]))
+        owner = np.repeat(np.arange(len(samples)), [len(s.candidate_ids) for s in samples])
+        return score_candidates(qreduced, content, visual, self.fusion, owner)
+
     def forward(self, sample: EncodedSample,
                 features: tuple[Tensor, Tensor] | None = None) -> Tensor:
-        """Logits over the sample's candidates, in candidate order.
+        """Logits over the sample's candidates, in candidate order: a batch of one.
 
         features are candidate_features(sample.candidates), computed here unless given.
         """
-        qreduced = reduce_dim(self.question_features(sample), self.fusion)
-        content, visual = features or self.candidate_features(sample.candidates)
-        return score_candidates(qreduced, content, visual, self.fusion)
+        return self.batch_logits([sample], features)

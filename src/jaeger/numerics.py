@@ -145,16 +145,21 @@ class Tape:
         Extra tensors passed via params are zero-filled too, even if the
         forward pass never touched them.
 
-        The sweep consumes the tape: its records are dropped afterwards.
-        They close over tensors that point back at the tape, so keeping
-        them would leave a finished tape for the cyclic collector to free.
+        The sweep consumes the tape: each record is dropped once it has
+        been swept, so the activations it saved are freed during the sweep
+        rather than after it. Records close over tensors that point back
+        at the tape, so keeping them would also leave a finished tape for
+        the cyclic collector to free.
         """
         if loss.data.ndim != 0:
             raise ContractError(f"loss must be a scalar, got shape {loss.data.shape}")
         if loss._tape is not self or loss._tid not in self._output_ids:
             raise ContractError("loss was not produced on this tape")
         grads: dict[int, Array] = {loss._tid: np.ones((), dtype=loss.data.dtype)}
-        for rec in reversed(self.records):
+        records, self.records = self.records, []
+        self._output_ids = set()
+        while records:
+            rec = records.pop()
             g = grads.pop(rec.output_id, None)
             if g is None:
                 continue
@@ -163,8 +168,6 @@ class Tape:
                     continue
                 acc = grads.get(tid)
                 grads[tid] = gin if acc is None else acc + gin
-        self.records = []
-        self._output_ids = set()
         targets = list(self._grad_targets)
         if params is not None:
             seen = {id(t) for t in targets}
@@ -206,9 +209,10 @@ def _sum_to(g: Array, shape: tuple[int, ...]) -> Array:
     return g.sum(axis=axes, keepdims=True) if axes else g
 
 
-def _check_broadcast(op: str, a: Array, b: Array) -> None:
+def _broadcast(op: str, ufunc, a: Array, b: Array) -> Array:
+    """ufunc(a, b) with numpy broadcasting; incompatible shapes raise ShapeError."""
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        return ufunc(a, b)
     except ValueError:
         raise ShapeError(f"{op} shapes {a.shape} and {b.shape} are incompatible") from None
 
@@ -248,28 +252,52 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("matmul", (a, b), out, bwd)
 
 
+def rowwise_matmul(x: Tensor, w: Tensor) -> Tensor:
+    """x @ w for (n, F) rows against an (F, h) matrix or an (F,) vector, row by row.
+
+    Each row is multiplied elementwise and summed over F rather than sent
+    to BLAS, which picks its kernel and blocking from the row count (one
+    row goes through GEMV), so a row's result would depend on how many
+    other rows share the call. Only the backward pass uses GEMMs.
+    """
+    _check_dtypes("rowwise_matmul", x, w)
+    xd, wd = x.data, w.data
+    if xd.ndim != 2 or wd.ndim not in (1, 2) or wd.shape[0] != xd.shape[1]:
+        raise ShapeError(f"rowwise_matmul needs (n, F) rows and an (F, ...) weight, "
+                         f"got {xd.shape} and {wd.shape}")
+    out = (xd[:, :, None] * wd).sum(axis=1) if wd.ndim == 2 else (xd * wd).sum(axis=1)
+
+    def bwd(g: Array):
+        if wd.ndim == 1:
+            return np.outer(g, wd), g @ xd
+        return g @ wd.T, xd.T @ g
+
+    return _emit("rowwise_matmul", (x, w), out, bwd)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     """a + b with numpy broadcasting, e.g. a bias over the last axis or a scalar."""
     _check_dtypes("add", a, b)
     ad, bd = a.data, b.data
-    _check_broadcast("add", ad, bd)
+    out = _broadcast("add", np.add, ad, bd)
+    sa, sb = ad.shape, bd.shape
 
     def bwd(g: Array):
-        return _sum_to(g, ad.shape), _sum_to(g, bd.shape)
+        return _sum_to(g, sa), _sum_to(g, sb)
 
-    return _emit("add", (a, b), ad + bd, bwd)
+    return _emit("add", (a, b), out, bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product with numpy broadcasting."""
     _check_dtypes("mul", a, b)
     ad, bd = a.data, b.data
-    _check_broadcast("mul", ad, bd)
+    out = _broadcast("mul", np.multiply, ad, bd)
 
     def bwd(g: Array):
         return _sum_to(g * bd, ad.shape), _sum_to(g * ad, bd.shape)
 
-    return _emit("mul", (a, b), ad * bd, bwd)
+    return _emit("mul", (a, b), out, bwd)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -296,21 +324,6 @@ def concat_last(a: Tensor, b: Tensor) -> Tensor:
     return _emit("concat_last", (a, b), out, bwd)
 
 
-def select_row(x: Tensor, i: int) -> Tensor:
-    """Take row i of a matrix as a vector."""
-    if x.data.ndim != 2:
-        raise ShapeError(f"select_row needs a matrix, got shape {x.data.shape}")
-    if not 0 <= i < x.data.shape[0]:
-        raise IndexOutOfRange(f"row {i} out of range for {x.data.shape[0]} rows")
-
-    def bwd(g: Array):
-        gx = np.zeros_like(x.data)
-        gx[i] = g
-        return (gx,)
-
-    return _emit("select_row", (x,), x.data[i], bwd)
-
-
 def transpose(x: Tensor, axis1: int = -2, axis2: int = -1) -> Tensor:
     """Swap two axes; by default the last two, a matrix transpose."""
     nd = x.data.ndim
@@ -324,42 +337,19 @@ def transpose(x: Tensor, axis1: int = -2, axis2: int = -1) -> Tensor:
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    """The same entries in row-major order under a new shape."""
+    """The same entries in row-major order under a new shape; x itself if the shape is its own."""
     shape = tuple(int(d) for d in shape)
+    if shape == x.data.shape:
+        return x
     if math.prod(shape) != x.data.size:
         raise ShapeError(f"cannot reshape {x.data.shape} to {shape}")
 
+    before = x.data.shape
+
     def bwd(g: Array):
-        return (g.reshape(x.data.shape),)
+        return (g.reshape(before),)
 
     return _emit("reshape", (x,), x.data.reshape(shape), bwd)
-
-
-def sum_axis(x: Tensor, axis: int) -> Tensor:
-    """Sum over one axis, which the result drops."""
-    nd = x.data.ndim
-    if not -nd <= axis < nd:
-        raise ShapeError(f"axis {axis} out of range for shape {x.data.shape}")
-
-    def bwd(g: Array):
-        gx = np.empty_like(x.data)
-        gx[...] = np.expand_dims(g, axis)
-        return (gx,)
-
-    return _emit("sum_axis", (x,), x.data.sum(axis=axis), bwd)
-
-
-def tile_rows(v: Tensor, n: int) -> Tensor:
-    """Repeat a vector as n identical rows."""
-    if v.data.ndim != 1:
-        raise ShapeError(f"tile_rows needs a vector, got shape {v.data.shape}")
-    if n < 0:
-        raise ContractError("tile_rows needs a non-negative count")
-
-    def bwd(g: Array):
-        return (g.sum(axis=0),)
-
-    return _emit("tile_rows", (v,), np.repeat(v.data[None, :], n, axis=0), bwd)
 
 
 def masked_mean_rows(x: Tensor, mask: Array) -> Tensor:
@@ -384,8 +374,10 @@ def masked_mean_rows(x: Tensor, mask: Array) -> Tensor:
 def sum_all(x: Tensor) -> Tensor:
     """Sum every entry into a scalar."""
 
+    shape, dtype = x.data.shape, x.data.dtype
+
     def bwd(g: Array):
-        return (np.full_like(x.data, g),)
+        return (np.full(shape, g, dtype=dtype),)
 
     return _emit("sum_all", (x,), np.asarray(x.data.sum(), dtype=x.data.dtype), bwd)
 
@@ -473,24 +465,29 @@ def _sigmoid(z: Array) -> Array:
     return out
 
 
-def bce_with_logits(logits: Tensor, targets) -> Tensor:
-    """Mean binary cross-entropy over a vector of logits.
+def bce_with_logits(logits: Tensor, targets, weights=None) -> Tensor:
+    """Binary cross-entropy over a vector of logits: the mean, or the weighted sum.
 
     Computed as max(z,0) - z*t + log(1+exp(-|z|)), which never
-    exponentiates a positive argument.
+    exponentiates a positive argument. weights, one per logit, replace
+    the mean's 1/n with a weight of their own.
     """
     z = logits.data
     t = np.asarray(targets.data if isinstance(targets, Tensor) else targets,
                    dtype=z.dtype)
     if z.ndim != 1 or t.shape != z.shape:
         raise ShapeError(f"logits {z.shape} and targets {t.shape} must be equal-length vectors")
+    w = None if weights is None else np.asarray(weights, dtype=z.dtype)
+    if w is not None and w.shape != z.shape:
+        raise ShapeError(f"weights {w.shape} do not match logits {z.shape}")
     if z.size == 0:
         raise ContractError("bce_with_logits needs at least one logit")
     n = z.size
-    loss = (np.maximum(z, 0) - z * t + np.log1p(np.exp(-np.abs(z)))).mean()
+    per_logit = np.maximum(z, 0) - z * t + np.log1p(np.exp(-np.abs(z)))
+    loss = per_logit.mean() if w is None else (w * per_logit).sum()
 
     def bwd(g: Array):
-        return ((_sigmoid(z) - t) * (g / z.dtype.type(n)),)
+        return ((_sigmoid(z) - t) * (g / z.dtype.type(n) if w is None else g * w),)
 
     return _emit("bce_with_logits", (logits,), np.asarray(loss, dtype=z.dtype), bwd)
 

@@ -81,12 +81,17 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: str) -> "Vocabulary":
-        with open(path, encoding="utf-8") as f:
-            try:
-                lines = [line.rstrip("\n") for line in f]
-            except UnicodeDecodeError as e:
-                raise ParseError(
-                    f"vocabulary file {path} is not valid UTF-8 ({e.reason})") from None
+        with open(path, "rb") as f:
+            return cls.parse(f.read(), path)
+
+    @classmethod
+    def parse(cls, data: bytes, path: str) -> "Vocabulary":
+        """A vocabulary from the bytes of a file written by save(); path names it in errors."""
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError(f"vocabulary file {path} is not valid UTF-8 ({e.reason})") from None
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
         while lines and lines[-1] == "":
             lines.pop()
         if tuple(lines[:4]) != RESERVED:

@@ -118,6 +118,18 @@ class TestTrainEvalPredict:
         assert "line 11" in captured.err
 
 
+    def test_corrupt_line_names_the_file(self, tmp_path, tiny_config, capsys):
+        corpus = tmp_path / "broken.jsonl"
+        lines = open(gen_corpus(tmp_path)).readlines()[:3] + ["{bad\n"]
+        corpus.write_text("".join(lines))
+        code = main(["train", "--config", tiny_config, "--data", str(corpus),
+                     "--out", str(tmp_path / "m.ckpt")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "broken.jsonl" in err and "line 4" in err
+        assert "Traceback" not in err
+
+
 class TestStackedInputBoundaries:
     def test_predict_on_a_document_without_elements(self, tmp_path, tiny_config, capsys):
         corpus = gen_corpus(tmp_path)

@@ -1,0 +1,88 @@
+"""Byte-level corruption of corpus and checkpoint files, driven by hypothesis.
+
+A flipped, dropped or inserted byte must end in a JaegerError (which the
+CLI prints as `error:` with exit 1) or in a file that still parses; any
+other exception would reach the user as a traceback.
+"""
+
+import shutil
+
+import pytest
+from hypothesis import given, strategies as st
+
+from jaeger.config import TrainConfig
+from jaeger.data import GenConfig, generate_corpus, read_jsonl, write_jsonl
+from jaeger.errors import JaegerError
+from jaeger.harness import load_model, save_checkpoint
+from jaeger.harness.checkpoint import config_path, vocab_path
+from jaeger.harness.train import corpus_texts
+from jaeger.model import JaegerModel
+from jaeger.text import build_vocab
+
+# (kind, position, payload): positions wrap around the data's length.
+MUTATIONS = st.one_of(
+    st.tuples(st.just("flip"), st.integers(0, 1 << 20), st.integers(1, 255)),
+    st.tuples(st.just("truncate"), st.integers(0, 1 << 20), st.just(b"")),
+    st.tuples(st.just("insert"), st.integers(0, 1 << 20), st.binary(min_size=1, max_size=8)),
+)
+
+
+def mutate(data: bytes, mutation) -> bytes:
+    kind, position, payload = mutation
+    if kind == "flip":
+        i = position % len(data)
+        return data[:i] + bytes([data[i] ^ payload]) + data[i + 1:]
+    if kind == "truncate":
+        return data[:position % len(data)]
+    i = position % (len(data) + 1)
+    return data[:i] + payload + data[i:]
+
+
+@pytest.fixture(scope="module")
+def corpus_file(tmp_path_factory):
+    """A one-document corpus: a single line to corrupt."""
+    docs = generate_corpus(3, 1, GenConfig(n_pages=1, elements_per_page=(3, 4)),
+                           questions_per_doc=2)
+    path = tmp_path_factory.mktemp("corpus") / "corpus.jsonl"
+    write_jsonl(docs, str(path))
+    return path
+
+
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory, corpus_file):
+    """A freshly initialised tiny model's checkpoint, plus a scratch path to corrupt."""
+    docs = read_jsonl(str(corpus_file))
+    cfg = TrainConfig(max_question_len=16, max_content_len=10, d_bidir=8, d_causal=8,
+                      d_content=8, d_visual=8, d_reduced=8, scorer_hidden=8, n_heads=2,
+                      n_layers=1)
+    root = tmp_path_factory.mktemp("ckpt")
+    good = str(root / "good.ckpt")
+    save_checkpoint(good, JaegerModel(cfg, build_vocab(corpus_texts(docs))))
+    return good, str(root / "bad.ckpt")
+
+
+@given(mutation=MUTATIONS)
+def test_corrupt_corpus_line_raises_only_jaeger_errors(corpus_file, mutation):
+    bad = corpus_file.with_name("bad.jsonl")
+    bad.write_bytes(mutate(corpus_file.read_bytes(), mutation))
+    try:
+        read_jsonl(str(bad))
+    except JaegerError:
+        pass
+
+
+@pytest.mark.parametrize("which", ["tensors", "config", "vocab"])
+@given(mutation=MUTATIONS)
+def test_corrupt_checkpoint_file_raises_only_jaeger_errors(checkpoint, which, mutation):
+    good, bad = checkpoint
+    for name in (lambda p: p, config_path, vocab_path):
+        shutil.copyfile(name(good), name(bad))
+    target = {"tensors": bad, "config": config_path(bad), "vocab": vocab_path(bad)}[which]
+    with open(target, "rb") as f:
+        data = f.read()
+    with open(target, "wb") as f:
+        f.write(mutate(data, mutation))
+    try:
+        load_model(bad)
+    except JaegerError:
+        pass

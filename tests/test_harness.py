@@ -2,9 +2,11 @@
 
 import dataclasses
 import gc
+import hashlib
 import importlib
 import json
 import os
+import struct
 import weakref
 from types import SimpleNamespace
 
@@ -22,11 +24,12 @@ from jaeger.errors import (CheckpointFormatError, CompatibilityError, ContractEr
 from jaeger.harness import (ablate, ema, evaluate, evaluate_checkpoint,
                             format_ablation_table, load_checkpoint, load_model,
                             run_gradcheck, save_checkpoint, train)
-from jaeger.harness.checkpoint import config_path
+from jaeger.harness.checkpoint import config_path, vocab_path
 from jaeger.harness.gradcheck import format_gradcheck
-from jaeger.harness.train import corpus_texts, encode_split, three_way_split, train_step
+from jaeger.harness.train import (_batch_loss, corpus_texts, encode_split, three_way_split,
+                                  train_step)
 from jaeger.model import JaegerModel, encode_sample
-from jaeger.numerics import SgdConfig, Tape, seeded, seeded_init
+from jaeger.numerics import SgdConfig, Tape, bce_with_logits, seeded, seeded_init
 from jaeger.text import Vocabulary, build_vocab
 
 
@@ -226,6 +229,84 @@ class TestForward:
         assert seen[0][1] == seen[1][1]
 
 
+class TestBatchedTrainStep:
+    """A train step is one forward over the whole batch: questions and candidates are axes."""
+
+    def _model_and_batch(self):
+        """Eight questions: 1 to 9 candidates, a one-element document, two of one document."""
+        gen = GenConfig(n_pages=1, elements_per_page=(2, 9))
+        docs = generate_corpus(8, 5, gen, questions_per_doc=2)
+        single = generate_document(4, GenConfig(n_pages=1, elements_per_page=(1, 1)))
+        single.questions = generate_questions(single, 4, 1)
+        docs.append(single)
+        cfg = small_config()
+        model = JaegerModel(cfg, build_vocab(corpus_texts(docs)))
+        samples = encode_split(docs, model.vocab, cfg)
+        batch = [samples[i] for i in (10, 0, 3, 4, 7, 1, 8, 5)]
+        counts = [len(s.candidate_ids) for s in batch]
+        assert 1 in counts and len(set(counts)) > 2
+        assert batch[1].candidates is batch[5].candidates
+        return model, batch
+
+    def test_a_step_records_one_forward(self, monkeypatch):
+        model, batch = self._model_and_batch()
+        with Tape() as tape:
+            model.forward(batch[0])
+        one_forward = len(tape.records)
+        swept = []
+
+        class CountingTape(Tape):
+            def backward(self, loss, params=None):
+                swept.append(len(self.records))
+                return super().backward(loss, params)
+
+        monkeypatch.setattr(importlib.import_module("jaeger.harness.train"), "Tape",
+                            CountingTape)
+        train_step(model, batch, SgdConfig(0.01), 0)
+        assert swept == [one_forward + 1]
+
+    def test_each_question_gets_its_own_logits_bit_for_bit(self):
+        model, batch = self._model_and_batch()
+        logits = model.batch_logits(batch).data
+        at = 0
+        for s in batch:
+            n = len(s.candidate_ids)
+            np.testing.assert_array_equal(logits[at:at + n], model.forward(s).data)
+            at += n
+        assert at == logits.size
+
+    def test_loss_and_gradients_are_the_mean_of_per_question_ones(self):
+        model, batch = self._model_and_batch()
+        params = model.parameters()
+        losses, grads = [], []
+        for s in batch:
+            with Tape() as tape:
+                loss = bce_with_logits(model.forward(s), s.targets.astype(model.dtype))
+                tape.backward(loss, params)
+            losses.append(loss.item())
+            grads.append([p.grad.astype(np.float64) for p in params])
+        with Tape() as tape:
+            loss = _batch_loss(model, batch)
+            tape.backward(loss, params)
+        np.testing.assert_allclose(loss.item(), np.mean(losses), rtol=1e-6)
+        expect = [np.mean([g[i] for g in grads], axis=0) for i in range(len(params))]
+        # Some true gradients are zero (a key bias cannot move a softmax), so
+        # their entries are rounding noise; the scale is the largest entry.
+        scale = max(np.abs(e).max() for e in expect)
+        for p, e in zip(params, expect):
+            np.testing.assert_allclose(p.grad, e, rtol=1e-5, atol=1e-5 * scale)
+
+    def test_a_question_without_candidates_is_refused(self):
+        model, batch = self._model_and_batch()
+        empty = dataclasses.replace(batch[0], candidates=dataclasses.replace(
+            batch[0].candidates, content_ids=batch[0].candidates.content_ids[:0],
+            content_masks=batch[0].candidates.content_masks[:0],
+            bboxes=batch[0].candidates.bboxes[:0], visuals=batch[0].candidates.visuals[:0],
+            candidate_ids=[]), targets=np.zeros(0))
+        with pytest.raises(ContractError):
+            train_step(model, batch[1:4] + [empty], SgdConfig(0.01), 0)
+
+
 class TestEvaluate:
     def test_report_shape_and_replay(self):
         corpus = small_corpus()
@@ -399,6 +480,14 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError, match="trailing"):
             load_model(path)
 
+    def test_rank_beyond_numpy_rejected(self, tmp_path):
+        """A 65-dimensional empty tensor needs no value bytes but cannot be built."""
+        path = tmp_path / "deep.ckpt"
+        path.write_bytes(b"JGR1" + struct.pack("<IIH", 1, 1, 1) + b"w"
+                         + struct.pack("<B", 65) + struct.pack("<65I", *[0] * 65))
+        with pytest.raises(CheckpointFormatError, match="shape"):
+            load_checkpoint(str(path))
+
     def test_width_mismatch_rejected(self, tmp_path):
         """A sidecar that disagrees with the stored tensors must not load."""
         _, _, _, path = self._trained(tmp_path)
@@ -407,6 +496,40 @@ class TestCheckpoint:
         json.dump(sidecar, open(config_path(path), "w"))
         with pytest.raises(CompatibilityError):
             load_model(path)
+
+    def test_sidecar_holds_the_digests_of_both_files(self, tmp_path):
+        _, _, _, path = self._trained(tmp_path)
+        digests = json.load(open(config_path(path)))["sha256"]
+        assert digests == {
+            "tensors": hashlib.sha256(open(path, "rb").read()).hexdigest(),
+            "vocab": hashlib.sha256(open(vocab_path(path), "rb").read()).hexdigest()}
+
+    def test_same_size_vocabulary_from_another_run_rejected(self, tmp_path):
+        _, _, result, path = self._trained(tmp_path)
+        tokens = list(result.vocab.tokens)
+        tokens[4], tokens[5] = tokens[5], tokens[4]
+        other = Vocabulary(tokens[4:])
+        assert len(other) == len(result.vocab) and other.tokens != result.vocab.tokens
+        other.save(vocab_path(path))
+        with pytest.raises(CheckpointFormatError, match="model.ckpt.vocab"):
+            load_model(path)
+
+    def test_tensor_file_from_another_run_rejected(self, tmp_path):
+        corpus, cfg, _, path = self._trained(tmp_path)
+        other = str(tmp_path / "other.ckpt")
+        save_checkpoint(other, train(dataclasses.replace(cfg, learning_rate=0.02), corpus).model)
+        os.replace(other, path)
+        with pytest.raises(CheckpointFormatError, match="digest"):
+            load_model(path)
+
+    def test_sidecar_without_digests_still_loads(self, tmp_path):
+        corpus, cfg, result, path = self._trained(tmp_path)
+        sidecar = json.load(open(config_path(path)))
+        del sidecar["sha256"]
+        json.dump(sidecar, open(config_path(path), "w"))
+        sample = encode_split(corpus, result.vocab, cfg)[0]
+        np.testing.assert_array_equal(load_model(path).forward(sample).data,
+                                      result.model.forward(sample).data)
 
     def _rewrite_tensors(self, path, edit):
         """Rewrite the tensor file with edit applied to its name-to-array map."""
