@@ -609,6 +609,22 @@ class TestFreshInit:
             np.testing.assert_array_equal(default[name].data, expected.astype(np.float32),
                                           err_msg=name)
 
+    # SHA-256 of a freshly initialised model's tensor file, per variant. The
+    # bytes follow the registry: every name, in order, with its shape and
+    # values. Fresh values are xoshiro draws cast to float32, so the digests
+    # hold on any platform.
+    @pytest.mark.parametrize("variant, digest", [
+        ("dual", "557553b92b37cb6cfeb3ebfa84cc92abea9b83411091cb3d29b6d2c3300cd508"),
+        ("bidir_only", "414114ed3114c25e42986a82edd5e71f87081eef991bb09b4fea120b1b1d5e2d"),
+        ("causal_only", "d84d43ab0fe6e43a8fc2b921a77a8016e2d89df772e5502e3ef1e3003597d366"),
+    ])
+    def test_fresh_tensor_file_is_pinned(self, tmp_path, variant, digest):
+        path = str(tmp_path / "fresh.ckpt")
+        save_checkpoint(path, JaegerModel(small_config(variant=variant),
+                                          build_vocab(["alpha beta"])))
+        with open(path, "rb") as f:
+            assert hashlib.sha256(f.read()).hexdigest() == digest
+
 
 class TestGradcheck:
     def test_small_model_passes(self):
