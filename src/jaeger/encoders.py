@@ -10,7 +10,8 @@ causal and PAD invariance hold bit-for-bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -43,52 +44,10 @@ class EncoderConfig:
         return self.d_model // self.n_heads
 
 
-@dataclass
-class BlockParams:
-    """Weights of one transformer block, in application order."""
-
-    wq: Tensor
-    bq: Tensor
-    wk: Tensor
-    bk: Tensor
-    wv: Tensor
-    bv: Tensor
-    wo: Tensor
-    bo: Tensor
-    ln1_g: Tensor
-    ln1_b: Tensor
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-    ln2_g: Tensor
-    ln2_b: Tensor
-
-    def named(self, prefix: str):
-        for name in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "ln1_g", "ln1_b",
-                     "w1", "b1", "w2", "b2", "ln2_g", "ln2_b"):
-            yield f"{prefix}.{name}", getattr(self, name)
-
-
-@dataclass
-class EncoderParams:
-    """Embedding tables plus a stack of block weights."""
-
-    token_table: Tensor
-    pos_table: Tensor
-    blocks: list[BlockParams] = field(default_factory=list)
-
-    def named(self, prefix: str):
-        yield f"{prefix}.tok", self.token_table
-        yield f"{prefix}.pos", self.pos_table
-        for i, blk in enumerate(self.blocks):
-            yield from blk.named(f"{prefix}.blk{i}")
-
-
-def init_block(cfg: EncoderConfig, make: ParamSource, prefix: str) -> BlockParams:
+def init_block(cfg: EncoderConfig, make: ParamSource, prefix: str) -> SimpleNamespace:
     d, f = cfg.d_model, cfg.d_ff
     x, z, o = "xavier_uniform", "zeros", "ones"
-    return BlockParams(**make_params(make, prefix, {
+    return make_params(make, prefix, {
         "wq": ((d, d), x), "bq": ((d,), z),
         "wk": ((d, d), x), "bk": ((d,), z),
         "wv": ((d, d), x), "bv": ((d,), z),
@@ -97,15 +56,16 @@ def init_block(cfg: EncoderConfig, make: ParamSource, prefix: str) -> BlockParam
         "w1": ((d, f), x), "b1": ((f,), z),
         "w2": ((f, d), x), "b2": ((d,), z),
         "ln2_g": ((d,), o), "ln2_b": ((d,), z),
-    }))
+    })
 
 
 def init_encoder(cfg: EncoderConfig, vocab_size: int, make: ParamSource,
-                 prefix: str) -> EncoderParams:
-    token = make(f"{prefix}.tok", (vocab_size, cfg.d_model), "xavier_uniform")
-    pos = make(f"{prefix}.pos", (cfg.max_seq, cfg.d_model), "xavier_uniform")
-    blocks = [init_block(cfg, make, f"{prefix}.blk{i}") for i in range(cfg.n_layers)]
-    return EncoderParams(token, pos, blocks)
+                 prefix: str) -> SimpleNamespace:
+    """Token and position tables (tok, pos), then the stack of block weights (blocks)."""
+    enc = make_params(make, prefix, {"tok": ((vocab_size, cfg.d_model), "xavier_uniform"),
+                                     "pos": ((cfg.max_seq, cfg.d_model), "xavier_uniform")})
+    enc.blocks = [init_block(cfg, make, f"{prefix}.blk{i}") for i in range(cfg.n_layers)]
+    return enc
 
 
 def attention_bias(mask: np.ndarray, causal: bool, dtype) -> Tensor:
@@ -118,7 +78,7 @@ def attention_bias(mask: np.ndarray, causal: bool, dtype) -> Tensor:
     return Tensor(np.where(visible, 0.0, -np.inf).astype(dtype))
 
 
-def multi_head_attention(x: Tensor, mask: np.ndarray, params: BlockParams,
+def multi_head_attention(x: Tensor, mask: np.ndarray, params: SimpleNamespace,
                          cfg: EncoderConfig) -> Tensor:
     """Masked scaled dot-product attention over all heads, then output projection.
 
@@ -139,7 +99,7 @@ def multi_head_attention(x: Tensor, mask: np.ndarray, params: BlockParams,
     return linear(merged, params.wo, params.bo)
 
 
-def transformer_block(x: Tensor, mask: np.ndarray, params: BlockParams,
+def transformer_block(x: Tensor, mask: np.ndarray, params: SimpleNamespace,
                       cfg: EncoderConfig) -> Tensor:
     """One post-norm block; preserves the (..., L, d_model) shape."""
     if x.data.ndim < 2 or x.data.shape[-1] != cfg.d_model:
@@ -152,10 +112,10 @@ def transformer_block(x: Tensor, mask: np.ndarray, params: BlockParams,
     return layer_norm(add(h, ff), params.ln2_g, params.ln2_b)
 
 
-def run_blocks(ids, mask: np.ndarray, params: EncoderParams, cfg: EncoderConfig,
+def run_blocks(ids, mask: np.ndarray, params: SimpleNamespace, cfg: EncoderConfig,
                extra: Tensor | None = None) -> Tensor:
     """Embed (..., L) ids, optionally add extra (broadcast over positions), run the stack."""
-    x = embed_sequence(ids, params.token_table, params.pos_table)
+    x = embed_sequence(ids, params.tok, params.pos)
     if extra is not None:
         x = add(x, extra)
     for blk in params.blocks:
@@ -171,7 +131,7 @@ def _pool(hidden: Tensor, pos: np.ndarray) -> Tensor:
     return reshape(rows, (*lead, d))
 
 
-def encode_question_bidir(ids, mask: np.ndarray, params: EncoderParams,
+def encode_question_bidir(ids, mask: np.ndarray, params: SimpleNamespace,
                           cfg: EncoderConfig) -> Tensor:
     """Bidirectional question feature: the final CLS (position 0) vector.
 
@@ -183,7 +143,7 @@ def encode_question_bidir(ids, mask: np.ndarray, params: EncoderParams,
     return _pool(hidden, np.zeros(np.shape(ids)[:-1], dtype=np.int64))
 
 
-def encode_question_causal(ids, mask: np.ndarray, params: EncoderParams,
+def encode_question_causal(ids, mask: np.ndarray, params: SimpleNamespace,
                            cfg: EncoderConfig) -> Tensor:
     """Causal question feature: the hidden state at each question's last non-PAD position."""
     if not cfg.causal:
@@ -195,29 +155,16 @@ def encode_question_causal(ids, mask: np.ndarray, params: EncoderParams,
     return _pool(run_blocks(ids, mask, params, cfg), last)
 
 
-@dataclass
-class ContentParams:
-    """Content encoder weights: a text encoder plus the bbox injection."""
-
-    encoder: EncoderParams
-    bbox_w: Tensor
-    bbox_b: Tensor
-
-    def named(self, prefix: str):
-        yield from self.encoder.named(prefix)
-        yield f"{prefix}.bbox_w", self.bbox_w
-        yield f"{prefix}.bbox_b", self.bbox_b
-
-
 def init_content(cfg: EncoderConfig, vocab_size: int, make: ParamSource,
-                 prefix: str) -> ContentParams:
-    enc = init_encoder(cfg, vocab_size, make, prefix)
-    bbox_w = make(f"{prefix}.bbox_w", (4, cfg.d_model), "xavier_uniform")
-    bbox_b = make(f"{prefix}.bbox_b", (cfg.d_model,), "zeros")
-    return ContentParams(enc, bbox_w, bbox_b)
+                 prefix: str) -> SimpleNamespace:
+    """A text encoder's weights plus the bbox injection (bbox_w, bbox_b), built after them."""
+    return SimpleNamespace(**vars(init_encoder(cfg, vocab_size, make, prefix)),
+                           **vars(make_params(make, prefix, {
+                               "bbox_w": ((4, cfg.d_model), "xavier_uniform"),
+                               "bbox_b": ((cfg.d_model,), "zeros")})))
 
 
-def encode_content(ids, mask: np.ndarray, bbox, params: ContentParams,
+def encode_content(ids, mask: np.ndarray, bbox, params: SimpleNamespace,
                    cfg: EncoderConfig) -> Tensor:
     """Element features: text plus bbox geometry, mean-pooled over non-PAD rows.
 
@@ -238,33 +185,19 @@ def encode_content(ids, mask: np.ndarray, bbox, params: ContentParams,
     dtype = params.bbox_w.data.dtype
     proj = linear(Tensor(box.astype(dtype)), params.bbox_w, params.bbox_b)
     per_token = reshape(proj, (*box.shape[:-1], 1, cfg.d_model))
-    hidden = run_blocks(ids, mask, params.encoder, cfg, extra=per_token)
+    hidden = run_blocks(ids, mask, params, cfg, extra=per_token)
     return masked_mean_rows(hidden, mask)
 
 
-@dataclass
-class VisualParams:
-    """Two-layer MLP over raw visual descriptors."""
-
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-
-    def named(self, prefix: str):
-        for name in ("w1", "b1", "w2", "b2"):
-            yield f"{prefix}.{name}", getattr(self, name)
-
-
 def init_visual(d_in: int, d_hidden: int, d_out: int, make: ParamSource,
-                prefix: str) -> VisualParams:
-    return VisualParams(**make_params(make, prefix, {
+                prefix: str) -> SimpleNamespace:
+    return make_params(make, prefix, {
         "w1": ((d_in, d_hidden), "xavier_uniform"), "b1": ((d_hidden,), "zeros"),
         "w2": ((d_hidden, d_out), "xavier_uniform"), "b2": ((d_out,), "zeros"),
-    }))
+    })
 
 
-def encode_visual(descriptor, params: VisualParams) -> Tensor:
+def encode_visual(descriptor, params: SimpleNamespace) -> Tensor:
     """relu affine then affine, mapping (..., d_in) raw descriptors to d_v."""
     dtype = params.w1.data.dtype
     x = Tensor(np.asarray(descriptor, dtype=dtype))

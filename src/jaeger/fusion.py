@@ -9,7 +9,7 @@ candidates and the answer set is read off per candidate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -18,33 +18,17 @@ from .numerics import (ParamSource, Tensor, add, concat_last, embedding_lookup, 
                        make_params, relu, reshape, rowwise_matmul, _sigmoid)
 
 
-@dataclass
-class FusionParams:
-    """Reduction affine plus the candidate scorer perceptron."""
-
-    reduce_w: Tensor
-    reduce_b: Tensor
-    score_w1: Tensor
-    score_b1: Tensor
-    score_w2: Tensor
-    score_b2: Tensor
-
-    def named(self, prefix: str):
-        for name in ("reduce_w", "reduce_b", "score_w1", "score_b1", "score_w2", "score_b2"):
-            yield f"{prefix}.{name}", getattr(self, name)
-
-
 def init_fusion(q_width: int, d_reduced: int, d_content: int, d_visual: int,
-                hidden: int, make: ParamSource, prefix: str = "fusion") -> FusionParams:
+                hidden: int, make: ParamSource, prefix: str = "fusion") -> SimpleNamespace:
     f_width = d_reduced + d_content + d_visual
-    return FusionParams(**make_params(make, prefix, {
+    return make_params(make, prefix, {
         "reduce_w": ((q_width, d_reduced), "xavier_uniform"),
         "reduce_b": ((d_reduced,), "zeros"),
         "score_w1": ((f_width, hidden), "xavier_uniform"),
         "score_b1": ((hidden,), "zeros"),
         "score_w2": ((hidden,), "xavier_uniform"),
         "score_b2": ((), "zeros"),
-    }))
+    })
 
 
 def concat_question_features(qfeat1: Tensor, qfeat2: Tensor) -> Tensor:
@@ -52,7 +36,7 @@ def concat_question_features(qfeat1: Tensor, qfeat2: Tensor) -> Tensor:
     return concat_last(qfeat1, qfeat2)
 
 
-def reduce_dim(qfeat: Tensor, params: FusionParams) -> Tensor:
+def reduce_dim(qfeat: Tensor, params: SimpleNamespace) -> Tensor:
     """Learned affine map down to the reduced width, for a (..., q) stack of questions.
 
     Each question goes through its own (1, q) @ (q, r) product: a (B, q)
@@ -68,7 +52,7 @@ def reduce_dim(qfeat: Tensor, params: FusionParams) -> Tensor:
 
 
 def score_candidates(qreduced: Tensor, content_feats: Tensor, visual_feats: Tensor,
-                     params: FusionParams, owner=None) -> Tensor:
+                     params: SimpleNamespace, owner=None) -> Tensor:
     """One logit per candidate; no cross-candidate terms.
 
     qreduced holds one reduced question per row, or is a single question's

@@ -7,12 +7,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import TrainConfig, VARIANTS
-from .encoders import (ContentParams, EncoderConfig, EncoderParams, VisualParams,
-                       encode_content, encode_question_bidir, encode_question_causal,
-                       encode_visual, init_content, init_encoder, init_visual)
+from .encoders import (EncoderConfig, encode_content, encode_question_bidir,
+                       encode_question_causal, encode_visual, init_content, init_encoder,
+                       init_visual)
 from .errors import ContractError, ShapeError
-from .fusion import (FusionParams, concat_question_features, init_fusion, reduce_dim,
-                     score_candidates)
+from .fusion import concat_question_features, init_fusion, reduce_dim, score_candidates
 from .numerics import ParamSource, Tensor, seeded
 from .text import Vocabulary, encode_text
 
@@ -101,15 +100,24 @@ class JaegerModel:
     and ablation comparisons can address weights by name.
     """
 
-    def __init__(self, cfg: TrainConfig, vocab: Vocabulary, make: ParamSource | None = None):
-        """Build every parameter from make; a fresh float32 draw from cfg.seed by default."""
+    def __init__(self, cfg: TrainConfig, vocab: Vocabulary, source: ParamSource | None = None):
+        """Build every parameter from source; a fresh float32 draw from cfg.seed by default.
+
+        The registry holds each tensor under the name it was built with, in
+        build order, which is also the tensor order of a checkpoint.
+        """
         if cfg.variant not in VARIANTS:
             raise ContractError(f"unknown variant {cfg.variant!r}")
         self.cfg = cfg
         self.vocab = vocab
-        make = make or seeded(cfg.seed)
-        v = len(vocab)
+        source = source or seeded(cfg.seed)
+        self._named: dict[str, Tensor] = {}
 
+        def make(name: str, shape: tuple[int, ...], scheme: str) -> Tensor:
+            self._named[name] = tensor = source(name, shape, scheme)
+            return tensor
+
+        v = len(vocab)
         self.bidir_cfg = EncoderConfig(cfg.d_bidir, cfg.n_heads, cfg.n_layers,
                                        cfg.ff_multiplier * cfg.d_bidir,
                                        cfg.max_question_len, causal=False)
@@ -120,8 +128,7 @@ class JaegerModel:
                                          cfg.ff_multiplier * cfg.d_content,
                                          cfg.max_content_len, causal=False)
 
-        self.bidir: EncoderParams | None = None
-        self.causal: EncoderParams | None = None
+        self.bidir = self.causal = None
         if cfg.variant in ("dual", "bidir_only"):
             self.bidir = init_encoder(self.bidir_cfg, v, make, "q_bidir")
         if cfg.variant in ("dual", "causal_only"):
@@ -130,15 +137,6 @@ class JaegerModel:
         self.visual = init_visual(cfg.d_vis_in, cfg.scorer_hidden, cfg.d_visual, make, "visual")
         self.fusion = init_fusion(cfg.question_width, cfg.d_reduced, cfg.d_content,
                                   cfg.d_visual, cfg.scorer_hidden, make)
-
-        self._named: dict[str, Tensor] = {}
-        if self.bidir is not None:
-            self._named.update(self.bidir.named("q_bidir"))
-        if self.causal is not None:
-            self._named.update(self.causal.named("q_causal"))
-        self._named.update(self.content.named("content"))
-        self._named.update(self.visual.named("visual"))
-        self._named.update(self.fusion.named("fusion"))
         self.dtype = self.content.bbox_w.data.dtype
 
     def named_parameters(self) -> dict[str, Tensor]:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -566,7 +567,11 @@ def seeded(seed: int, dtype=np.float32) -> ParamSource:
 
 
 def make_params(make: ParamSource, prefix: str,
-                layout: dict[str, tuple[tuple[int, ...], str]]) -> dict[str, Tensor]:
-    """{name: tensor} for a {name: (shape, scheme)} layout, named f"{prefix}.{name}"."""
-    return {name: make(f"{prefix}.{name}", shape, scheme)
-            for name, (shape, scheme) in layout.items()}
+                layout: dict[str, tuple[tuple[int, ...], str]]) -> SimpleNamespace:
+    """A {name: (shape, scheme)} layout built in order, each tensor as f"{prefix}.{name}".
+
+    The tensors come back as attributes under their layout names, so the
+    layout is the only place a parameter is declared.
+    """
+    return SimpleNamespace(**{name: make(f"{prefix}.{name}", shape, scheme)
+                              for name, (shape, scheme) in layout.items()})

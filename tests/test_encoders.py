@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from jaeger.encoders import (ContentParams, EncoderConfig, attention_bias, encode_content,
+from jaeger.encoders import (EncoderConfig, attention_bias, encode_content,
                              encode_question_bidir, encode_question_causal, encode_visual,
                              init_block, init_content, init_encoder, init_visual,
                              multi_head_attention, run_blocks, transformer_block)
@@ -71,7 +71,7 @@ class TestAttention:
         x = Tensor(rng.normal(size=(3, 4)), requires_grad=True, dtype=np.float64)
         mask = np.array([True, True, False])
         w = Tensor(rng.normal(size=(3, 4)), dtype=np.float64)
-        params = [x] + [t for _, t in blk.named("g")]
+        params = [x] + list(vars(blk).values())
         assert_grads_match(params,
                            lambda: sum_all(mul(transformer_block(x, mask, blk, cfg), w)),
                            tol=1e-4)
@@ -239,27 +239,41 @@ class TestVisualEncoder:
             encode_visual(np.zeros(7), params)
 
 
+def recording(seed: int, built: list):
+    """seeded(seed) that also appends (name, tensor) for each tensor it builds."""
+    draw = seeded(seed)
+
+    def make(name, shape, scheme):
+        built.append((name, draw(name, shape, scheme)))
+        return built[-1][1]
+    return make
+
+
 class TestInit:
     def test_same_seed_same_weights(self):
-        a = init_encoder(CFG, len(VOCAB), seeded(0), prefix="q")
-        b = init_encoder(CFG, len(VOCAB), seeded(0), prefix="q")
-        for (na, ta), (nb, tb) in zip(a.named("q"), b.named("q")):
+        a, b = [], []
+        init_encoder(CFG, len(VOCAB), recording(0, a), prefix="q")
+        init_encoder(CFG, len(VOCAB), recording(0, b), prefix="q")
+        assert len(a) == len(b)
+        for (na, ta), (nb, tb) in zip(a, b):
             assert na == nb
             np.testing.assert_array_equal(ta.data, tb.data)
 
     def test_prefixes_decorrelate_weights(self):
         a = init_encoder(CFG, len(VOCAB), seeded(0), prefix="q1")
         b = init_encoder(CFG, len(VOCAB), seeded(0), prefix="q2")
-        assert not np.array_equal(a.token_table.data, b.token_table.data)
+        assert not np.array_equal(a.tok.data, b.tok.data)
 
     def test_named_covers_all_blocks(self):
-        params = init_encoder(CFG, len(VOCAB), seeded(0), prefix="q")
-        names = [n for n, _ in params.named("q")]
+        built = []
+        init_encoder(CFG, len(VOCAB), recording(0, built), prefix="q")
+        names = [n for n, _ in built]
         assert names[0] == "q.tok" and names[1] == "q.pos"
         assert len(names) == 2 + 16 * CFG.n_layers
         assert len(set(names)) == len(names)
 
     def test_content_named_includes_bbox(self):
-        params = init_content(CFG, len(VOCAB), seeded(0), prefix="c")
-        names = [n for n, _ in params.named("c")]
+        built = []
+        init_content(CFG, len(VOCAB), recording(0, built), prefix="c")
+        names = [n for n, _ in built]
         assert "c.bbox_w" in names and "c.bbox_b" in names
