@@ -193,12 +193,11 @@ def generate_document(seed: int, cfg: GenConfig | None = None) -> Document:
     return doc
 
 
-def hierarchy_oracle(doc: Document, qtype: str, target: int,
-                     transitive: bool = False) -> frozenset[int]:
+def hierarchy_oracle(doc: Document, qtype: str, target: int) -> frozenset[int]:
     """Ground-truth answer set for a hierarchy question.
 
-    children means direct children unless transitive is set; parent is a
-    singleton or empty set for roots. Symmetric by construction: e is in
+    children means direct children; parent is a singleton or empty set for
+    roots. Symmetric by construction: e is in
     children(p) exactly when parent(e) == {p}.
     """
     if qtype not in QUESTION_TYPES:
@@ -206,18 +205,7 @@ def hierarchy_oracle(doc: Document, qtype: str, target: int,
     el = doc.element(target)
     if qtype == "parent":
         return frozenset() if el.parent is None else frozenset({el.parent})
-    direct = frozenset(el.id for el in doc.elements if el.parent == target)
-    if not transitive:
-        return direct
-    seen = set(direct)
-    frontier = list(direct)
-    while frontier:
-        node = frontier.pop()
-        for el in doc.elements:
-            if el.parent == node and el.id not in seen:
-                seen.add(el.id)
-                frontier.append(el.id)
-    return frozenset(seen)
+    return frozenset(el.id for el in doc.elements if el.parent == target)
 
 
 _TEMPLATES = {

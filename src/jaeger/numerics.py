@@ -64,22 +64,6 @@ class Tensor:
             raise ShapeError(f"item() needs a single value, got shape {self.shape}")
         return float(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __mul__(self, other) -> "Tensor":
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
@@ -176,14 +160,6 @@ class Tape:
         for p in targets:
             g = grads.get(p._tid) if p._tape is self else None
             p.grad = np.zeros_like(p.data) if g is None else np.asarray(g, dtype=p.data.dtype)
-
-
-def backward(loss: Tensor, params: Iterable[Tensor] | None = None) -> None:
-    """Run reverse-mode accumulation from a scalar loss node."""
-    tape = loss._tape
-    if tape is None:
-        raise ContractError("loss was not produced on an active tape")
-    tape.backward(loss, params)
 
 
 def _check_dtypes(op: str, *ts: Tensor) -> None:

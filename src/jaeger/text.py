@@ -68,11 +68,6 @@ class Vocabulary:
         """Id of a token, UNK_ID when out of vocabulary."""
         return self._index.get(token, UNK_ID)
 
-    def token_of(self, token_id: int) -> str:
-        if not 0 <= token_id < len(self._tokens):
-            raise IndexOutOfRange(f"id {token_id} out of range for vocabulary of {len(self)}")
-        return self._tokens[token_id]
-
     def save(self, path: str) -> None:
         """One token per line, in id order."""
         with open(path, "w", encoding="utf-8") as f:

@@ -7,7 +7,7 @@ import pytest
 
 import jaeger.data
 
-from jaeger.data import (CATEGORIES, Document, DocumentElement, GenConfig,
+from jaeger.data import (CATEGORIES, Document, GenConfig,
                          generate_corpus, generate_document, generate_questions,
                          hierarchy_oracle, read_jsonl, split_corpus, write_jsonl)
 from jaeger.errors import (ContractError, GenerationError, ParseError, SchemaError,
@@ -111,21 +111,6 @@ class TestHierarchyOracle:
     def test_root_has_empty_parent_set(self):
         doc = generate_document(3)
         assert hierarchy_oracle(doc, "parent", doc.elements[0].id) == frozenset()
-
-    def test_transitive_closure(self):
-        """Direct children plus every deeper descendant, nothing more."""
-        elements = [
-            DocumentElement(0, "title", 0, (0.1, 0.1, 0.9, 0.2), "t", None, [0.0]),
-            DocumentElement(1, "section", 0, (0.1, 0.3, 0.9, 0.4), "s", 0, [0.0]),
-            DocumentElement(2, "figure", 0, (0.1, 0.5, 0.9, 0.6), "f", 1, [0.0]),
-            DocumentElement(3, "caption", 0, (0.1, 0.7, 0.9, 0.8), "c", 2, [0.0]),
-            DocumentElement(4, "paragraph", 0, (0.1, 0.85, 0.9, 0.9), "p", 1, [0.0]),
-        ]
-        doc = Document("doc-x", elements)
-        assert hierarchy_oracle(doc, "children", 0) == frozenset({1})
-        assert hierarchy_oracle(doc, "children", 0, transitive=True) == frozenset({1, 2, 3, 4})
-        assert hierarchy_oracle(doc, "children", 1, transitive=True) == frozenset({2, 3, 4})
-        assert hierarchy_oracle(doc, "children", 3, transitive=True) == frozenset()
 
     def test_bad_qtype_rejected(self):
         doc = generate_document(0)

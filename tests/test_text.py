@@ -52,11 +52,6 @@ class TestVocabulary:
         vocab = build_vocab(["alpha beta"])
         assert vocab.lookup("gamma") == UNK_ID
 
-    def test_token_of_inverts_lookup(self):
-        vocab = build_vocab(["alpha beta gamma"])
-        for tok in ("alpha", "beta", "gamma", "<pad>"):
-            assert vocab.token_of(vocab.lookup(tok)) == tok
-
     def test_duplicate_token_rejected(self):
         with pytest.raises(ContractError):
             Vocabulary(["alpha", "alpha"])
