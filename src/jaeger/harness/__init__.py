@@ -1,9 +1,1 @@
 """Training, evaluation, checkpointing and verification utilities."""
-
-from ..config import TrainConfig, VARIANTS  # noqa: F401
-from .ablate import ablate, format_ablation_table  # noqa: F401
-from .checkpoint import load_checkpoint, load_model, save_checkpoint  # noqa: F401
-from .gradcheck import GradcheckReport, run_gradcheck, tiny_gradcheck_config  # noqa: F401
-from .metrics import ema  # noqa: F401
-from .overfit import run_overfit  # noqa: F401
-from .train import TrainResult, evaluate, evaluate_checkpoint, train  # noqa: F401

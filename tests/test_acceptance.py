@@ -14,11 +14,11 @@ import pytest
 from jaeger.cli import main
 from jaeger.data import GenConfig, generate_document
 from jaeger.fusion import init_fusion, score_candidates
-from jaeger.harness import ema, load_model, run_gradcheck, save_checkpoint, train
-from jaeger.harness.checkpoint import config_path, vocab_path
-from jaeger.harness.gradcheck import format_gradcheck
+from jaeger.harness.checkpoint import config_path, load_model, save_checkpoint, vocab_path
+from jaeger.harness.gradcheck import format_gradcheck, run_gradcheck
+from jaeger.harness.metrics import ema
 from jaeger.harness.overfit import run_overfit
-from jaeger.harness.train import encode_split, three_way_split
+from jaeger.harness.train import encode_split, three_way_split, train
 from jaeger.config import TrainConfig
 from jaeger.errors import CheckpointFormatError
 from jaeger.model import JaegerModel

@@ -13,8 +13,7 @@ from hypothesis import given, strategies as st
 from jaeger.config import TrainConfig
 from jaeger.data import GenConfig, generate_corpus, read_jsonl, write_jsonl
 from jaeger.errors import JaegerError
-from jaeger.harness import load_model, save_checkpoint
-from jaeger.harness.checkpoint import config_path, vocab_path
+from jaeger.harness.checkpoint import config_path, load_model, save_checkpoint, vocab_path
 from jaeger.harness.train import corpus_texts
 from jaeger.model import JaegerModel
 from jaeger.text import build_vocab
