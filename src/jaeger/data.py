@@ -197,8 +197,8 @@ def hierarchy_oracle(doc: Document, qtype: str, target: int) -> frozenset[int]:
     """Ground-truth answer set for a hierarchy question.
 
     children means direct children; parent is a singleton or empty set for
-    roots. Symmetric by construction: e is in
-    children(p) exactly when parent(e) == {p}.
+    roots. Symmetric by construction: e is in children(p) exactly when
+    parent(e) == {p}.
     """
     if qtype not in QUESTION_TYPES:
         raise ContractError(f"question type must be one of {QUESTION_TYPES}, got {qtype!r}")
