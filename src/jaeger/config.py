@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import asdict, dataclass, fields
 
 from .errors import ContractError, SchemaError
@@ -56,8 +57,14 @@ class TrainConfig:
 
     def __post_init__(self):
         self.split_ratios = tuple(self.split_ratios)
-        if not self.learning_rate > 0:
-            raise ContractError(f"learning_rate must be positive, got {self.learning_rate}")
+        # Python's json reads NaN, Infinity and integers too large for a float;
+        # a bound on abs() refuses all three.
+        if not 0 < self.learning_rate <= sys.float_info.max:
+            raise ContractError(f"learning_rate must be a positive finite float, "
+                                f"got {self.learning_rate}")
+        if not all(abs(r) <= sys.float_info.max for r in self.split_ratios):
+            raise ContractError(f"split_ratios must be finite floats, "
+                                f"got {list(self.split_ratios)}")
         if self.epochs < 1:
             raise ContractError(f"epochs must be at least 1, got {self.epochs}")
         if not 0 < self.threshold < 1:

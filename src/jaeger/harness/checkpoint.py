@@ -11,7 +11,7 @@ vocabulary at <path>.vocab, one token per line; the tensor file alone
 does not identify the tokens it was trained with. The sidecar also holds
 the SHA-256 of the tensor file and of the vocabulary file ("sha256":
 {"tensors", "vocab"}), so a sidecar or vocabulary from another run does
-not load. Sidecars written before the digests existed load unchecked.
+not load. A sidecar that lacks either digest does not load either.
 """
 
 from __future__ import annotations
@@ -142,11 +142,12 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], TrainConfig, Voca
     cfg = TrainConfig.from_dict(sidecar["config"])
     with open(vocab_path(path), "rb") as f:
         vocab_blob = f.read()
-    digests = sidecar.get("sha256", {})
-    if not isinstance(digests, dict):
-        raise SchemaError(f"{config_path(path)} has a malformed sha256 entry")
+    digests = sidecar.get("sha256")
     for key, file, data in (("tensors", path, blob), ("vocab", vocab_path(path), vocab_blob)):
-        if key in digests and digests[key] != _sha256(data):
+        if not isinstance(digests, dict) or key not in digests:
+            raise CheckpointFormatError(
+                f"{config_path(path)} has no sha256 digest for {key!r}")
+        if digests[key] != _sha256(data):
             raise CheckpointFormatError(
                 f"{file} does not match the digest in {config_path(path)}: "
                 f"it was not saved with this checkpoint")
@@ -163,7 +164,7 @@ def _checkpoint_source(arrays: dict[str, np.ndarray]) -> ParamSource:
         if arr.shape != shape:
             raise CompatibilityError(
                 f"parameter {name!r} has shape {arr.shape}, model expects {shape}")
-        return Tensor(arr, requires_grad=True)
+        return Tensor(arr)
     return make
 
 

@@ -17,7 +17,7 @@ from ..data import Document, split_corpus
 from ..errors import ContractError, TrainingDiverged
 from ..fusion import predict_answer_set
 from ..model import EncodedSample, JaegerModel, encode_candidates, encode_sample
-from ..numerics import SgdConfig, Tape, bce_with_logits, sgd_step
+from ..numerics import Tape, bce_with_logits, sgd_step
 from ..rng import Xoshiro256
 from ..text import Vocabulary, build_vocab
 from .metrics import ema
@@ -70,7 +70,7 @@ def _batch_loss(model: JaegerModel, batch: list[EncodedSample]):
     return bce_with_logits(model.batch_logits(batch), targets, weights)
 
 
-def train_step(model: JaegerModel, batch: list[EncodedSample], opt: SgdConfig,
+def train_step(model: JaegerModel, batch: list[EncodedSample], learning_rate: float,
                step: int) -> float:
     """One gradient step over a batch; aborts on a non-finite loss."""
     params = model.parameters()
@@ -80,7 +80,7 @@ def train_step(model: JaegerModel, batch: list[EncodedSample], opt: SgdConfig,
         if not math.isfinite(value):
             raise TrainingDiverged(f"non-finite loss at step {step}")
         tape.backward(loss, params)
-    sgd_step(params, [p.grad for p in params], opt)
+    sgd_step(params, learning_rate)
     return value
 
 
@@ -124,7 +124,6 @@ def train(cfg: TrainConfig, corpus: list[Document]) -> TrainResult:
     if not samples:
         raise ContractError("the training split has no questions")
     val_samples = encode_split(val_docs, vocab, cfg)
-    opt = SgdConfig(cfg.learning_rate)
     order_rng = Xoshiro256(cfg.seed, "batch-order")
     result = TrainResult(model=model, vocab=vocab)
     step = 0
@@ -134,7 +133,7 @@ def train(cfg: TrainConfig, corpus: list[Document]) -> TrainResult:
         epoch_losses = []
         for at in range(0, len(order), cfg.batch_size):
             batch = [samples[i] for i in order[at:at + cfg.batch_size]]
-            epoch_losses.append(train_step(model, batch, opt, step))
+            epoch_losses.append(train_step(model, batch, cfg.learning_rate, step))
             step += 1
             if cfg.max_steps is not None and step >= cfg.max_steps:
                 break

@@ -2,11 +2,11 @@
 
 Values live in numpy arrays, float32 by default and float64 when a
 gradient check needs the headroom. Ops execute eagerly; while a Tape is
-active, each differentiable op appends a record holding the node ids
-involved plus a closure mapping the upstream gradient to per-input
-gradients. Records are appended in execution order, so walking them
-newest-first is a reverse topological order of the computation DAG and
-backward() is a single linear sweep.
+active, every op appends a record holding the node ids involved plus a
+closure mapping the upstream gradient to per-input gradients. Records
+are appended in execution order, so walking them newest-first is a
+reverse topological order of the computation DAG and backward() is a
+single linear sweep.
 
 Single-threaded by design; nothing here is safe to share across threads.
 """
@@ -29,16 +29,16 @@ _REAL_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))
 
 
 class Tensor:
-    """A dense row-major array, optionally tracked on the active tape.
+    """A dense row-major array, tracked on the active tape once an op uses it.
 
-    Parameters are tensors with requires_grad=True; backward() deposits
-    d(loss)/d(param) into their .grad. Tensors produced by ops are plain
-    values whose gradients exist only transiently on the tape.
+    Tape.backward(loss, params) deposits d(loss)/d(p) into p.grad for the
+    parameters it is given. Tensors produced by ops are plain values whose
+    gradients exist only transiently on the tape.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_tape", "_tid")
+    __slots__ = ("data", "grad", "_tape", "_tid")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
+    def __init__(self, data, dtype=None):
         if dtype is None:
             arr = np.asarray(data)
             if arr.dtype not in _REAL_DTYPES:
@@ -46,7 +46,6 @@ class Tensor:
         else:
             arr = np.asarray(data, dtype=dtype)
         self.data: Array = arr
-        self.requires_grad = requires_grad
         self.grad: Array | None = None
         self._tape: "Tape | None" = None
         self._tid = -1
@@ -65,8 +64,7 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self) -> str:
-        flag = ", requires_grad=True" if self.requires_grad else ""
-        return f"Tensor(shape={self.shape}, dtype={self.data.dtype}{flag})"
+        return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,7 @@ class TapeRecord:
     op: str
     input_ids: tuple[int, ...]
     output_id: int
-    backward_fn: Callable[[Array], Sequence[Array | None]]
+    backward_fn: Callable[[Array], Sequence[Array]]
 
 
 _ACTIVE: list["Tape"] = []
@@ -95,8 +93,6 @@ class Tape:
     def __init__(self):
         self.records: list[TapeRecord] = []
         self._next_id = 0
-        self._output_ids: set[int] = set()
-        self._grad_targets: list[Tensor] = []
 
     def __enter__(self) -> "Tape":
         _ACTIVE.append(self)
@@ -111,24 +107,13 @@ class Tape:
             t._tape = self
             t._tid = self._next_id
             self._next_id += 1
-            if t.requires_grad:
-                self._grad_targets.append(t)
         return t._tid
 
-    def record(self, op: str, inputs: tuple[Tensor, ...], output: Tensor, backward_fn) -> None:
-        ids = tuple(self.node_id(t) for t in inputs)
-        out_id = self.node_id(output)
-        if out_id in self._output_ids:
-            raise ContractError(f"node {out_id} already produced once on this tape")
-        self._output_ids.add(out_id)
-        self.records.append(TapeRecord(op, ids, out_id, backward_fn))
+    def backward(self, loss: Tensor, params: Iterable[Tensor]) -> None:
+        """Set p.grad = d(loss)/d(p) for each tensor in params, and for no other.
 
-    def backward(self, loss: Tensor, params: Iterable[Tensor] | None = None) -> None:
-        """Accumulate d(loss)/d(p) into p.grad for every tracked parameter.
-
-        Parameters that do not reach the loss get an exact zero gradient.
-        Extra tensors passed via params are zero-filled too, even if the
-        forward pass never touched them.
+        A parameter the loss does not reach, including one the forward pass
+        never touched, gets an exact zero gradient.
 
         The sweep consumes the tape: each record is dropped once it has
         been swept, so the activations it saved are freed during the sweep
@@ -138,26 +123,19 @@ class Tape:
         """
         if loss.data.ndim != 0:
             raise ContractError(f"loss must be a scalar, got shape {loss.data.shape}")
-        if loss._tape is not self or loss._tid not in self._output_ids:
-            raise ContractError("loss was not produced on this tape")
+        if loss._tape is not self or not self.records:
+            raise ContractError("loss was not produced on this tape, or the tape was swept")
         grads: dict[int, Array] = {loss._tid: np.ones((), dtype=loss.data.dtype)}
         records, self.records = self.records, []
-        self._output_ids = set()
         while records:
             rec = records.pop()
             g = grads.pop(rec.output_id, None)
             if g is None:
                 continue
             for tid, gin in zip(rec.input_ids, rec.backward_fn(g)):
-                if gin is None:
-                    continue
                 acc = grads.get(tid)
                 grads[tid] = gin if acc is None else acc + gin
-        targets = list(self._grad_targets)
-        if params is not None:
-            seen = {id(t) for t in targets}
-            targets.extend(p for p in params if id(p) not in seen)
-        for p in targets:
+        for p in params:
             g = grads.get(p._tid) if p._tape is self else None
             p.grad = np.zeros_like(p.data) if g is None else np.asarray(g, dtype=p.data.dtype)
 
@@ -170,10 +148,12 @@ def _check_dtypes(op: str, *ts: Tensor) -> None:
 
 
 def _emit(op: str, inputs: tuple[Tensor, ...], out_data: Array, backward_fn) -> Tensor:
+    """Wrap an op's output; while a tape is active, record the op on it."""
     out = Tensor(out_data)
     tape = active_tape()
-    if tape is not None and any(t.requires_grad or t._tape is tape for t in inputs):
-        tape.record(op, inputs, out, backward_fn)
+    if tape is not None:
+        ids = tuple(tape.node_id(t) for t in inputs)
+        tape.records.append(TapeRecord(op, ids, tape.node_id(out), backward_fn))
     return out
 
 
@@ -195,38 +175,18 @@ def _broadcast(op: str, ufunc, a: Array, b: Array) -> Array:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """c = a @ b with numpy matmul semantics.
-
-    Supports 1-D x 2-D, 2-D x 1-D, 1-D x 1-D (dot product) and stacks of
-    matrices, either with identical leading dimensions or against a
-    single matrix, whose gradient is then summed over the stack.
-    """
+    """a @ b for matrix stacks with equal leading dimensions (attention's q·kᵀ and softmax·v)."""
     _check_dtypes("matmul", a, b)
     ad, bd = a.data, b.data
-    if ad.ndim == 0 or bd.ndim == 0:
-        raise ShapeError(f"matmul needs at least 1-D operands, got {ad.shape} and {bd.shape}")
-    if (ad.ndim == 1 and bd.ndim > 2) or (bd.ndim == 1 and ad.ndim > 2):
-        raise ShapeError(f"matmul does not mix vectors with stacks: {ad.shape} and {bd.shape}")
-    inner_a = ad.shape[-1]
-    inner_b = bd.shape[0] if bd.ndim == 1 else bd.shape[-2]
-    if inner_a != inner_b:
-        raise ShapeError(f"matmul inner dimensions differ: {ad.shape} and {bd.shape}")
-    if ad.ndim > 2 and bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2]:
-        raise ShapeError(f"matmul stack dimensions differ: {ad.shape} and {bd.shape}")
-    out = np.matmul(ad, bd)
+    if ad.ndim < 2 or bd.ndim != ad.ndim or ad.shape[:-2] != bd.shape[:-2] \
+            or ad.shape[-1] != bd.shape[-2]:
+        raise ShapeError(f"matmul needs (..., m, k) and (..., k, n) stacks with the same "
+                         f"leading dimensions, got {ad.shape} and {bd.shape}")
 
     def bwd(g: Array):
-        if ad.ndim == 1 and bd.ndim == 1:
-            return g * bd, g * ad
-        if ad.ndim == 1:
-            return np.matmul(bd, g), np.outer(ad, g)
-        if bd.ndim == 1:
-            return np.outer(g, bd), np.matmul(ad.swapaxes(-1, -2), g)
-        ga = np.matmul(g, bd.swapaxes(-1, -2))
-        gb = np.matmul(ad.swapaxes(-1, -2), g)
-        return _sum_to(ga, ad.shape), _sum_to(gb, bd.shape)
+        return np.matmul(g, bd.swapaxes(-1, -2)), np.matmul(ad.swapaxes(-1, -2), g)
 
-    return _emit("matmul", (a, b), out, bwd)
+    return _emit("matmul", (a, b), np.matmul(ad, bd), bwd)
 
 
 def rowwise_matmul(x: Tensor, w: Tensor) -> Tensor:
@@ -470,31 +430,28 @@ def bce_with_logits(logits: Tensor, targets, weights=None) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map x @ w + b for a vector or a stack of row vectors."""
-    return add(matmul(x, w), b)
+    """Affine map x @ w + b, (..., d) @ (d, k) + (k,), as one tape record."""
+    _check_dtypes("linear", x, w, b)
+    xd, wd, bd = x.data, w.data, b.data
+    if xd.ndim == 0 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0] or bd.shape != wd.shape[1:]:
+        raise ShapeError(f"linear needs (..., d) rows, a (d, k) weight and a (k,) bias, "
+                         f"got {xd.shape}, {wd.shape} and {bd.shape}")
+
+    def bwd(g: Array):
+        if xd.ndim == 1:
+            gx, gw = np.matmul(wd, g), np.outer(xd, g)
+        else:
+            gx = np.matmul(g, wd.swapaxes(-1, -2))
+            gw = _sum_to(np.matmul(xd.swapaxes(-1, -2), g), wd.shape)
+        return gx, gw, _sum_to(g, bd.shape)
+
+    return _emit("linear", (x, w, b), np.matmul(xd, wd) + bd, bwd)
 
 
-@dataclass(frozen=True)
-class SgdConfig:
-    """Plain gradient-descent settings; no momentum, no weight decay."""
-
-    learning_rate: float
-
-    def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ContractError(f"learning_rate must be positive, got {self.learning_rate}")
-
-
-def sgd_step(params: Sequence[Tensor], grads: Sequence[Array], cfg: SgdConfig) -> Sequence[Tensor]:
-    """p <- p - learning_rate * g, in place; returns params for chaining."""
-    if len(params) != len(grads):
-        raise ShapeError(f"{len(params)} params but {len(grads)} grads")
-    for p, g in zip(params, grads):
-        g = np.asarray(g, dtype=p.data.dtype)
-        if g.shape != p.data.shape:
-            raise ShapeError(f"grad shape {g.shape} does not match param shape {p.data.shape}")
-        p.data = p.data - p.data.dtype.type(cfg.learning_rate) * g
-    return params
+def sgd_step(params: Sequence[Tensor], learning_rate: float) -> None:
+    """p <- p - learning_rate * p.grad for each parameter, in place; no momentum or decay."""
+    for p in params:
+        p.data = p.data - p.data.dtype.type(learning_rate) * p.grad
 
 
 def xavier_bound(shape: Sequence[int]) -> float:
@@ -529,7 +486,7 @@ def seeded_init(shape: Sequence[int], scheme: str, seed: int, stream: str = "",
         data = vals.reshape(dims).astype(dtype)
     else:
         raise ContractError(f"unknown init scheme {scheme!r}")
-    return Tensor(data, requires_grad=True)
+    return Tensor(data)
 
 
 # make(name, shape, scheme) builds the parameter registered as `name`, e.g.

@@ -44,8 +44,8 @@ def assert_grads_match(params, forward, tol: float = 1e-5, h: float = 1e-5):
 
 def param(values, rng=None) -> Tensor:
     """Float64 leaf parameter for gradient tests."""
-    return Tensor(np.asarray(values, dtype=np.float64), requires_grad=True)
+    return Tensor(np.asarray(values, dtype=np.float64))
 
 
 def random_param(rng: np.random.Generator, *shape: int) -> Tensor:
-    return Tensor(rng.normal(size=shape), requires_grad=True, dtype=np.float64)
+    return Tensor(rng.normal(size=shape), dtype=np.float64)

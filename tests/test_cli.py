@@ -186,7 +186,13 @@ class TestBadJsonAtTheBoundary:
         assert err.startswith("error:") and "config.json" in err
 
     @pytest.mark.parametrize("field,value", [("epochs", "3"), ("epochs", True),
-                                             ("learning_rate", "0.1"), ("max_steps", 2.5)])
+                                             ("learning_rate", "0.1"), ("max_steps", 2.5),
+                                             pytest.param("split_ratios", [float("nan")],
+                                                          id="split_ratios-NaN"),
+                                             pytest.param("learning_rate", float("inf"),
+                                                          id="learning_rate-Infinity"),
+                                             pytest.param("split_ratios", [10 ** 400],
+                                                          id="split_ratios-401-digits")])
     def test_config_field_of_wrong_type(self, tmp_path, capsys, field, value):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({field: value}))

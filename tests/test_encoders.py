@@ -68,7 +68,7 @@ class TestAttention:
         cfg = EncoderConfig(d_model=4, n_heads=2, n_layers=1, d_ff=8, max_seq=5)
         blk = init_block(cfg, seeded(11, np.float64), prefix="g")
         rng = np.random.default_rng(1)
-        x = Tensor(rng.normal(size=(3, 4)), requires_grad=True, dtype=np.float64)
+        x = Tensor(rng.normal(size=(3, 4)), dtype=np.float64)
         mask = np.array([True, True, False])
         w = Tensor(rng.normal(size=(3, 4)), dtype=np.float64)
         params = [x] + list(vars(blk).values())

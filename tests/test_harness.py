@@ -30,7 +30,7 @@ from jaeger.harness.metrics import ema
 from jaeger.harness.train import (_batch_loss, corpus_texts, encode_split, evaluate,
                                   evaluate_checkpoint, three_way_split, train, train_step)
 from jaeger.model import JaegerModel, encode_sample
-from jaeger.numerics import SgdConfig, Tape, bce_with_logits, seeded, seeded_init
+from jaeger.numerics import Tape, bce_with_logits, seeded, seeded_init
 from jaeger.text import Vocabulary, build_vocab
 
 
@@ -187,7 +187,7 @@ class TestTraining:
         model.fusion.score_w1.data[0, 0] = np.nan
         samples = encode_split(train_docs, vocab, cfg)
         with pytest.raises(TrainingDiverged, match="step 3"):
-            train_step(model, samples[:2], SgdConfig(cfg.learning_rate), step=3)
+            train_step(model, samples[:2], cfg.learning_rate, step=3)
 
 
     def test_finished_tape_is_freed_without_the_cyclic_collector(self, monkeypatch):
@@ -208,7 +208,7 @@ class TestTraining:
         gc.disable()
         try:
             for step in range(2):
-                train_step(model, samples[:2], SgdConfig(cfg.learning_rate), step)
+                train_step(model, samples[:2], cfg.learning_rate, step)
             assert len(tapes) == 2
             assert tapes[0]() is None
         finally:
@@ -261,13 +261,36 @@ class TestBatchedTrainStep:
         swept = []
 
         class CountingTape(Tape):
-            def backward(self, loss, params=None):
+            def backward(self, loss, params):
                 swept.append(len(self.records))
                 return super().backward(loss, params)
 
         monkeypatch.setattr("jaeger.harness.train.Tape", CountingTape)
-        train_step(model, batch, SgdConfig(0.01), 0)
+        train_step(model, batch, 0.01, 0)
         assert swept == [one_forward + 1]
+
+    def test_an_affine_layer_is_one_record(self, monkeypatch):
+        """At the default widths a dual step records one linear per affine layer
+        and a matmul only for attention's two products per block."""
+        cfg = TrainConfig(learning_rate=0.05)
+        corpus = small_corpus(n_docs=4)
+        model = JaegerModel(cfg, build_vocab(corpus_texts(corpus)))
+        ops = []
+
+        class CountingTape(Tape):
+            def backward(self, loss, params):
+                ops.extend(rec.op for rec in self.records)
+                return super().backward(loss, params)
+
+        monkeypatch.setattr("jaeger.harness.train.Tape", CountingTape)
+        train_step(model, encode_split(corpus, model.vocab, cfg)[:cfg.batch_size],
+                   cfg.learning_rate, 0)
+        blocks = 3 * cfg.n_layers  # bidir, causal and content encoders
+        # Six per block (q, k, v, output, two feed-forward), the bbox injection,
+        # the visual MLP's two and the reduction.
+        assert ops.count("linear") == 6 * blocks + 4 == 40
+        assert ops.count("matmul") == 2 * blocks == 12
+        assert len(ops) == 183
 
     def test_each_question_gets_its_own_logits_bit_for_bit(self):
         model, batch = self._model_and_batch()
@@ -308,7 +331,7 @@ class TestBatchedTrainStep:
             bboxes=batch[0].candidates.bboxes[:0], visuals=batch[0].candidates.visuals[:0],
             candidate_ids=[]), targets=np.zeros(0))
         with pytest.raises(ContractError):
-            train_step(model, batch[1:4] + [empty], SgdConfig(0.01), 0)
+            train_step(model, batch[1:4] + [empty], 0.01, 0)
 
 
 class TestEvaluate:
@@ -526,14 +549,34 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError, match="digest"):
             load_model(path)
 
-    def test_sidecar_without_digests_still_loads(self, tmp_path):
-        corpus, cfg, result, path = self._trained(tmp_path)
+    def test_renamed_digest_key_rejected(self, tmp_path):
+        """A one-byte edit of the sidecar key must not let a tensor file from another run in."""
+        corpus, cfg, _, path = self._trained(tmp_path)
+        other = str(tmp_path / "other.ckpt")
+        save_checkpoint(other, train(dataclasses.replace(cfg, learning_rate=0.02), corpus).model)
+        os.replace(other, path)
+        sidecar = json.load(open(config_path(path)))
+        sidecar["sha257"] = sidecar.pop("sha256")
+        json.dump(sidecar, open(config_path(path), "w"))
+        with pytest.raises(CheckpointFormatError, match="sha256"):
+            load_model(path)
+
+    def test_sidecar_without_digests_rejected(self, tmp_path):
+        _, _, _, path = self._trained(tmp_path)
         sidecar = json.load(open(config_path(path)))
         del sidecar["sha256"]
         json.dump(sidecar, open(config_path(path), "w"))
-        sample = encode_split(corpus, result.vocab, cfg)[0]
-        np.testing.assert_array_equal(load_model(path).forward(sample).data,
-                                      result.model.forward(sample).data)
+        with pytest.raises(CheckpointFormatError, match="model.ckpt.json"):
+            load_model(path)
+
+    @pytest.mark.parametrize("key", ["tensors", "vocab"])
+    def test_sidecar_missing_one_digest_rejected(self, tmp_path, key):
+        _, _, _, path = self._trained(tmp_path)
+        sidecar = json.load(open(config_path(path)))
+        del sidecar["sha256"][key]
+        json.dump(sidecar, open(config_path(path), "w"))
+        with pytest.raises(CheckpointFormatError, match=key):
+            load_model(path)
 
     def _rewrite_tensors(self, path, edit):
         """Rewrite the tensor file with edit applied to its name-to-array map."""
