@@ -61,8 +61,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_predict(args: argparse.Namespace) -> int:
     model = load_model(args.ckpt)
-    corpus = read_jsonl(args.data)
-    matches = [d for d in corpus if d.doc_id == args.doc_id]
+    matches = read_jsonl(args.data, args.doc_id)
     if not matches:
         print(f"error: document {args.doc_id!r} not found in {args.data}", file=sys.stderr)
         return 1

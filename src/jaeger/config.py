@@ -94,7 +94,10 @@ class TrainConfig:
         return d
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "TrainConfig":
+    def from_dict(cls, raw: dict, where: str = "config") -> "TrainConfig":
+        """Build from parsed JSON; where names the source in the non-object error."""
+        if not isinstance(raw, dict):
+            raise SchemaError(f"{where} must be a JSON object, got {type(raw).__name__}")
         known = {f.name: f.type for f in fields(cls)}
         unknown = set(raw) - set(known) - set(LEGACY_FIELDS)
         if unknown:
@@ -111,9 +114,7 @@ class TrainConfig:
                 raw = json.load(f)
             except ValueError as e:
                 raise SchemaError(f"{path} is not valid JSON ({e})") from None
-        if not isinstance(raw, dict):
-            raise SchemaError("config file must hold a JSON object")
-        return cls.from_dict(raw)
+        return cls.from_dict(raw, where=path)
 
     def to_json(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as f:

@@ -345,6 +345,8 @@ def _take(obj: dict, key: str, kind, where: str, optional_none: bool = False):
 
 
 def _check_keys(obj: dict, allowed: tuple[str, ...], where: str) -> None:
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{where} must be an object")
     for key in obj:
         if key not in allowed:
             raise SchemaError(f"{where} has unknown field {key!r}")
@@ -412,10 +414,13 @@ def _doc_from_record(raw: dict, where: str) -> Document:
     return doc
 
 
-def read_jsonl(path: str) -> list[Document]:
+def read_jsonl(path: str, doc_id: str | None = None) -> list[Document]:
     """Parse a corpus, rejecting malformed lines and unknown or missing fields.
 
-    Every error names the file and the line.
+    Every error names the file and the line. Given a doc_id, returns just
+    the first document with that id ([] if none): lines before it are
+    decoded and parsed as JSON objects, only it is schema-checked, and
+    no later line is read.
     """
     docs = []
     with open(path, "rb") as f:
@@ -433,7 +438,10 @@ def read_jsonl(path: str) -> list[Document]:
                 raise ParseError(f"{where}: invalid JSON ({e.msg})") from None
             if not isinstance(raw, dict):
                 raise SchemaError(f"{where}: document record must be an object")
-            docs.append(_doc_from_record(raw, where))
+            if doc_id is None:
+                docs.append(_doc_from_record(raw, where))
+            elif raw.get("doc_id") == doc_id:
+                return [_doc_from_record(raw, where)]
     return docs
 
 

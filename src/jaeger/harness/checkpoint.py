@@ -139,7 +139,7 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], TrainConfig, Voca
             raise CheckpointFormatError(f"{config_path(path)} is not valid JSON ({e})") from None
     if not isinstance(sidecar, dict) or "config" not in sidecar:
         raise SchemaError(f"{config_path(path)} is missing the config object")
-    cfg = TrainConfig.from_dict(sidecar["config"])
+    cfg = TrainConfig.from_dict(sidecar["config"], where=f"config in {config_path(path)}")
     with open(vocab_path(path), "rb") as f:
         vocab_blob = f.read()
     digests = sidecar.get("sha256")

@@ -7,16 +7,19 @@ import pytest
 from jaeger.cli import main
 
 
+TINY_CONFIG = {
+    "learning_rate": 0.01, "epochs": 1, "batch_size": 4, "seed": 3,
+    "max_question_len": 16, "max_content_len": 10,
+    "d_bidir": 8, "d_causal": 8, "d_content": 8, "d_visual": 8,
+    "d_reduced": 8, "scorer_hidden": 8, "n_heads": 2, "n_layers": 1,
+    "split_ratios": [0.6, 0.2, 0.2],
+}
+
+
 @pytest.fixture
 def tiny_config(tmp_path):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({
-        "learning_rate": 0.01, "epochs": 1, "batch_size": 4, "seed": 3,
-        "max_question_len": 16, "max_content_len": 10,
-        "d_bidir": 8, "d_causal": 8, "d_content": 8, "d_visual": 8,
-        "d_reduced": 8, "scorer_hidden": 8, "n_heads": 2, "n_layers": 1,
-        "split_ratios": [0.6, 0.2, 0.2],
-    }) + "\n")
+    path.write_text(json.dumps(TINY_CONFIG) + "\n")
     return str(path)
 
 
@@ -128,6 +131,70 @@ class TestTrainEvalPredict:
         assert code == 1
         assert err.startswith("error:") and "broken.jsonl" in err and "line 4" in err
         assert "Traceback" not in err
+
+
+class TestPredictReadsUpToItsDocument:
+    """predict checks every line up to its document and reads none after it."""
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("predict")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(TINY_CONFIG))
+        corpus = gen_corpus(tmp_path)
+        ckpt = str(tmp_path / "model.ckpt")
+        assert main(["train", "--config", str(config), "--data", corpus, "--out", ckpt]) == 0
+        return ckpt, open(corpus, "rb").read().splitlines(keepends=True)
+
+    def _predict(self, tmp_path, ckpt, lines, doc_id, capsys):
+        corpus = tmp_path / "served.jsonl"
+        corpus.write_bytes(b"".join(lines))
+        capsys.readouterr()
+        code = main(["predict", "--ckpt", ckpt, "--data", str(corpus),
+                     "--doc-id", doc_id, "--question", "what is the parent of the title?"])
+        out, err = capsys.readouterr()
+        assert "Traceback" not in err
+        return code, out, err
+
+    def test_bad_line_after_the_document_is_not_read(self, tmp_path, trained, capsys):
+        ckpt, lines = trained
+        doc_id = json.loads(lines[2])["doc_id"]
+        code, out, _ = self._predict(tmp_path, ckpt, lines[:3] + [b"{bad\n"] + lines[3:],
+                                     doc_id, capsys)
+        assert code == 0
+        assert json.loads(out)["doc_id"] == doc_id
+
+    @pytest.mark.parametrize("bad", [b"{bad\n", b"\xff\xfe{}\n"])
+    def test_bad_line_before_the_document_names_it(self, tmp_path, trained, capsys, bad):
+        ckpt, lines = trained
+        doc_id = json.loads(lines[2])["doc_id"]
+        code, _, err = self._predict(tmp_path, ckpt, lines[:1] + [bad] + lines[1:],
+                                     doc_id, capsys)
+        assert code == 1
+        assert err.startswith("error:") and "served.jsonl line 2" in err
+
+    def test_unknown_document_scans_every_line(self, tmp_path, trained, capsys):
+        ckpt, lines = trained
+        code, _, err = self._predict(tmp_path, ckpt, lines + [b"{bad\n"], "doc-missing", capsys)
+        assert code == 1
+        assert err.startswith("error:") and "line 11" in err
+
+    def test_first_of_two_documents_with_one_id_answers(self, tmp_path, trained, capsys):
+        ckpt, lines = trained
+        doc_id = json.loads(lines[1])["doc_id"]
+        twin = json.loads(lines[4])
+        twin["doc_id"] = doc_id
+        duplicated = lines[:5] + [json.dumps(twin).encode() + b"\n"] + lines[5:]
+        code, out, _ = self._predict(tmp_path, ckpt, duplicated, doc_id, capsys)
+        assert code == 0
+        assert self._predict(tmp_path, ckpt, lines[1:2], doc_id, capsys) == (0, out, "")
+
+    def test_element_that_is_not_an_object(self, tmp_path, trained, capsys):
+        ckpt, lines = trained
+        bad = b'{"doc_id":"d","elements":[5],"questions":[]}\n'
+        code, _, err = self._predict(tmp_path, ckpt, lines[:2] + [bad], "d", capsys)
+        assert code == 1
+        assert err.startswith("error:") and "line 3.elements[0]" in err
 
 
 class TestStackedInputBoundaries:

@@ -1,5 +1,6 @@
 """Synthetic document generation, the hierarchy oracle, JSONL io, and splits."""
 
+import dataclasses
 import json
 import os
 
@@ -292,6 +293,65 @@ class TestJsonl:
             tmp_path, lambda r: r["elements"][1].__setitem__("parent", 999))
         with pytest.raises(SchemaError, match="999"):
             read_jsonl(path)
+
+    @pytest.mark.parametrize("line,where", [
+        ('{"doc_id":"d","elements":[5],"questions":[]}', r"elements\[0\]"),
+        ('{"doc_id":"d","elements":[["bbox"]],"questions":[]}', r"elements\[0\]"),
+        ('{"doc_id":"d","elements":[],"questions":[null]}', r"questions\[0\]"),
+    ])
+    def test_record_that_is_not_an_object_named(self, tmp_path, line, where):
+        path = tmp_path / "records.jsonl"
+        path.write_text(line + "\n")
+        with pytest.raises(SchemaError, match=f"line 1.{where} must be an object"):
+            read_jsonl(path)
+
+
+class TestReadOneDocument:
+    """read_jsonl(path, doc_id) checks every line it reads up to the match."""
+
+    def _corpus(self, tmp_path, n_docs=4):
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(generate_corpus(17, n_docs), path)
+        return path, path.read_text().splitlines(keepends=True)
+
+    def test_matches_the_first_document_of_a_full_read(self, tmp_path):
+        docs = generate_corpus(23, 12)
+        docs.append(dataclasses.replace(docs[6], doc_id=docs[5].doc_id))
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(docs, path)
+        first = {}
+        for doc in read_jsonl(path):
+            first.setdefault(doc.doc_id, doc)
+        assert len(first) == 12 and first[docs[5].doc_id] == docs[5]
+        for doc_id, doc in first.items():
+            assert read_jsonl(path, doc_id) == [doc]
+
+    def test_unknown_id_reads_nothing(self, tmp_path):
+        path, _ = self._corpus(tmp_path)
+        assert read_jsonl(path, "doc-missing") == []
+
+    def test_lines_after_the_match_are_not_read(self, tmp_path):
+        path, lines = self._corpus(tmp_path)
+        path.write_text("".join(lines[:2]) + "{bad\n\xff\n")
+        doc_id = json.loads(lines[1])["doc_id"]
+        assert [d.doc_id for d in read_jsonl(path, doc_id)] == [doc_id]
+
+    def test_only_the_match_is_schema_checked(self, tmp_path):
+        path, lines = self._corpus(tmp_path)
+        record = json.loads(lines[0])
+        record["elements"][0]["color"] = "red"
+        path.write_text(json.dumps(record) + "\n" + "".join(lines[1:]))
+        doc_id = json.loads(lines[2])["doc_id"]
+        assert [d.doc_id for d in read_jsonl(path, doc_id)] == [doc_id]
+        with pytest.raises(SchemaError, match="line 1.*color"):
+            read_jsonl(path, record["doc_id"])
+
+    @pytest.mark.parametrize("bad", [b"{bad\n", b"\xff\xfe{}\n", b"\n", b"[1]\n"])
+    def test_bad_line_before_the_match_names_the_line(self, tmp_path, bad):
+        path, lines = self._corpus(tmp_path)
+        path.write_bytes(lines[0].encode() + bad + "".join(lines[1:]).encode())
+        with pytest.raises((ParseError, SchemaError), match="corpus.jsonl line 2"):
+            read_jsonl(path, json.loads(lines[2])["doc_id"])
 
 
 class TestSplitCorpus:

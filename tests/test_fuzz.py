@@ -1,10 +1,12 @@
-"""Byte-level corruption of corpus and checkpoint files, driven by hypothesis.
+"""Corrupt corpus and checkpoint files, driven by hypothesis.
 
-A flipped, dropped or inserted byte must end in a JaegerError (which the
+A flipped, dropped or inserted byte, or any JSON value in place of a
+record or of the sidecar's config, must end in a JaegerError (which the
 CLI prints as `error:` with exit 1) or in a file that still parses; any
 other exception would reach the user as a traceback.
 """
 
+import json
 import shutil
 
 import pytest
@@ -23,6 +25,14 @@ MUTATIONS = st.one_of(
     st.tuples(st.just("flip"), st.integers(0, 1 << 20), st.integers(1, 255)),
     st.tuples(st.just("truncate"), st.integers(0, 1 << 20), st.just(b"")),
     st.tuples(st.just("insert"), st.integers(0, 1 << 20), st.binary(min_size=1, max_size=8)),
+)
+
+# Any value json.loads can return, in place of one record or the sidecar config.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
 )
 
 
@@ -68,6 +78,24 @@ def test_corrupt_corpus_line_raises_only_jaeger_errors(corpus_file, mutation):
         read_jsonl(str(bad))
     except JaegerError:
         pass
+    try:
+        read_jsonl(str(bad), json.loads(corpus_file.read_text())["doc_id"])
+    except JaegerError:
+        pass
+
+
+@pytest.mark.parametrize("field", ["elements", "questions"])
+@given(value=JSON_VALUES)
+def test_any_json_record_raises_only_jaeger_errors(corpus_file, field, value):
+    record = json.loads(corpus_file.read_text())
+    record[field][0] = value
+    bad = corpus_file.with_name("record.jsonl")
+    bad.write_text(json.dumps(record) + "\n")
+    for doc_id in (None, record["doc_id"]):
+        try:
+            read_jsonl(str(bad), doc_id)
+        except JaegerError:
+            pass
 
 
 @pytest.mark.parametrize("which", ["tensors", "config", "vocab"])
@@ -81,6 +109,22 @@ def test_corrupt_checkpoint_file_raises_only_jaeger_errors(checkpoint, which, mu
         data = f.read()
     with open(target, "wb") as f:
         f.write(mutate(data, mutation))
+    try:
+        load_model(bad)
+    except JaegerError:
+        pass
+
+
+@given(value=JSON_VALUES)
+def test_any_json_sidecar_config_raises_only_jaeger_errors(checkpoint, value):
+    good, bad = checkpoint
+    for name in (lambda p: p, vocab_path):
+        shutil.copyfile(name(good), name(bad))
+    with open(config_path(good), encoding="utf-8") as f:
+        sidecar = json.load(f)
+    sidecar["config"] = value
+    with open(config_path(bad), "w", encoding="utf-8") as f:
+        json.dump(sidecar, f)
     try:
         load_model(bad)
     except JaegerError:

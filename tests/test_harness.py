@@ -117,6 +117,17 @@ class TestTrainConfig:
         with pytest.raises(SchemaError, match=field):
             TrainConfig.from_dict({field: value})
 
+    @pytest.mark.parametrize("raw", [5, None, [1, "a"], "x"])
+    def test_non_object_rejected(self, raw):
+        with pytest.raises(SchemaError, match="config must be a JSON object"):
+            TrainConfig.from_dict(raw)
+
+    def test_non_object_file_named(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]\n")
+        with pytest.raises(SchemaError, match="cfg.json must be a JSON object"):
+            TrainConfig.from_json(path)
+
     def test_question_width_per_variant(self):
         assert small_config(variant="dual").question_width == 16
         assert small_config(variant="bidir_only").question_width == 8
@@ -567,6 +578,15 @@ class TestCheckpoint:
         del sidecar["sha256"]
         json.dump(sidecar, open(config_path(path), "w"))
         with pytest.raises(CheckpointFormatError, match="model.ckpt.json"):
+            load_model(path)
+
+    @pytest.mark.parametrize("config", [5, None, [1, "a"], "x"])
+    def test_sidecar_config_that_is_not_an_object_rejected(self, tmp_path, config):
+        _, _, _, path = self._trained(tmp_path)
+        sidecar = json.load(open(config_path(path)))
+        sidecar["config"] = config
+        json.dump(sidecar, open(config_path(path), "w"))
+        with pytest.raises(SchemaError, match="model.ckpt.json must be a JSON object"):
             load_model(path)
 
     @pytest.mark.parametrize("key", ["tensors", "vocab"])
