@@ -149,10 +149,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except JaegerError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (JaegerError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -95,16 +95,17 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, where: str = "config") -> "TrainConfig":
-        """Build from parsed JSON; where names the source in the non-object error."""
+        """Build from parsed JSON; where names the source in every schema error."""
         if not isinstance(raw, dict):
             raise SchemaError(f"{where} must be a JSON object, got {type(raw).__name__}")
         known = {f.name: f.type for f in fields(cls)}
         unknown = set(raw) - set(known) - set(LEGACY_FIELDS)
         if unknown:
-            raise SchemaError(f"unknown config field {sorted(unknown)[0]!r}")
+            raise SchemaError(f"{where}: unknown config field {sorted(unknown)[0]!r}")
         for name, value in raw.items():
             if name in known and not _fits(known[name], value):
-                raise SchemaError(f"config field {name!r} must be {known[name]}, got {value!r}")
+                raise SchemaError(
+                    f"{where}: config field {name!r} must be {known[name]}, got {value!r}")
         return cls(**{k: v for k, v in raw.items() if k in known})
 
     @classmethod

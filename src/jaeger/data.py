@@ -333,10 +333,6 @@ def _take(obj: dict, key: str, kind, where: str, optional_none: bool = False):
     val = obj[key]
     if optional_none and val is None:
         return None
-    if kind is float:
-        if isinstance(val, bool) or not isinstance(val, (int, float)):
-            raise SchemaError(f"{where}.{key} must be a number")
-        return float(val)
     if kind is int and isinstance(val, bool):
         raise SchemaError(f"{where}.{key} must be an integer")
     if not isinstance(val, kind):

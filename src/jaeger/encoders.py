@@ -9,16 +9,14 @@ causal and PAD invariance hold bit-for-bit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .numerics import (ParamSource, Tensor, add, embedding_lookup, layer_norm, linear,
-                       make_params, masked_mean_rows, matmul, relu, reshape, scale,
-                       softmax_last, transpose)
+from .numerics import (ParamSource, Tensor, add, attention, embedding_lookup, layer_norm,
+                       linear, make_params, masked_mean_rows, relu, reshape)
 from .text import embed_sequence
 
 
@@ -68,35 +66,28 @@ def init_encoder(cfg: EncoderConfig, vocab_size: int, make: ParamSource,
     return enc
 
 
-def attention_bias(mask: np.ndarray, causal: bool, dtype) -> Tensor:
+def attention_bias(mask: np.ndarray, causal: bool, dtype) -> np.ndarray:
     """(..., L, L) additive bias: 0 where key j is visible to query i, -inf otherwise."""
     m = np.asarray(mask, dtype=bool)
     length = m.shape[-1]
     visible = np.broadcast_to(m[..., None, :], m.shape + (length,))
     if causal:
         visible = visible & np.tri(length, dtype=bool)
-    return Tensor(np.where(visible, 0.0, -np.inf).astype(dtype))
+    return np.where(visible, 0.0, -np.inf).astype(dtype)
 
 
 def multi_head_attention(x: Tensor, mask: np.ndarray, params: SimpleNamespace,
                          cfg: EncoderConfig) -> Tensor:
     """Masked scaled dot-product attention over all heads, then output projection.
 
-    x has shape (..., L, d_model); heads become an axis, (..., H, L, d_head).
+    x has shape (..., L, d_model); the q, k and v projections keep that shape
+    and numerics.attention splits them into heads.
     """
-    *lead, length, d = x.data.shape
-    split = (*lead, length, cfg.n_heads, cfg.d_head)
-
-    def heads(w: Tensor, b: Tensor) -> Tensor:
-        return transpose(reshape(linear(x, w, b), split), -3, -2)
-
-    q, k, v = heads(params.wq, params.bq), heads(params.wk, params.bk), heads(params.wv, params.bv)
+    q, k, v = (linear(x, w, b) for w, b in ((params.wq, params.bq), (params.wk, params.bk),
+                                            (params.wv, params.bv)))
     # The mask gains a head axis of size 1, so one bias serves every head.
     bias = attention_bias(np.asarray(mask)[..., None, :], cfg.causal, x.data.dtype)
-    scores = add(scale(matmul(q, transpose(k)), 1.0 / math.sqrt(cfg.d_head)), bias)
-    ctx = matmul(softmax_last(scores), v)
-    merged = reshape(transpose(ctx, -3, -2), (*lead, length, d))
-    return linear(merged, params.wo, params.bo)
+    return linear(attention(q, k, v, bias, cfg.n_heads), params.wo, params.bo)
 
 
 def transformer_block(x: Tensor, mask: np.ndarray, params: SimpleNamespace,

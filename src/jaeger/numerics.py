@@ -174,21 +174,6 @@ def _broadcast(op: str, ufunc, a: Array, b: Array) -> Array:
         raise ShapeError(f"{op} shapes {a.shape} and {b.shape} are incompatible") from None
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """a @ b for matrix stacks with equal leading dimensions (attention's q·kᵀ and softmax·v)."""
-    _check_dtypes("matmul", a, b)
-    ad, bd = a.data, b.data
-    if ad.ndim < 2 or bd.ndim != ad.ndim or ad.shape[:-2] != bd.shape[:-2] \
-            or ad.shape[-1] != bd.shape[-2]:
-        raise ShapeError(f"matmul needs (..., m, k) and (..., k, n) stacks with the same "
-                         f"leading dimensions, got {ad.shape} and {bd.shape}")
-
-    def bwd(g: Array):
-        return np.matmul(g, bd.swapaxes(-1, -2)), np.matmul(ad.swapaxes(-1, -2), g)
-
-    return _emit("matmul", (a, b), np.matmul(ad, bd), bwd)
-
-
 def rowwise_matmul(x: Tensor, w: Tensor) -> Tensor:
     """x @ w for (n, F) rows against an (F, h) matrix or an (F,) vector, row by row.
 
@@ -237,16 +222,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return _emit("mul", (a, b), out, bwd)
 
 
-def scale(x: Tensor, c: float) -> Tensor:
-    """Multiply by a plain Python scalar constant."""
-    k = x.data.dtype.type(c)
-
-    def bwd(g: Array):
-        return (g * k,)
-
-    return _emit("scale", (x,), x.data * k, bwd)
-
-
 def concat_last(a: Tensor, b: Tensor) -> Tensor:
     """Concatenate along the last axis; leading dimensions must match."""
     _check_dtypes("concat_last", a, b)
@@ -259,18 +234,6 @@ def concat_last(a: Tensor, b: Tensor) -> Tensor:
         return g[..., :d1], g[..., d1:]
 
     return _emit("concat_last", (a, b), out, bwd)
-
-
-def transpose(x: Tensor, axis1: int = -2, axis2: int = -1) -> Tensor:
-    """Swap two axes; by default the last two, a matrix transpose."""
-    nd = x.data.ndim
-    if not (-nd <= axis1 < nd and -nd <= axis2 < nd) or axis1 % nd == axis2 % nd:
-        raise ShapeError(f"cannot swap axes {axis1} and {axis2} of shape {x.data.shape}")
-
-    def bwd(g: Array):
-        return (g.swapaxes(axis1, axis2),)
-
-    return _emit("transpose", (x,), x.data.swapaxes(axis1, axis2), bwd)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -327,23 +290,6 @@ def relu(x: Tensor) -> Tensor:
         return (g * pos,)
 
     return _emit("relu", (x,), np.maximum(x.data, 0), bwd)
-
-
-def softmax_last(x: Tensor) -> Tensor:
-    """Softmax over the last axis, shifted by the row max for stability.
-
-    -inf entries come out as exactly 0, which is what attention masking
-    relies on; each slice must keep at least one finite entry.
-    """
-    m = x.data.max(axis=-1, keepdims=True)
-    e = np.exp(x.data - m)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def bwd(g: Array):
-        inner = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - inner),)
-
-    return _emit("softmax_last", (x,), y, bwd)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -446,6 +392,67 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         return gx, gw, _sum_to(g, bd.shape)
 
     return _emit("linear", (x, w, b), np.matmul(xd, wd) + bd, bwd)
+
+
+def softmax_in_place(s: Array) -> Array:
+    """Softmax over the last axis, shifted by the row max for stability, written into s.
+
+    -inf entries come out as exactly 0, which is what attention masking
+    relies on; each slice must keep at least one finite entry.
+    """
+    s -= s.max(axis=-1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=-1, keepdims=True)
+    return s
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, bias: Array, n_heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention, (..., L, d) projections in and out, as one record.
+
+    Each projection is split into n_heads heads of width d_head = d / n_heads;
+    per head the weights are softmax(q·kᵀ / √d_head + bias) and the context is
+    weights·v, and the heads are merged back. bias broadcasts against the
+    (..., n_heads, L, L) scores: 0 for a visible key, -inf for a masked one,
+    which gets a weight of exactly 0.
+
+    Temporaries are updated in place and each input gradient is merged as
+    soon as it exists, so few (..., L, L) arrays are alive at once.
+    """
+    _check_dtypes("attention", q, k, v)
+    shape = q.data.shape
+    if k.data.shape != shape or v.data.shape != shape or len(shape) < 2 \
+            or shape[-1] % n_heads:
+        raise ShapeError(f"attention needs equal (..., L, d) q, k and v with d divisible by "
+                         f"{n_heads} heads, got {shape}, {k.data.shape} and {v.data.shape}")
+    split = (*shape[:-1], n_heads, shape[-1] // n_heads)
+
+    def heads(a: Array) -> Array:
+        return a.reshape(split).swapaxes(-3, -2)
+
+    def merge(a: Array) -> Array:
+        return a.swapaxes(-3, -2).reshape(shape)
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    c = q.data.dtype.type(1.0 / math.sqrt(split[-1]))
+    y = np.matmul(qh, kh.swapaxes(-2, -1))
+    y *= c
+    try:
+        y += bias
+    except ValueError:
+        raise ShapeError(f"attention bias {np.shape(bias)} does not fit scores {y.shape}") from None
+    softmax_in_place(y)
+
+    def bwd(g: Array):
+        gh = heads(g)
+        gv = merge(np.matmul(y.swapaxes(-1, -2), gh))
+        gs = np.matmul(gh, vh.swapaxes(-1, -2))
+        gs -= (gs * y).sum(axis=-1, keepdims=True)
+        gs *= y
+        gs *= c
+        gk = merge(np.matmul(qh.swapaxes(-1, -2), gs).swapaxes(-2, -1))
+        return merge(np.matmul(gs, kh)), gk, gv
+
+    return _emit("attention", (q, k, v), merge(np.matmul(y, vh)), bwd)
 
 
 def sgd_step(params: Sequence[Tensor], learning_rate: float) -> None:

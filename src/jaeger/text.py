@@ -7,6 +7,7 @@ vocabulary ids are fixed: PAD=0, UNK=1, CLS=2, SEP=3.
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from typing import Iterable, Sequence
 
@@ -24,21 +25,12 @@ PAD_ID, UNK_ID, CLS_ID, SEP_ID = 0, 1, 2, 3
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercased word tokens with punctuation split off."""
-    out: list[str] = []
-    cur: list[str] = []
-    for ch in text.lower():
-        if ch.isalnum():
-            cur.append(ch)
-            continue
-        if cur:
-            out.append("".join(cur))
-            cur = []
-        if not ch.isspace():
-            out.append(ch)
-    if cur:
-        out.append("".join(cur))
-    return out
+    """Lowercased word tokens with punctuation split off.
+
+    A word is a run of alphanumeric characters; every other character that
+    is not whitespace is a token of its own.
+    """
+    return re.findall(r"[^\W_]+|\S", text.lower())
 
 
 class Vocabulary:
@@ -56,9 +48,6 @@ class Vocabulary:
 
     def __len__(self) -> int:
         return len(self._tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
 
     @property
     def tokens(self) -> tuple[str, ...]:

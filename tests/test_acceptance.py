@@ -22,7 +22,7 @@ from jaeger.harness.train import encode_split, three_way_split, train
 from jaeger.config import TrainConfig
 from jaeger.errors import CheckpointFormatError
 from jaeger.model import JaegerModel
-from jaeger.numerics import Tensor, concat_last, seeded, softmax_last
+from jaeger.numerics import Tensor, concat_last, seeded, softmax_in_place
 from jaeger.rng import Xoshiro256
 from jaeger.text import build_vocab, encode_text
 from jaeger.encoders import init_encoder, run_blocks, EncoderConfig
@@ -230,7 +230,7 @@ def test_c08_structural_invariants():
     worst = 0.0
     for _ in range(1000):
         row = rng.normal(scale=5.0, size=int(rng.integers(2, 12))).astype(np.float32)
-        total = float(softmax_last(Tensor(row)).data.sum())
+        total = float(softmax_in_place(row).sum())
         worst = max(worst, abs(total - 1.0))
     assert worst <= 1e-6
 

@@ -269,6 +269,19 @@ class TestBadJsonAtTheBoundary:
         assert code == 1
         assert err.startswith("error:") and field in err
 
+    @pytest.mark.parametrize("raw,message", [
+        ({"momentum": 0.9}, "unknown config field 'momentum'"),
+        ({"epochs": "3"}, "config field 'epochs' must be int, got '3'"),
+    ], ids=["unknown-field", "wrong-type"])
+    def test_config_field_error_names_the_file(self, tmp_path, capsys, raw, message):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(raw))
+        code = main(["train", "--config", str(config), "--data", str(tmp_path / "x.jsonl"),
+                     "--out", str(tmp_path / "m.ckpt")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and message in err and "cfg.json" in err
+
 
 class TestInvalidUtf8AtTheBoundary:
     """Bytes that are not UTF-8 end in `error:` naming the file, not a traceback."""

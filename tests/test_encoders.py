@@ -8,7 +8,7 @@ from jaeger.encoders import (EncoderConfig, attention_bias, encode_content,
                              init_block, init_content, init_encoder, init_visual,
                              multi_head_attention, run_blocks, transformer_block)
 from jaeger.errors import ContractError, ShapeError
-from jaeger.numerics import Tensor, linear, mul, seeded, sum_all
+from jaeger.numerics import Tape, Tensor, linear, mul, seeded, sum_all
 from jaeger.text import build_vocab, encode_text
 
 from fdcheck import assert_grads_match
@@ -35,12 +35,12 @@ class TestEncoderConfig:
 
 class TestAttentionBias:
     def test_pad_columns_blocked(self):
-        bias = attention_bias(np.array([True, True, False]), False, np.float32).data
+        bias = attention_bias(np.array([True, True, False]), False, np.float32)
         assert np.all(bias[:, 2] == -np.inf)
         assert np.all(bias[:, :2] == 0.0)
 
     def test_causal_blocks_future(self):
-        bias = attention_bias(np.array([True, True, True]), True, np.float32).data
+        bias = attention_bias(np.array([True, True, True]), True, np.float32)
         assert bias[0, 1] == -np.inf and bias[0, 2] == -np.inf and bias[1, 2] == -np.inf
         assert bias[1, 0] == 0.0 and bias[2, 0] == 0.0 and bias[2, 1] == 0.0
         assert np.all(np.diag(bias) == 0.0)
@@ -57,6 +57,15 @@ class TestAttention:
         got = multi_head_attention(x, np.array([True]), blk, cfg).data
         want = linear(linear(x, blk.wv, blk.bv), blk.wo, blk.bo).data
         np.testing.assert_array_equal(got, want)
+
+    def test_four_projections_around_one_attention_record(self):
+        """The mask bias is a plain array, so no record takes it as an input."""
+        blk = init_block(CFG, seeded(1), prefix="t")
+        x = Tensor(np.zeros((2, 5, 8), dtype=np.float32))
+        with Tape() as tape:
+            multi_head_attention(x, np.ones((2, 5), dtype=bool), blk, CFG)
+        assert [(r.op, len(r.input_ids)) for r in tape.records] == \
+            [("linear", 3)] * 3 + [("attention", 3), ("linear", 3)]
 
     def test_output_shape(self):
         blk = init_block(CFG, seeded(1), prefix="t")

@@ -282,7 +282,7 @@ class TestBatchedTrainStep:
 
     def test_an_affine_layer_is_one_record(self, monkeypatch):
         """At the default widths a dual step records one linear per affine layer
-        and a matmul only for attention's two products per block."""
+        and one attention per block."""
         cfg = TrainConfig(learning_rate=0.05)
         corpus = small_corpus(n_docs=4)
         model = JaegerModel(cfg, build_vocab(corpus_texts(corpus)))
@@ -300,8 +300,8 @@ class TestBatchedTrainStep:
         # Six per block (q, k, v, output, two feed-forward), the bbox injection,
         # the visual MLP's two and the reduction.
         assert ops.count("linear") == 6 * blocks + 4 == 40
-        assert ops.count("matmul") == 2 * blocks == 12
-        assert len(ops) == 183
+        assert ops.count("attention") == blocks == 6
+        assert len(ops) == 105
 
     def test_each_question_gets_its_own_logits_bit_for_bit(self):
         model, batch = self._model_and_batch()
@@ -588,6 +588,17 @@ class TestCheckpoint:
         json.dump(sidecar, open(config_path(path), "w"))
         with pytest.raises(SchemaError, match="model.ckpt.json must be a JSON object"):
             load_model(path)
+
+    @pytest.mark.parametrize("field,value", [("momentum", 0.9), ("epochs", "3")],
+                             ids=["unknown-field", "wrong-type"])
+    def test_sidecar_config_field_error_names_the_sidecar(self, tmp_path, field, value):
+        _, _, _, path = self._trained(tmp_path)
+        sidecar = json.load(open(config_path(path)))
+        sidecar["config"][field] = value
+        json.dump(sidecar, open(config_path(path), "w"))
+        with pytest.raises(SchemaError, match="model.ckpt.json") as err:
+            load_model(path)
+        assert repr(field) in str(err.value)
 
     @pytest.mark.parametrize("key", ["tensors", "vocab"])
     def test_sidecar_missing_one_digest_rejected(self, tmp_path, key):

@@ -5,12 +5,12 @@ import weakref
 import numpy as np
 import pytest
 
+from jaeger.encoders import attention_bias
 from jaeger.errors import ContractError, IndexOutOfRange, ShapeError
-from jaeger.numerics import (Tape, Tensor, _emit, add, bce_with_logits,
+from jaeger.numerics import (Tape, Tensor, _emit, add, attention, bce_with_logits,
                              concat_last, embedding_lookup, layer_norm, linear,
-                             masked_mean_rows, matmul, mul, relu, reshape, rowwise_matmul, scale,
-                             seeded_init, sgd_step, softmax_last, sum_all, transpose,
-                             xavier_bound)
+                             masked_mean_rows, mul, relu, reshape, rowwise_matmul,
+                             seeded_init, sgd_step, softmax_in_place, sum_all, xavier_bound)
 
 from fdcheck import assert_grads_match, random_param
 
@@ -30,18 +30,18 @@ def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 class TestMatmul:
     def test_against_naive_loops(self):
-        """np-backed matmul agrees with the written-out triple loop."""
+        """linear's np-backed product agrees with the written-out triple loop."""
         rng = np.random.default_rng(0)
         for _ in range(20):
             m, k, n = rng.integers(1, 7, size=3)
             a = rng.normal(size=(m, k))
             b = rng.normal(size=(k, n))
-            got = matmul(Tensor(a), Tensor(b)).data
+            got = linear(Tensor(a), Tensor(b), Tensor(np.zeros(n))).data
             np.testing.assert_allclose(got, naive_matmul(a, b), rtol=1e-12)
 
     def test_identity(self):
         a = np.arange(6.0).reshape(2, 3)
-        got = matmul(Tensor(a), Tensor(np.eye(3))).data
+        got = linear(Tensor(a), Tensor(np.eye(3)), Tensor(np.zeros(3))).data
         np.testing.assert_array_equal(got, a)
 
     def test_vector_cases_match_numpy(self):
@@ -53,15 +53,8 @@ class TestMatmul:
 
     def test_shape_error_names_both_shapes(self):
         with pytest.raises(ShapeError) as err:
-            matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))))
+            linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))), Tensor(np.zeros(5)))
         assert "(2, 3)" in str(err.value) and "(4, 5)" in str(err.value)
-
-    def test_gradients(self):
-        rng = np.random.default_rng(2)
-        a = random_param(rng, 3, 4)
-        b = random_param(rng, 4, 2)
-        w = Tensor(rng.normal(size=(3, 2)), dtype=np.float64)
-        assert_grads_match([a, b], lambda: sum_all(mul(matmul(a, b), w)))
 
     def test_vector_gradients(self):
         rng = np.random.default_rng(3)
@@ -80,22 +73,6 @@ class TestMatmul:
         w = Tensor(rng.normal(size=(2, 3, 5)), dtype=np.float64)
         assert_grads_match([a, m, b], lambda: sum_all(mul(linear(a, m, b), w)))
         assert a.grad.shape == (2, 3, 4) and m.grad.shape == (4, 5) and b.grad.shape == (5,)
-
-    def test_vectors_and_a_stack_against_one_matrix_rejected(self):
-        """Only equal-leading-dimension stacks remain; affine layers go through linear."""
-        for a, b in (((4,), (4, 3)), ((3, 4), (4,)), ((4,), (4,)), ((2, 3, 4), (4, 5)),
-                     ((3, 4), (2, 4, 5)), ((2, 3, 4, 5), (3, 2, 5, 2))):
-            with pytest.raises(ShapeError) as err:
-                matmul(Tensor(np.zeros(a)), Tensor(np.zeros(b)))
-            assert str(a) in str(err.value) and str(b) in str(err.value)
-
-    def test_stacks_with_equal_leading_dimensions(self):
-        rng = np.random.default_rng(23)
-        a, b = rng.normal(size=(2, 3, 4, 5)), rng.normal(size=(2, 3, 5, 2))
-        np.testing.assert_array_equal(matmul(Tensor(a), Tensor(b)).data, a @ b)
-        x, y = random_param(rng, 2, 3, 4), random_param(rng, 2, 4, 5)
-        w = Tensor(rng.normal(size=(2, 3, 5)), dtype=np.float64)
-        assert_grads_match([x, y], lambda: sum_all(mul(matmul(x, y), w)))
 
 
 class TestConcat:
@@ -134,40 +111,164 @@ class TestConcat:
 
 
 class TestSoftmax:
+    """softmax_in_place, the softmax attention computes its weights with."""
+
     def test_uniform_row(self):
-        got = softmax_last(Tensor([0.0, 0.0, 0.0])).data
+        got = softmax_in_place(np.array([0.0, 0.0, 0.0]))
         np.testing.assert_allclose(got, [1 / 3, 1 / 3, 1 / 3], rtol=1e-6)
 
     def test_extreme_logits_stay_finite(self):
-        got = softmax_last(Tensor([1000.0, 0.0])).data
+        got = softmax_in_place(np.array([1000.0, 0.0]))
         assert np.isfinite(got).all()
         np.testing.assert_allclose(got, [1.0, 0.0], atol=1e-12)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(6)
         x = rng.normal(size=(4, 6))
-        a = softmax_last(Tensor(x)).data
-        b = softmax_last(Tensor(x + 100.0)).data
+        a = softmax_in_place(x.copy())
+        b = softmax_in_place(x + 100.0)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
             x = rng.normal(scale=5.0, size=(3, 8)).astype(np.float32)
-            sums = softmax_last(Tensor(x)).data.sum(axis=-1)
+            sums = softmax_in_place(x).sum(axis=-1)
             np.testing.assert_allclose(sums, 1.0, atol=1e-6)
 
     def test_masked_entries_are_exactly_zero(self):
         x = np.array([1.0, -np.inf, 2.0, -np.inf])
-        got = softmax_last(Tensor(x)).data
+        got = softmax_in_place(x)
         assert got[1] == 0.0 and got[3] == 0.0
         np.testing.assert_allclose(got.sum(), 1.0, rtol=1e-12)
 
     def test_gradients(self):
+        """The closed-form softmax gradient, which attention's backward applies to q and k."""
         rng = np.random.default_rng(8)
-        x = random_param(rng, 3, 5)
-        w = Tensor(rng.normal(size=(3, 5)), dtype=np.float64)
-        assert_grads_match([x], lambda: sum_all(mul(softmax_last(x), w)))
+        q, k = random_param(rng, 3, 5, 4), random_param(rng, 3, 5, 4)
+        v = Tensor(rng.normal(size=(3, 5, 4)), dtype=np.float64)
+        w = Tensor(rng.normal(size=(3, 5, 4)), dtype=np.float64)
+        bias = np.zeros((3, 1, 5, 5))
+        assert_grads_match([q, k], lambda: sum_all(mul(attention(q, k, v, bias, 2), w)))
+
+
+def attention_mask_bias(keys: np.ndarray, causal: bool, dtype) -> np.ndarray:
+    """The encoders' (..., 1, L, L) bias for (..., L) key masks: one head axis of size 1."""
+    return attention_bias(keys[..., None, :], causal, dtype)
+
+
+def composed_attention(q, k, v, bias, n_heads, g):
+    """Output and q, k, v gradients of attention, written out as its separate steps.
+
+    Forward: head split, q·kᵀ, scale by 1/√d_head, bias add, max-shifted
+    softmax, product with v, head merge. Backward: each step's own rule in
+    reverse, with the upstream gradient g of the merged output.
+    """
+    shape = q.shape
+    split = (*shape[:-1], n_heads, shape[-1] // n_heads)
+    qh, kh, vh = (a.reshape(split).swapaxes(-3, -2) for a in (q, k, v))
+    kt = kh.swapaxes(-2, -1)
+    c = q.dtype.type(1.0 / np.sqrt(split[-1]))
+    scores = np.matmul(qh, kt) * c + bias
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    ctx = np.matmul(y, vh)
+    out = ctx.swapaxes(-3, -2).reshape(shape)
+
+    g_ctx = g.reshape(split).swapaxes(-3, -2)
+    g_y, g_vh = np.matmul(g_ctx, vh.swapaxes(-1, -2)), np.matmul(y.swapaxes(-1, -2), g_ctx)
+    g_scores = y * (g_y - (g_y * y).sum(axis=-1, keepdims=True))
+    g_scaled = g_scores * c
+    g_qh, g_kt = np.matmul(g_scaled, kt.swapaxes(-1, -2)), np.matmul(qh.swapaxes(-1, -2), g_scaled)
+    g_kh = g_kt.swapaxes(-2, -1)
+    return out, [gh.swapaxes(-3, -2).reshape(shape) for gh in (g_qh, g_kh, g_vh)]
+
+
+def run_attention(q, k, v, bias, n_heads, g):
+    """attention's output and the q, k, v gradients the tape gives for upstream g."""
+    ts = [Tensor(a) for a in (q, k, v)]
+    with Tape() as tape:
+        out = attention(*ts, bias, n_heads)
+        tape.backward(sum_all(mul(out, Tensor(g))), ts)
+    return out.data, [t.grad for t in ts]
+
+
+class TestAttention:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("causal", [False, True], ids=["bidirectional", "causal"])
+    def test_bit_identical_to_the_composed_steps(self, dtype, causal):
+        rng = np.random.default_rng(30)
+        shape = (2, 3, 6, 12)  # d_head 6, so the 1/√d_head scale rounds
+        q, k, v, g = (rng.normal(size=shape).astype(dtype) for _ in range(4))
+        keys = np.ones(shape[:-1], dtype=bool)
+        keys[0, 1, 4:] = False  # PAD keys
+        keys[1, 2, 5] = False
+        bias = attention_mask_bias(keys, causal, dtype)
+        out, grads = run_attention(q, k, v, bias, 2, g)
+        want_out, want_grads = composed_attention(q, k, v, bias, 2, g)
+        assert out.dtype == dtype
+        np.testing.assert_array_equal(out, want_out)
+        for got, want in zip(grads, want_grads):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_masked_key_gets_no_weight(self):
+        """A PAD key's value never reaches the output, and its k and v get zero gradients."""
+        rng = np.random.default_rng(31)
+        q, k, v, g = (rng.normal(size=(5, 4)) for _ in range(4))
+        bias = attention_mask_bias(np.array([True, True, False, True, True]), False,
+                                   np.float64)
+        out, (_, gk, gv) = run_attention(q, k, v, bias, 2, g)
+        v2 = v.copy()
+        v2[2] = 1e6
+        np.testing.assert_array_equal(run_attention(q, k, v2, bias, 2, g)[0], out)
+        assert not gk[2].any() and not gv[2].any()
+
+    def test_gradients(self):
+        rng = np.random.default_rng(32)
+        q, k, v = (random_param(rng, 2, 4, 6) for _ in range(3))
+        w = Tensor(rng.normal(size=(2, 4, 6)), dtype=np.float64)
+        bias = attention_mask_bias(np.array([[True] * 4, [True, True, True, False]]), False,
+                                   np.float64)
+        assert_grads_match([q, k, v], lambda: sum_all(mul(attention(q, k, v, bias, 3), w)))
+
+    def test_causal_gradients(self):
+        rng = np.random.default_rng(33)
+        q, k, v = (random_param(rng, 5, 4) for _ in range(3))
+        w = Tensor(rng.normal(size=(5, 4)), dtype=np.float64)
+        bias = attention_mask_bias(np.ones(5, dtype=bool), True, np.float64)
+        assert_grads_match([q, k, v], lambda: sum_all(mul(attention(q, k, v, bias, 2), w)))
+
+    def test_large_scores_stay_finite(self):
+        rng = np.random.default_rng(34)
+        q, k, v = (rng.normal(size=(6, 8)).astype(np.float32) for _ in range(3))
+        bias = attention_mask_bias(np.ones(6, dtype=bool), False, np.float32)
+        out = attention(Tensor(q * 1e3), Tensor(k), Tensor(v), bias, 2).data
+        assert np.isfinite(out).all()
+
+    def test_is_one_record(self):
+        q = Tensor(np.ones((3, 4)))
+        with Tape() as tape:
+            attention(q, q, q, np.zeros((1, 3, 3)), 2)
+        assert [(rec.op, len(rec.input_ids)) for rec in tape.records] == [("attention", 3)]
+
+    @pytest.mark.parametrize("q_shape,k_shape,v_shape,n_heads", [
+        ((3, 8), (4, 8), (4, 8), 2),
+        ((3, 8), (3, 8), (3, 6), 2),
+        ((2, 3, 8), (3, 8), (3, 8), 2),
+        ((3, 8), (3, 8), (3, 8), 3),
+        ((8,), (8,), (8,), 2),
+    ], ids=["k-length", "v-width", "k-lead", "heads", "vector"])
+    def test_bad_shapes_rejected(self, q_shape, k_shape, v_shape, n_heads):
+        with pytest.raises(ShapeError) as err:
+            attention(Tensor(np.zeros(q_shape)), Tensor(np.zeros(k_shape)),
+                      Tensor(np.zeros(v_shape)), np.zeros((1, 1)), n_heads)
+        assert str(q_shape) in str(err.value)
+
+    def test_bias_that_does_not_fit_rejected(self):
+        q = Tensor(np.zeros((3, 8)))
+        with pytest.raises(ShapeError):
+            attention(q, q, q, np.zeros((1, 4, 4)), 2)
 
 
 class TestLayerNorm:
@@ -389,9 +490,7 @@ class TestSmallOps:
         w = Tensor(rng.normal(size=3), dtype=np.float64)
 
         assert_grads_match([x, b], lambda: sum_all(add(x, b)))
-        assert_grads_match([x], lambda: sum_all(scale(x, -2.5)))
         assert_grads_match([x], lambda: sum_all(mul(masked_mean_rows(x, mask), w)))
-        assert_grads_match([x], lambda: sum_all(transpose(x)))
 
     def test_batched_and_broadcast_gradients(self):
         rng = np.random.default_rng(17)
@@ -405,7 +504,6 @@ class TestSmallOps:
         assert_grads_match([x, col], lambda: sum_all(mul(add(x, col), x)))
         assert_grads_match([x, row], lambda: sum_all(mul(mul(x, row), x)))
         assert_grads_match([x], lambda: sum_all(mul(reshape(x, (4, 3, 2)), w)))
-        assert_grads_match([x], lambda: sum_all(mul(transpose(x, 0, 2), w)))
         assert_grads_match([x], lambda: sum_all(mul(masked_mean_rows(x, mask), v)))
 
     def test_broadcast_values_match_numpy(self):
@@ -423,12 +521,9 @@ class TestSmallOps:
         for i in range(3):
             np.testing.assert_allclose(got[i], x[i][mask[i]].mean(axis=0), rtol=1e-12)
 
-    def test_reshape_and_transpose_reject_bad_shapes(self):
-        x = Tensor(np.zeros((2, 3)))
+    def test_reshape_rejects_bad_shapes(self):
         with pytest.raises(ShapeError):
-            reshape(x, (4, 2))
-        with pytest.raises(ShapeError):
-            transpose(x, 0, 2)
+            reshape(Tensor(np.zeros((2, 3))), (4, 2))
 
     def test_masked_mean_requires_a_row(self):
         with pytest.raises(ContractError):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from jaeger.errors import ContractError, IndexOutOfRange
 from jaeger.numerics import Tensor
@@ -25,6 +26,29 @@ class TestTokenize:
     def test_empty_and_whitespace(self):
         assert tokenize("") == []
         assert tokenize("  \t\n ") == []
+
+    @given(st.text(alphabet=st.one_of(st.characters(), st.sampled_from("_İßΣ \u00a0\u2028.,?")),
+                   max_size=40))
+    def test_matches_the_per_character_loop(self, text):
+        assert tokenize(text) == loop_tokenize(text)
+
+
+def loop_tokenize(text: str) -> list[str]:
+    """Reference tokenizer: runs of isalnum() characters are words, and every
+    other character that is not isspace() is a token of its own."""
+    out, cur = [], []
+    for ch in text.lower():
+        if ch.isalnum():
+            cur.append(ch)
+            continue
+        if cur:
+            out.append("".join(cur))
+            cur = []
+        if not ch.isspace():
+            out.append(ch)
+    if cur:
+        out.append("".join(cur))
+    return out
 
 
 class TestVocabulary:
