@@ -95,7 +95,7 @@ class TrainConfig:
 
     @classmethod
     def from_dict(cls, raw: dict, where: str = "config") -> "TrainConfig":
-        """Build from parsed JSON; where names the source in every schema error."""
+        """Build from parsed JSON; where names the source in every schema or range error."""
         if not isinstance(raw, dict):
             raise SchemaError(f"{where} must be a JSON object, got {type(raw).__name__}")
         known = {f.name: f.type for f in fields(cls)}
@@ -106,7 +106,10 @@ class TrainConfig:
             if name in known and not _fits(known[name], value):
                 raise SchemaError(
                     f"{where}: config field {name!r} must be {known[name]}, got {value!r}")
-        return cls(**{k: v for k, v in raw.items() if k in known})
+        try:
+            return cls(**{k: v for k, v in raw.items() if k in known})
+        except ContractError as e:
+            raise ContractError(f"{where}: {e}") from None
 
     @classmethod
     def from_json(cls, path: str) -> "TrainConfig":

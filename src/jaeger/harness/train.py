@@ -84,25 +84,26 @@ def train_step(model: JaegerModel, batch: list[EncodedSample], learning_rate: fl
     return value
 
 
+EVAL_CHUNK = 64  # questions per encoder pass in evaluate; bounds the activations held
+
+
 def evaluate(model: JaegerModel, samples: list[EncodedSample], split: str,
              threshold: float | None = None) -> dict:
     """EMA report {"split", "n", "ema"} over pre-encoded samples.
 
-    Each distinct EncodedCandidates is encoded once for all its questions.
-    The features live only for this call: the next SGD step makes them stale.
+    Each chunk of EVAL_CHUNK questions and its distinct candidates is encoded in one
+    pass; each question's logits are then bit-identical to model.forward(sample).
     """
     if not samples:
         raise ContractError(f"cannot evaluate an empty {split!r} split")
     tau = model.cfg.threshold if threshold is None else threshold
-    features = {}
     predictions, golds = [], []
-    for s in samples:
-        if s.candidates not in features:
-            features[s.candidates] = model.candidate_features(s.candidates)
-        logits = model.forward(s, features[s.candidates])
-        picked = predict_answer_set(logits, tau)
-        predictions.append({s.candidate_ids[i] for i in picked})
-        golds.append(set(s.gold))
+    for at in range(0, len(samples), EVAL_CHUNK):
+        chunk = samples[at:at + EVAL_CHUNK]
+        for s, features in zip(chunk, model.sample_features(chunk)):
+            picked = predict_answer_set(model.forward(s, features), tau)
+            predictions.append({s.candidate_ids[i] for i in picked})
+            golds.append(set(s.gold))
     return {"split": split, "n": len(samples), "ema": ema(predictions, golds)}
 
 

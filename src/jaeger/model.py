@@ -12,7 +12,7 @@ from .encoders import (EncoderConfig, encode_content, encode_question_bidir,
                        init_visual)
 from .errors import ContractError, ShapeError
 from .fusion import concat_question_features, init_fusion, reduce_dim, score_candidates
-from .numerics import ParamSource, Tensor, seeded
+from .numerics import ParamSource, Tensor, active_tape, seeded
 from .text import Vocabulary, encode_text
 
 
@@ -167,27 +167,43 @@ class JaegerModel:
                                  self.content, self.content_cfg)
         return content, encode_visual(cands.visuals, self.visual)
 
-    def batch_logits(self, samples: list[EncodedSample],
-                     features: tuple[Tensor, Tensor] | None = None) -> Tensor:
+    def batch_logits(self, samples: list[EncodedSample]) -> Tensor:
         """Logits over every sample's candidates, sample after sample, in one pass.
 
         Questions are a leading axis and all candidates one stacked axis.
         Stacked products, the per-question reduction and the row-wise scorer
         compute each row alone, so a question's logits are bit-identical to
-        forward(sample) whatever else shares the batch. features are
-        candidate_features of the samples' candidates stacked in order,
-        computed here unless given.
+        forward(sample) whatever else shares the batch.
         """
         qreduced = reduce_dim(self.question_features(samples), self.fusion)
-        content, visual = features or self.candidate_features(
+        content, visual = self.candidate_features(
             EncodedCandidates.concat([s.candidates for s in samples]))
         owner = np.repeat(np.arange(len(samples)), [len(s.candidate_ids) for s in samples])
         return score_candidates(qreduced, content, visual, self.fusion, owner)
 
-    def forward(self, sample: EncodedSample,
-                features: tuple[Tensor, Tensor] | None = None) -> Tensor:
-        """Logits over the sample's candidates, in candidate order: a batch of one.
+    def sample_features(self, samples: list[EncodedSample]) -> list[tuple[Tensor, ...]]:
+        """Each sample's (reduced question, content rows, visual rows) for forward.
 
-        features are candidate_features(sample.candidates), computed here unless given.
+        One pass of each encoder covers the questions, one more their distinct
+        EncodedCandidates; each row is computed alone, as in batch_logits. The
+        sliced rows are detached from any tape, so a tape is refused.
         """
-        return self.batch_logits([sample], features)
+        if active_tape() is not None:
+            raise ContractError("sample_features returns detached rows; it cannot run on a tape")
+        qreduced = reduce_dim(self.question_features(samples), self.fusion).data
+        distinct = list(dict.fromkeys(s.candidates for s in samples))
+        content, visual = self.candidate_features(EncodedCandidates.concat(distinct))
+        cuts = np.cumsum([len(c.candidate_ids) for c in distinct])[:-1]
+        rows = dict(zip(distinct, zip(np.split(content.data, cuts), np.split(visual.data, cuts))))
+        return [(Tensor(q), *map(Tensor, rows[s.candidates])) for q, s in zip(qreduced, samples)]
+
+    def forward(self, sample: EncodedSample,
+                features: tuple[Tensor, Tensor, Tensor] | None = None) -> Tensor:
+        """Logits over the sample's candidates, in candidate order.
+
+        Without features this is batch_logits([sample]); given the sample's
+        entry of sample_features, it only scores.
+        """
+        if features is None:
+            return self.batch_logits([sample])
+        return score_candidates(*features, self.fusion)

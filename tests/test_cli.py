@@ -272,7 +272,8 @@ class TestBadJsonAtTheBoundary:
     @pytest.mark.parametrize("raw,message", [
         ({"momentum": 0.9}, "unknown config field 'momentum'"),
         ({"epochs": "3"}, "config field 'epochs' must be int, got '3'"),
-    ], ids=["unknown-field", "wrong-type"])
+        ({"epochs": 0}, "epochs must be at least 1, got 0"),
+    ], ids=["unknown-field", "wrong-type", "out-of-range"])
     def test_config_field_error_names_the_file(self, tmp_path, capsys, raw, message):
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(raw))

@@ -22,6 +22,7 @@ from jaeger.config import TrainConfig
 from jaeger.data import GenConfig, generate_corpus, generate_document, generate_questions
 from jaeger.errors import (CheckpointFormatError, CompatibilityError, ContractError,
                            SchemaError, TrainingDiverged)
+from jaeger.fusion import predict_answer_set
 from jaeger.harness.ablate import ablate, format_ablation_table
 from jaeger.harness.checkpoint import (config_path, load_checkpoint, load_model,
                                        save_checkpoint, vocab_path)
@@ -356,8 +357,6 @@ class TestEvaluate:
         assert set(report) == {"split", "n", "ema"}
         assert report["split"] == "val"
         assert report["n"] == len(samples)
-
-        from jaeger.fusion import predict_answer_set
         hits = 0
         for s in samples:
             picked = predict_answer_set(result.model.forward(s), cfg.threshold)
@@ -386,23 +385,24 @@ class TestEvaluate:
 
 
 class TestSharedCandidateFeatures:
-    """Eval encodes each document's elements once; its questions share the result."""
+    """Eval encodes each chunk's questions and distinct candidates in one pass each."""
 
-    def _model_and_corpus(self, **overrides):
-        corpus = generate_corpus(5, 5, GenConfig(n_pages=1, elements_per_page=(4, 5)),
-                                 questions_per_doc=4)
+    def _model_and_corpus(self, n_docs=5, questions_per_doc=4, **overrides):
+        corpus = generate_corpus(5, n_docs, GenConfig(n_pages=1, elements_per_page=(4, 5)),
+                                 questions_per_doc=questions_per_doc)
         cfg = small_config(**overrides)
         return JaegerModel(cfg, build_vocab(corpus_texts(corpus))), corpus
 
-    def _count_content_calls(self, monkeypatch) -> list:
+    def _record_content_ids(self, monkeypatch) -> list:
+        """The content_ids of every encode_content call, in call order."""
         calls = []
         original = jaeger.model.encode_content
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return original(*args, **kwargs)
+        def recording(ids, *args, **kwargs):
+            calls.append(np.asarray(ids).copy())
+            return original(ids, *args, **kwargs)
 
-        monkeypatch.setattr(jaeger.model, "encode_content", counting)
+        monkeypatch.setattr(jaeger.model, "encode_content", recording)
         return calls
 
     def _record_logits(self, model) -> dict:
@@ -418,20 +418,57 @@ class TestSharedCandidateFeatures:
         model.forward = recording
         return seen
 
+    def _assert_each_alone(self, model, samples, seen):
+        """Every sample's recorded logits equal model.forward(sample) on its own."""
+        assert seen.keys() == {s.qid for s in samples}
+        for s in samples:
+            np.testing.assert_array_equal(seen[s.qid], model.forward(s).data)
+
     def test_evaluate_encodes_each_document_once(self, monkeypatch):
         model, corpus = self._model_and_corpus()
         samples = encode_split(corpus, model.vocab, model.cfg)
         assert len(samples) == 20
-        calls = self._count_content_calls(monkeypatch)
+        calls = self._record_content_ids(monkeypatch)
         evaluate(model, samples, "val")
-        assert len(calls) == 5
+        assert len(calls) == 1
+        np.testing.assert_array_equal(
+            calls[0], np.concatenate([s.candidates.content_ids for s in samples[::4]]))
 
     def test_evaluate_checkpoint_encodes_each_document_once(self, monkeypatch):
         model, corpus = self._model_and_corpus(split_ratios=(1.0,))
-        calls = self._count_content_calls(monkeypatch)
+        calls = self._record_content_ids(monkeypatch)
         report = evaluate_checkpoint(model, corpus, "train")
         assert report["n"] == 20
-        assert len(calls) == 5
+        assert len(calls) == 1
+        docs, _, _ = three_way_split(corpus, model.cfg)
+        np.testing.assert_array_equal(calls[0], np.concatenate(
+            [encode_sample(doc, doc.questions[0], model.vocab, model.cfg)
+             .candidates.content_ids for doc in docs]))
+
+    def test_one_content_pass_per_chunk_and_a_straddling_document_in_both(self, monkeypatch):
+        model, corpus = self._model_and_corpus(n_docs=44, questions_per_doc=3)
+        samples = encode_split(corpus, model.vocab, model.cfg)
+        chunk = jaeger.harness.train.EVAL_CHUNK
+        assert len(samples) == 132 and samples[chunk - 1].candidates is samples[chunk].candidates
+        calls = self._record_content_ids(monkeypatch)
+        evaluate(model, samples, "val")
+        assert len(calls) == 3
+        for got, at in zip(calls, range(0, len(samples), chunk)):
+            distinct = dict.fromkeys(s.candidates for s in samples[at:at + chunk])
+            np.testing.assert_array_equal(got, np.concatenate([c.content_ids for c in distinct]))
+
+    @pytest.mark.parametrize("variant", ["dual", "bidir_only", "causal_only"])
+    @pytest.mark.parametrize("n", [1, 64, 65, 130])
+    def test_chunked_logits_equal_each_question_alone(self, n, variant):
+        model, corpus = self._model_and_corpus(n_docs=44, questions_per_doc=3, variant=variant)
+        samples = encode_split(corpus, model.vocab, model.cfg)[:n]
+        seen = self._record_logits(model)
+        report = evaluate(model, samples, "val")
+        self._assert_each_alone(model, samples, seen)
+        tau = model.cfg.threshold
+        hits = sum({s.candidate_ids[i] for i in predict_answer_set(seen[s.qid], tau)}
+                   == set(s.gold) for s in samples)
+        assert report == {"split": "val", "n": n, "ema": hits / n}
 
     def test_shared_features_give_each_question_its_own_logits_bit_for_bit(self):
         model, corpus = self._model_and_corpus()
@@ -445,7 +482,7 @@ class TestSharedCandidateFeatures:
             np.testing.assert_array_equal(seen[qid], logits)
 
     def test_interleaved_order_gives_the_same_report_and_logits(self):
-        model, corpus = self._model_and_corpus()
+        model, corpus = self._model_and_corpus(n_docs=44, questions_per_doc=3)
         samples = encode_split(corpus, model.vocab, model.cfg)
         interleaved = samples[0::2] + samples[1::2][::-1]
         seen = self._record_logits(model)
@@ -456,6 +493,13 @@ class TestSharedCandidateFeatures:
         assert seen.keys() == first.keys()
         for qid, logits in first.items():
             np.testing.assert_array_equal(seen[qid], logits)
+        self._assert_each_alone(model, interleaved, seen)
+
+    def test_sample_features_refuse_a_tape(self):
+        model, corpus = self._model_and_corpus()
+        samples = encode_split(corpus, model.vocab, model.cfg)
+        with Tape(), pytest.raises(ContractError, match="tape"):
+            model.sample_features(samples)
 
     def test_questions_of_one_document_share_its_candidates(self):
         model, corpus = self._model_and_corpus()
@@ -599,6 +643,17 @@ class TestCheckpoint:
         with pytest.raises(SchemaError, match="model.ckpt.json") as err:
             load_model(path)
         assert repr(field) in str(err.value)
+
+    @pytest.mark.parametrize("field,value", [("epochs", 0), ("learning_rate", -1.0),
+                                             ("d_reduced", 0)])
+    def test_sidecar_config_out_of_range_names_the_sidecar(self, tmp_path, field, value):
+        _, _, _, path = self._trained(tmp_path)
+        sidecar = json.load(open(config_path(path)))
+        sidecar["config"][field] = value
+        json.dump(sidecar, open(config_path(path), "w"))
+        with pytest.raises(ContractError, match="model.ckpt.json") as err:
+            load_model(path)
+        assert field in str(err.value)
 
     @pytest.mark.parametrize("key", ["tensors", "vocab"])
     def test_sidecar_missing_one_digest_rejected(self, tmp_path, key):
