@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 from .numerics import (ParamSource, Tensor, add, attention, embedding_lookup, layer_norm,
-                       linear, make_params, masked_mean_rows, relu, reshape)
+                       linear, make_params, masked_mean_rows, merge_rows, relu, reshape)
 from .text import embed_sequence
 
 
@@ -155,6 +155,12 @@ def init_content(cfg: EncoderConfig, vocab_size: int, make: ParamSource,
                                "bbox_b": ((cfg.d_model,), "zeros")})))
 
 
+# An element runs over its length rounded up to a multiple of WIDTH_STEP, capped
+# at L. The PAD columns dropped are whole blocks of numpy's 8-lane pairwise sum,
+# so every sum over positions keeps its bits.
+WIDTH_STEP = 8
+
+
 def encode_content(ids, mask: np.ndarray, bbox, params: SimpleNamespace,
                    cfg: EncoderConfig) -> Tensor:
     """Element features: text plus bbox geometry, mean-pooled over non-PAD rows.
@@ -162,7 +168,8 @@ def encode_content(ids, mask: np.ndarray, bbox, params: SimpleNamespace,
     ids and mask have shape (..., L) and bbox (..., 4), one element per
     leading index; the result has shape (..., d_model). The bbox is mapped
     through a learned affine layer and the result is added to every token
-    embedding of its element before the block stack.
+    embedding of its element before the block stack. Each width (see
+    WIDTH_STEP) is one pass of the stack; a merge restores element order.
     """
     ids = np.asarray(ids)
     box = np.asarray(bbox, dtype=np.float64)
@@ -174,10 +181,27 @@ def encode_content(ids, mask: np.ndarray, bbox, params: SimpleNamespace,
     if degenerate.any():
         raise ContractError(f"degenerate bbox {tuple(box[degenerate][0].tolist())}")
     dtype = params.bbox_w.data.dtype
-    proj = linear(Tensor(box.astype(dtype)), params.bbox_w, params.bbox_b)
-    per_token = reshape(proj, (*box.shape[:-1], 1, cfg.d_model))
-    hidden = run_blocks(ids, mask, params, cfg, extra=per_token)
-    return masked_mean_rows(hidden, mask)
+    proj = linear(Tensor(box.reshape(-1, 4).astype(dtype)), params.bbox_w, params.bbox_b)
+    mask = np.asarray(mask)
+    if mask.shape != ids.shape:
+        raise ShapeError(f"mask shape {mask.shape} does not match ids shape {ids.shape}")
+    lead, length, d = ids.shape[:-1], ids.shape[-1], cfg.d_model
+    ids, mask = ids.reshape(-1, length), mask.reshape(-1, length)
+    width = np.minimum(-(-np.maximum(mask.sum(axis=-1), 1) // WIDTH_STEP) * WIDTH_STEP, length)
+    widths = np.unique(width)
+
+    def pooled(ids, mask, extra):
+        hidden = run_blocks(ids, mask, params, cfg, extra=reshape(extra, (len(ids), 1, d)))
+        return masked_mean_rows(hidden, mask)
+
+    if widths.size <= 1:  # one width: no gather and no merge
+        w = int(widths[0]) if widths.size else length
+        feats = pooled(ids[:, :w], mask[:, :w], proj)
+    else:
+        rows = [np.flatnonzero(width == w) for w in widths]
+        feats = merge_rows([pooled(ids[r, :w], mask[r, :w], embedding_lookup(proj, r))
+                            for w, r in zip(widths, rows)], np.concatenate(rows))
+    return reshape(feats, (*lead, d))
 
 
 def init_visual(d_in: int, d_hidden: int, d_out: int, make: ParamSource,

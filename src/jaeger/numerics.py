@@ -252,6 +252,22 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     return _emit("reshape", (x,), x.data.reshape(shape), bwd)
 
 
+def merge_rows(parts: Sequence[Tensor], index) -> Tensor:
+    """Stack (n_i, ...) parts and put stacked row j at row index[j]; index is a permutation."""
+    _check_dtypes("merge_rows", *parts)
+    stacked = np.concatenate([p.data for p in parts])
+    idx = np.asarray(index, dtype=np.int64)
+    if not np.array_equal(np.sort(idx), np.arange(len(stacked))):
+        raise ShapeError(f"merge_rows index must permute the {len(stacked)} stacked rows")
+    out = stacked[np.argsort(idx)]
+    cuts = np.cumsum([len(p.data) for p in parts])[:-1]
+
+    def bwd(g: Array):
+        return np.split(g[idx], cuts)
+
+    return _emit("merge_rows", tuple(parts), out, bwd)
+
+
 def masked_mean_rows(x: Tensor, mask: Array) -> Tensor:
     """Mean of the rows of x selected by a boolean mask, over (..., L, d) stacks.
 

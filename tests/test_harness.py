@@ -20,6 +20,7 @@ import jaeger.model
 from jaeger import numerics
 from jaeger.config import TrainConfig
 from jaeger.data import GenConfig, generate_corpus, generate_document, generate_questions
+from jaeger.encoders import WIDTH_STEP
 from jaeger.errors import (CheckpointFormatError, CompatibilityError, ContractError,
                            SchemaError, TrainingDiverged)
 from jaeger.fusion import predict_answer_set
@@ -30,7 +31,7 @@ from jaeger.harness.gradcheck import format_gradcheck, run_gradcheck
 from jaeger.harness.metrics import ema
 from jaeger.harness.train import (_batch_loss, corpus_texts, encode_split, evaluate,
                                   evaluate_checkpoint, three_way_split, train, train_step)
-from jaeger.model import JaegerModel, encode_sample
+from jaeger.model import EncodedCandidates, JaegerModel, encode_sample
 from jaeger.numerics import Tape, bce_with_logits, seeded, seeded_init
 from jaeger.text import Vocabulary, build_vocab
 
@@ -227,23 +228,48 @@ class TestTraining:
             gc.enable()
 
 
+def content_widths(cands) -> int:
+    """Distinct content widths among candidates; the content encoder makes one pass per width."""
+    count = cands.content_masks.sum(axis=-1)
+    length = cands.content_masks.shape[-1]
+    return np.unique(np.minimum(-(-count // WIDTH_STEP) * WIDTH_STEP, length)).size
+
+
+def content_records(widths: int, n_layers: int) -> int:
+    """Records of one encode_content call whose elements span this many widths.
+
+    A pass is the token and position lookups and their add, the bbox add,
+    12 records per block (four projections, attention, two adds, two layer
+    norms, two feed-forward linears and a relu) and the pooled mean. The
+    bbox projection comes first. One width reshapes it for its pass; several
+    widths gather and reshape each pass's rows, and a merge joins the passes.
+    """
+    one_pass = 4 + 12 * n_layers + 1
+    if widths == 1:
+        return 1 + 1 + one_pass
+    return 1 + widths * (2 + one_pass) + 1
+
+
 class TestForward:
     def test_tape_records_do_not_grow_with_candidates(self):
-        """Elements, heads and candidates are tensor axes, so a forward
-        records the same ops for 4 candidates as for 30."""
+        """Elements, heads and candidates are tensor axes, so a forward records
+        the same ops for 4 candidates as for 30; a second content width adds one
+        content encoder pass."""
         cfg = small_config()
         seen = []
-        for pages, per_page in ((1, 4), (3, 10)):
-            doc = generate_document(3, GenConfig(n_pages=pages,
-                                                 elements_per_page=(per_page, per_page)))
-            doc.questions = generate_questions(doc, 3, 1)
+        for pages, per_page, seed in ((1, 4, 3), (1, 4, 2), (3, 10, 5), (3, 10, 3)):
+            doc = generate_document(seed, GenConfig(n_pages=pages,
+                                                    elements_per_page=(per_page, per_page)))
+            doc.questions = generate_questions(doc, seed, 1)
             vocab = build_vocab(corpus_texts([doc]))
             sample = encode_sample(doc, doc.questions[0], vocab, cfg)
             with Tape() as tape:
                 JaegerModel(cfg, vocab).forward(sample)
-            seen.append((len(sample.candidate_ids), len(tape.records)))
-        assert [n for n, _ in seen] == [4, 30]
-        assert seen[0][1] == seen[1][1]
+            widths = content_widths(sample.candidates)
+            seen.append((len(sample.candidate_ids), widths,
+                         len(tape.records) - content_records(widths, cfg.n_layers)))
+        assert [(n, w) for n, w, _ in seen] == [(4, 1), (4, 2), (30, 1), (30, 2)]
+        assert {rest for _, _, rest in seen} == {seen[0][2]}
 
 
 class TestBatchedTrainStep:
@@ -266,10 +292,17 @@ class TestBatchedTrainStep:
         return model, batch
 
     def test_a_step_records_one_forward(self, monkeypatch):
+        """The step's records are one question's forward, the loss, and one more
+        content encoder pass for each content width the batch adds."""
         model, batch = self._model_and_batch()
         with Tape() as tape:
             model.forward(batch[0])
-        one_forward = len(tape.records)
+        n_layers = model.cfg.n_layers
+        widths = content_widths(batch[0].candidates)
+        batch_widths = content_widths(EncodedCandidates.concat([s.candidates for s in batch]))
+        assert (widths, batch_widths) == (1, 2)
+        one_forward = (len(tape.records) - content_records(widths, n_layers)
+                       + content_records(batch_widths, n_layers))
         swept = []
 
         class CountingTape(Tape):

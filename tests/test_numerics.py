@@ -9,7 +9,7 @@ from jaeger.encoders import attention_bias
 from jaeger.errors import ContractError, IndexOutOfRange, ShapeError
 from jaeger.numerics import (Tape, Tensor, _emit, add, attention, bce_with_logits,
                              concat_last, embedding_lookup, layer_norm, linear,
-                             masked_mean_rows, mul, relu, reshape, rowwise_matmul,
+                             masked_mean_rows, merge_rows, mul, relu, reshape, rowwise_matmul,
                              seeded_init, sgd_step, softmax_in_place, sum_all, xavier_bound)
 
 from fdcheck import assert_grads_match, random_param
@@ -475,6 +475,28 @@ class TestSmallOps:
         with Tape() as tape:
             linear(x, w, b)
         assert [rec.op for rec in tape.records] == ["linear"]
+
+    def test_merge_rows_places_each_part_row(self):
+        a, b = np.arange(6.0).reshape(3, 2), -np.arange(4.0).reshape(2, 2)
+        index = np.array([4, 0, 2, 1, 3])
+        got = merge_rows([Tensor(a), Tensor(b)], index).data
+        np.testing.assert_array_equal(got[index], np.concatenate([a, b]))
+
+    def test_merge_rows_gradients_are_one_record(self):
+        rng = np.random.default_rng(26)
+        a, b = random_param(rng, 2, 3), random_param(rng, 3, 3)
+        index = np.array([1, 4, 0, 3, 2])
+        c = Tensor(rng.normal(size=(5, 3)), dtype=np.float64)
+        assert_grads_match([a, b], lambda: sum_all(mul(merge_rows([a, b], index), c)))
+        with Tape() as tape:
+            merge_rows([a, b], index)
+        assert [rec.op for rec in tape.records] == ["merge_rows"]
+
+    def test_merge_rows_needs_a_permutation(self):
+        parts = [Tensor(np.zeros((2, 3))), Tensor(np.zeros((1, 3)))]
+        for index in ([0, 1], [0, 1, 1], [0, 1, 3]):
+            with pytest.raises(ShapeError):
+                merge_rows(parts, index)
 
     def test_linear_rejects_bad_shapes(self):
         for x, w, b in (((3, 4), (5, 2), (2,)), ((3, 4), (4,), (1,)), ((3, 4), (4, 2), (3,))):
