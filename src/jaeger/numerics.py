@@ -392,7 +392,12 @@ def bce_with_logits(logits: Tensor, targets, weights=None) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map x @ w + b, (..., d) @ (d, k) + (k,), as one tape record."""
+    """Affine map x @ w + b, (..., d) @ (d, k) + (k,), as one tape record.
+
+    A matrix x goes through as a stack of (1, d) rows: BLAS picks its kernel
+    from the row count (a single row takes GEMV), so a whole-matrix product
+    would round a row differently depending on how many rows share the call.
+    """
     _check_dtypes("linear", x, w, b)
     xd, wd, bd = x.data, w.data, b.data
     if xd.ndim == 0 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0] or bd.shape != wd.shape[1:]:
@@ -407,7 +412,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
             gw = _sum_to(np.matmul(xd.swapaxes(-1, -2), g), wd.shape)
         return gx, gw, _sum_to(g, bd.shape)
 
-    return _emit("linear", (x, w, b), np.matmul(xd, wd) + bd, bwd)
+    out = np.matmul(xd[:, None, :], wd)[:, 0, :] if xd.ndim == 2 else np.matmul(xd, wd)
+    return _emit("linear", (x, w, b), out + bd, bwd)
 
 
 def softmax_in_place(s: Array) -> Array:

@@ -347,6 +347,25 @@ class TestBatchedTrainStep:
             at += n
         assert at == logits.size
 
+    def test_a_one_element_document_scores_the_same_alone_and_in_a_batch(self):
+        """Its candidate matrices have one row, which BLAS would send through
+        GEMV, rounding unlike the same row inside a larger GEMM."""
+        others = generate_corpus(8, 2, GenConfig(n_pages=1, elements_per_page=(4, 6)),
+                                 questions_per_doc=1)
+        singles = []
+        for seed in range(8):
+            doc = generate_document(seed, GenConfig(n_pages=1, elements_per_page=(1, 1)))
+            doc.questions = generate_questions(doc, seed, 1)
+            singles.append(doc)
+        cfg = small_config()
+        model = JaegerModel(cfg, build_vocab(corpus_texts(others + singles)))
+        before, after = encode_split(others, model.vocab, cfg)
+        at = len(before.candidate_ids)
+        for doc in singles:
+            s = encode_sample(doc, doc.questions[0], model.vocab, cfg)
+            np.testing.assert_array_equal(model.batch_logits([before, s, after]).data[at:at + 1],
+                                          model.forward(s).data)
+
     def test_loss_and_gradients_are_the_mean_of_per_question_ones(self):
         model, batch = self._model_and_batch()
         params = model.parameters()

@@ -476,6 +476,18 @@ class TestSmallOps:
             linear(x, w, b)
         assert [rec.op for rec in tape.records] == ["linear"]
 
+    def test_linear_computes_each_matrix_row_alone(self):
+        """A row's result must not depend on how many rows share the call: one
+        row alone would go through GEMV, which rounds unlike a GEMM row."""
+        rng = np.random.default_rng(25)
+        # The shape of a small model's bbox projection, where the two paths differ.
+        x = rng.normal(size=(9, 4)).astype(np.float32)
+        w, b = rng.normal(size=(4, 8)).astype(np.float32), np.zeros(8, dtype=np.float32)
+        whole = linear(Tensor(x), Tensor(w), Tensor(b)).data
+        for i in range(len(x)):
+            np.testing.assert_array_equal(
+                linear(Tensor(x[i:i + 1]), Tensor(w), Tensor(b)).data[0], whole[i])
+
     def test_merge_rows_places_each_part_row(self):
         a, b = np.arange(6.0).reshape(3, 2), -np.arange(4.0).reshape(2, 2)
         index = np.array([4, 0, 2, 1, 3])
