@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 
-from jaeger.encoders import (EncoderConfig, attention_bias, encode_content,
+from jaeger.encoders import (WIDTH_STEP, EncoderConfig, attention_bias, encode_content,
                              encode_question_bidir, encode_question_causal, encode_visual,
                              init_block, init_content, init_encoder, init_visual,
                              multi_head_attention, run_blocks, transformer_block)
 from jaeger.errors import ContractError, ShapeError
-from jaeger.numerics import Tape, Tensor, linear, mul, seeded, sum_all
+from jaeger.numerics import (Tape, Tensor, linear, masked_mean_rows, mul, reshape, seeded,
+                             sum_all)
 from jaeger.text import build_vocab, encode_text
 
 from fdcheck import assert_grads_match
@@ -221,6 +222,105 @@ class TestContentEncoder:
     def test_output_width(self):
         out = encode_content(self.ids, self.mask, (0.1, 0.2, 0.6, 0.4), self.params, CFG)
         assert out.shape == (CFG.d_model,)
+
+
+def element_stack(lengths, max_len: int, seed: int = 0):
+    """ids, mask and bboxes of one element per length: random tokens, then PAD."""
+    rng = np.random.default_rng(seed)
+    n = len(lengths)
+    mask = np.arange(max_len) < np.asarray(lengths, dtype=np.int64).reshape(n, 1)
+    ids = np.where(mask, rng.integers(1, len(VOCAB), size=(n, max_len)), 0)
+    corner = rng.uniform(0.0, 0.5, size=(n, 2))
+    return ids, mask, np.concatenate([corner, corner + rng.uniform(0.1, 0.5, (n, 2))], axis=1)
+
+
+def untrimmed_content(ids, mask, boxes, params, cfg):
+    """The content feature computed over all L positions, PAD included."""
+    proj = linear(Tensor(boxes, dtype=params.bbox_w.data.dtype), params.bbox_w, params.bbox_b)
+    hidden = run_blocks(ids, mask, params, cfg, extra=reshape(proj, (len(ids), 1, cfg.d_model)))
+    return masked_mean_rows(hidden, mask).data
+
+
+CFG10 = EncoderConfig(d_model=8, n_heads=2, n_layers=2, d_ff=16, max_seq=10)
+
+
+@pytest.mark.parametrize("cfg", [CFG, CFG10], ids=["L16", "L10"])
+class TestContentWidths:
+    """Each element runs at its own width: its length rounded up to a multiple
+    of WIDTH_STEP and capped at L, so at L = 16 widths 8 and 16 mix and at
+    L = 10 widths 8 and 10."""
+
+    MIXED = [3, 12, 8, 9, 16, 5, 2]
+
+    def _stack(self, cfg, lengths=None, seed=0):
+        lengths = [min(n, cfg.max_seq) for n in (lengths or self.MIXED)]
+        return element_stack(lengths, cfg.max_seq, seed)
+
+    def _params(self, cfg):
+        return init_content(cfg, len(VOCAB), seeded(9), prefix="c")
+
+    def test_the_stack_mixes_two_widths(self, cfg):
+        _, mask, _ = self._stack(cfg)
+        count = mask.sum(axis=-1)
+        assert (count <= WIDTH_STEP).any() and (count > WIDTH_STEP).any()
+
+    def test_each_element_equals_encoding_it_alone(self, cfg):
+        params = self._params(cfg)
+        ids, mask, boxes = self._stack(cfg)
+        feats = encode_content(ids, mask, boxes, params, cfg).data
+        for i in range(len(ids)):
+            alone = encode_content(ids[i:i + 1], mask[i:i + 1], boxes[i:i + 1], params, cfg)
+            np.testing.assert_array_equal(feats[i], alone.data[0])
+
+    def test_a_shuffle_permutes_the_features_bit_for_bit(self, cfg):
+        params = self._params(cfg)
+        ids, mask, boxes = self._stack(cfg)
+        feats = encode_content(ids, mask, boxes, params, cfg).data
+        perm = np.random.default_rng(3).permutation(len(ids))
+        shuffled = encode_content(ids[perm], mask[perm], boxes[perm], params, cfg).data
+        np.testing.assert_array_equal(shuffled, feats[perm])
+
+    def test_appending_the_other_width_moves_nothing(self, cfg):
+        params = self._params(cfg)
+        short = self._stack(cfg, [3, 8, 5], seed=1)
+        long = self._stack(cfg, [12, 9, 16], seed=2)
+        both = encode_content(*(np.concatenate(pair) for pair in zip(short, long)), params, cfg)
+        for part, rows in ((short, both.data[:3]), (long, both.data[3:])):
+            np.testing.assert_array_equal(rows, encode_content(*part, params, cfg).data)
+
+    def test_close_to_the_untrimmed_computation(self, cfg):
+        params = self._params(cfg)
+        ids, mask, boxes = self._stack(cfg)
+        np.testing.assert_allclose(encode_content(ids, mask, boxes, params, cfg).data,
+                                   untrimmed_content(ids, mask, boxes, params, cfg),
+                                   rtol=0, atol=1e-6)
+
+    def test_leading_axes_and_an_empty_stack(self, cfg):
+        params = self._params(cfg)
+        ids, mask, boxes = self._stack(cfg, self.MIXED[:6])
+        flat = encode_content(ids, mask, boxes, params, cfg).data
+        stacked = encode_content(ids.reshape(2, 3, -1), mask.reshape(2, 3, -1),
+                                 boxes.reshape(2, 3, 4), params, cfg)
+        np.testing.assert_array_equal(stacked.data, flat.reshape(2, 3, cfg.d_model))
+        assert encode_content(ids[:0], mask[:0], boxes[:0], params, cfg).shape == \
+            (0, cfg.d_model)
+
+    def test_gradients_through_a_mixed_width_stack(self, cfg):
+        """Covers the gather of each group's bbox rows and the merge back."""
+        small = EncoderConfig(d_model=4, n_heads=2, n_layers=1, d_ff=8, max_seq=cfg.max_seq)
+        params = init_content(small, len(VOCAB), seeded(11, np.float64), prefix="g")
+        ids, mask, boxes = self._stack(cfg, [3, 12, 9, 5])
+        w = Tensor(np.random.default_rng(4).normal(size=(4, 4)), dtype=np.float64)
+        checked = [params.tok, params.pos, params.bbox_w, params.bbox_b,
+                   *vars(params.blocks[0]).values()]
+        assert_grads_match(checked,
+                           lambda: sum_all(mul(encode_content(ids, mask, boxes, params, small), w)),
+                           tol=1e-4)
+
+    def test_mask_must_match_ids(self, cfg):
+        ids, mask, boxes = self._stack(cfg)
+        with pytest.raises(ShapeError):
+            encode_content(ids, mask[:, :-1], boxes, self._params(cfg), cfg)
 
 
 class TestVisualEncoder:

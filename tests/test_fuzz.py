@@ -1,24 +1,30 @@
-"""Corrupt corpus and checkpoint files, driven by hypothesis.
+"""Corrupt corpus and checkpoint files, and content element lengths, driven by hypothesis.
 
 A flipped, dropped or inserted byte, or any JSON value in place of a
 record or of the sidecar's config, must end in a JaegerError (which the
 CLI prints as `error:` with exit 1) or in a file that still parses; any
-other exception would reach the user as a traceback.
+other exception would reach the user as a traceback. Content elements of
+any mix of lengths must each encode as they would alone.
 """
 
 import json
 import shutil
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from jaeger.config import TrainConfig
 from jaeger.data import GenConfig, generate_corpus, read_jsonl, write_jsonl
+from jaeger.encoders import EncoderConfig, encode_content, init_content
 from jaeger.errors import JaegerError
 from jaeger.harness.checkpoint import config_path, load_model, save_checkpoint, vocab_path
 from jaeger.harness.train import corpus_texts
 from jaeger.model import JaegerModel
+from jaeger.numerics import seeded
 from jaeger.text import build_vocab
+
+from test_encoders import VOCAB, element_stack, untrimmed_content
 
 # (kind, position, payload): positions wrap around the data's length.
 MUTATIONS = st.one_of(
@@ -129,3 +135,26 @@ def test_any_json_sidecar_config_raises_only_jaeger_errors(checkpoint, value):
         load_model(bad)
     except JaegerError:
         pass
+
+
+@pytest.fixture(scope="module")
+def content_encoders():
+    """max_seq -> (config, params) of a small content encoder."""
+    cfgs = [EncoderConfig(d_model=8, n_heads=2, n_layers=1, d_ff=16, max_seq=n) for n in (10, 16)]
+    return {cfg.max_seq: (cfg, init_content(cfg, len(VOCAB), seeded(12), prefix="c"))
+            for cfg in cfgs}
+
+
+@given(lengths=st.lists(st.integers(1, 16), min_size=1, max_size=6),
+       max_len=st.sampled_from([10, 16]), seed=st.integers(0, 2**16))
+def test_any_element_lengths_encode_each_element_alone(content_encoders, lengths, max_len,
+                                                       seed):
+    cfg, params = content_encoders[max_len]
+    ids, mask, boxes = element_stack([min(n, max_len) for n in lengths], max_len, seed)
+    feats = encode_content(ids, mask, boxes, params, cfg).data
+    for i in range(len(ids)):
+        np.testing.assert_array_equal(
+            feats[i], encode_content(ids[i:i + 1], mask[i:i + 1], boxes[i:i + 1], params, cfg)
+            .data[0])
+    np.testing.assert_allclose(feats, untrimmed_content(ids, mask, boxes, params, cfg),
+                               rtol=0, atol=1e-6)
