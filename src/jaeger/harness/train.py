@@ -72,15 +72,20 @@ def _batch_loss(model: JaegerModel, batch: list[EncodedSample]):
 
 def train_step(model: JaegerModel, batch: list[EncodedSample], learning_rate: float,
                step: int) -> float:
-    """One gradient step over a batch; aborts on a non-finite loss."""
+    """One gradient step over a batch; aborts on a non-finite loss.
+
+    numpy's floating-point warnings are silenced: a diverging step overflows
+    on its way to the non-finite loss, and TrainingDiverged alone reports it.
+    """
     params = model.parameters()
-    with Tape() as tape:
-        loss = _batch_loss(model, batch)
-        value = loss.item()
-        if not math.isfinite(value):
-            raise TrainingDiverged(f"non-finite loss at step {step}")
-        tape.backward(loss, params)
-    sgd_step(params, learning_rate)
+    with np.errstate(all="ignore"):
+        with Tape() as tape:
+            loss = _batch_loss(model, batch)
+            value = loss.item()
+            if not math.isfinite(value):
+                raise TrainingDiverged(f"non-finite loss at step {step}")
+            tape.backward(loss, params)
+        sgd_step(params, learning_rate)
     return value
 
 

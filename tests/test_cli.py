@@ -1,9 +1,14 @@
 """End-to-end command flows through the argparse entry point."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import jaeger
 from jaeger.cli import main
 
 
@@ -96,6 +101,21 @@ class TestTrainEvalPredict:
         captured = capsys.readouterr()
         assert code == 1
         assert "doc-missing" in captured.err
+
+    def test_divergence_prints_one_error_line(self, tmp_path):
+        """numpy's overflow warnings stay off stderr, which the real process shows."""
+        corpus = gen_corpus(tmp_path)
+        config = tmp_path / "diverge.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "learning_rate": 1e30}))
+        src = str(Path(jaeger.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-W", "default", "-c",
+             "import sys; from jaeger.cli import main; sys.exit(main(sys.argv[1:]))",
+             "train", "--config", str(config), "--data", corpus,
+             "--out", str(tmp_path / "m.ckpt")],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        assert run.returncode == 1
+        assert run.stderr.splitlines() == ["error: non-finite loss at step 1"]
 
     def test_missing_data_file(self, tmp_path, capsys):
         code = main(["train", "--data", str(tmp_path / "absent.jsonl"),

@@ -7,6 +7,7 @@ import inspect
 import json
 import os
 import struct
+import warnings
 import weakref
 from types import SimpleNamespace
 
@@ -201,6 +202,19 @@ class TestTraining:
         samples = encode_split(train_docs, vocab, cfg)
         with pytest.raises(TrainingDiverged, match="step 3"):
             train_step(model, samples[:2], cfg.learning_rate, step=3)
+
+    def test_divergence_raises_no_numpy_warning(self):
+        """Overflow on the way to a non-finite loss is reported by TrainingDiverged alone."""
+        corpus = small_corpus(n_docs=4)
+        cfg = small_config(split_ratios=(1.0,))
+        train_docs, _, _ = three_way_split(corpus, cfg)
+        model = JaegerModel(cfg, build_vocab(corpus_texts(train_docs), cfg.min_count))
+        samples = encode_split(train_docs, model.vocab, cfg)
+        train_step(model, samples[:2], 1e30, step=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingDiverged, match="step 1"):
+                train_step(model, samples[:2], 1e30, step=1)
 
 
     def test_finished_tape_is_freed_without_the_cyclic_collector(self, monkeypatch):
