@@ -10,6 +10,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from .config import TrainConfig
 from .data import GenConfig, QASample, generate_corpus, read_jsonl, write_jsonl
 from .errors import JaegerError
@@ -69,7 +71,8 @@ def _cmd_predict(args: argparse.Namespace) -> int:
     probe = QASample(qid="probe", qtype="children", target=-1, question=args.question,
                      answers=frozenset())
     sample = encode_sample(doc, probe, model.vocab, model.cfg)
-    logits = model.forward(sample)
+    with np.errstate(all="ignore"):  # predict_answer_set refuses non-finite logits
+        logits = model.forward(sample)
     picked = predict_answer_set(logits, model.cfg.threshold)
     predicted = sorted(sample.candidate_ids[i] for i in picked)
     print(json.dumps({"doc_id": doc.doc_id, "question": args.question,

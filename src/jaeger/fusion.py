@@ -14,8 +14,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .numerics import (ParamSource, Tensor, add, concat_last, embedding_lookup, linear,
-                       make_params, relu, reshape, rowwise_matmul, _sigmoid)
+from .numerics import (ParamSource, Tensor, concat_last, embedding_lookup, linear, make_params,
+                       relu, reshape, _sigmoid)
 
 
 def init_fusion(q_width: int, d_reduced: int, d_content: int, d_visual: int,
@@ -72,20 +72,23 @@ def score_candidates(qreduced: Tensor, content_feats: Tensor, visual_feats: Tens
     width = qreduced.data.shape[-1]
     questions = reshape(qreduced, (qreduced.data.size // width, width))
     f = concat_last(concat_last(embedding_lookup(questions, rows), content_feats), visual_feats)
-    h = relu(add(rowwise_matmul(f, params.score_w1), params.score_b1))
-    return add(rowwise_matmul(h, params.score_w2), params.score_b2)
+    h = relu(linear(f, params.score_w1, params.score_b1))
+    return linear(h, params.score_w2, params.score_b2)
 
 
 def predict_answer_set(logits, threshold: float = 0.5) -> set[int]:
     """Candidate indices whose sigmoid score reaches the threshold.
 
-    Scores exactly at the threshold are included.
+    Scores exactly at the threshold are included. Non-finite logits, from
+    weights that overflow the forward pass, are refused rather than read.
     """
     if not 0 < threshold < 1:
         raise ContractError(f"threshold must lie strictly in (0, 1), got {threshold}")
     z = logits.data if isinstance(logits, Tensor) else np.asarray(logits)
     if z.ndim != 1:
         raise ShapeError(f"logits must be a vector, got shape {z.shape}")
+    if not np.isfinite(z).all():
+        raise ContractError("non-finite logits: the model's weights overflow its forward pass")
     probs = _sigmoid(z.astype(np.float64))
     return {int(i) for i in np.flatnonzero(probs >= threshold)}
 

@@ -98,17 +98,20 @@ def evaluate(model: JaegerModel, samples: list[EncodedSample], split: str,
 
     Each chunk of EVAL_CHUNK questions and its distinct candidates is encoded in one
     pass; each question's logits are then bit-identical to model.forward(sample).
+    numpy's floating-point warnings are silenced: predict_answer_set alone reports
+    the non-finite logits of an overflowing model.
     """
     if not samples:
         raise ContractError(f"cannot evaluate an empty {split!r} split")
     tau = model.cfg.threshold if threshold is None else threshold
     predictions, golds = [], []
-    for at in range(0, len(samples), EVAL_CHUNK):
-        chunk = samples[at:at + EVAL_CHUNK]
-        for s, features in zip(chunk, model.sample_features(chunk)):
-            picked = predict_answer_set(model.forward(s, features), tau)
-            predictions.append({s.candidate_ids[i] for i in picked})
-            golds.append(set(s.gold))
+    with np.errstate(all="ignore"):
+        for at in range(0, len(samples), EVAL_CHUNK):
+            chunk = samples[at:at + EVAL_CHUNK]
+            for s, features in zip(chunk, model.sample_features(chunk)):
+                picked = predict_answer_set(model.forward(s, features), tau)
+                predictions.append({s.candidate_ids[i] for i in picked})
+                golds.append(set(s.gold))
     return {"split": split, "n": len(samples), "ema": ema(predictions, golds)}
 
 

@@ -171,9 +171,9 @@ class JaegerModel:
         """Logits over every sample's candidates, sample after sample, in one pass.
 
         Questions are a leading axis and all candidates one stacked axis.
-        Stacked products, the per-question reduction and the row-wise scorer
-        compute each row alone, so a question's logits are bit-identical to
-        forward(sample) whatever else shares the batch.
+        Stacked products, the per-question reduction and the scorer's one-row
+        products compute each row alone, so a question's logits are
+        bit-identical to forward(sample) whatever else shares the batch.
         """
         qreduced = reduce_dim(self.question_features(samples), self.fusion)
         content, visual = self.candidate_features(

@@ -174,29 +174,6 @@ def _broadcast(op: str, ufunc, a: Array, b: Array) -> Array:
         raise ShapeError(f"{op} shapes {a.shape} and {b.shape} are incompatible") from None
 
 
-def rowwise_matmul(x: Tensor, w: Tensor) -> Tensor:
-    """x @ w for (n, F) rows against an (F, h) matrix or an (F,) vector, row by row.
-
-    Each row is multiplied elementwise and summed over F rather than sent
-    to BLAS, which picks its kernel and blocking from the row count (one
-    row goes through GEMV), so a row's result would depend on how many
-    other rows share the call. Only the backward pass uses GEMMs.
-    """
-    _check_dtypes("rowwise_matmul", x, w)
-    xd, wd = x.data, w.data
-    if xd.ndim != 2 or wd.ndim not in (1, 2) or wd.shape[0] != xd.shape[1]:
-        raise ShapeError(f"rowwise_matmul needs (n, F) rows and an (F, ...) weight, "
-                         f"got {xd.shape} and {wd.shape}")
-    out = (xd[:, :, None] * wd).sum(axis=1) if wd.ndim == 2 else (xd * wd).sum(axis=1)
-
-    def bwd(g: Array):
-        if wd.ndim == 1:
-            return np.outer(g, wd), g @ xd
-        return g @ wd.T, xd.T @ g
-
-    return _emit("rowwise_matmul", (x, w), out, bwd)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     """a + b with numpy broadcasting, e.g. a bias over the last axis or a scalar."""
     _check_dtypes("add", a, b)
@@ -392,27 +369,30 @@ def bce_with_logits(logits: Tensor, targets, weights=None) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map x @ w + b, (..., d) @ (d, k) + (k,), as one tape record.
+    """Affine map x @ w + b as one tape record, over (..., d) rows with a (d, k)
+    weight and a (k,) bias or a (d,) weight and a () bias.
 
     A matrix x goes through as a stack of (1, d) rows: BLAS picks its kernel
     from the row count (a single row takes GEMV), so a whole-matrix product
     would round a row differently depending on how many rows share the call.
+    The backward pass flattens the leading axes into rows, so each gradient
+    is one product or one sum over all of them.
     """
     _check_dtypes("linear", x, w, b)
     xd, wd, bd = x.data, w.data, b.data
-    if xd.ndim == 0 or wd.ndim != 2 or xd.shape[-1] != wd.shape[0] or bd.shape != wd.shape[1:]:
-        raise ShapeError(f"linear needs (..., d) rows, a (d, k) weight and a (k,) bias, "
-                         f"got {xd.shape}, {wd.shape} and {bd.shape}")
+    if xd.ndim == 0 or wd.ndim not in (1, 2) or xd.shape[-1] != wd.shape[0] \
+            or bd.shape != wd.shape[1:]:
+        raise ShapeError(f"linear needs (..., d) rows, a (d, k) weight and a (k,) bias "
+                         f"or a (d,) weight and a () bias, got {xd.shape}, {wd.shape} "
+                         f"and {bd.shape}")
 
     def bwd(g: Array):
-        if xd.ndim == 1:
-            gx, gw = np.matmul(wd, g), np.outer(xd, g)
-        else:
-            gx = np.matmul(g, wd.swapaxes(-1, -2))
-            gw = _sum_to(np.matmul(xd.swapaxes(-1, -2), g), wd.shape)
-        return gx, gw, _sum_to(g, bd.shape)
+        w2 = wd.reshape(len(wd), -1)  # a (d,) weight as a (d, 1) matrix
+        rows, g2 = xd.reshape(-1, len(wd)), g.reshape(-1, w2.shape[1])
+        return ((g2 @ w2.T).reshape(xd.shape), (rows.T @ g2).reshape(wd.shape),
+                g2.sum(axis=0).reshape(bd.shape))
 
-    out = np.matmul(xd[:, None, :], wd)[:, 0, :] if xd.ndim == 2 else np.matmul(xd, wd)
+    out = np.matmul(xd[:, None, :], wd)[:, 0] if xd.ndim == 2 else np.matmul(xd, wd)
     return _emit("linear", (x, w, b), out + bd, bwd)
 
 

@@ -6,10 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import jaeger
 from jaeger.cli import main
+from jaeger.harness.checkpoint import load_model, save_checkpoint
 
 
 TINY_CONFIG = {
@@ -35,6 +37,15 @@ def gen_corpus(tmp_path, name="corpus.jsonl", seed=9, docs=10):
                  "--questions", "2"])
     assert code == 0
     return out
+
+
+def run_cli(argv):
+    """The CLI in a fresh process, with numpy's warnings shown on stderr as a real run shows them."""
+    src = str(Path(jaeger.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-W", "default", "-c",
+         "import sys; from jaeger.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
 
 
 class TestGenData:
@@ -107,15 +118,44 @@ class TestTrainEvalPredict:
         corpus = gen_corpus(tmp_path)
         config = tmp_path / "diverge.json"
         config.write_text(json.dumps({**TINY_CONFIG, "learning_rate": 1e30}))
-        src = str(Path(jaeger.__file__).resolve().parents[1])
-        run = subprocess.run(
-            [sys.executable, "-W", "default", "-c",
-             "import sys; from jaeger.cli import main; sys.exit(main(sys.argv[1:]))",
-             "train", "--config", str(config), "--data", corpus,
-             "--out", str(tmp_path / "m.ckpt")],
-            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+        run = run_cli(["train", "--config", str(config), "--data", corpus,
+                       "--out", str(tmp_path / "m.ckpt")])
         assert run.returncode == 1
         assert run.stderr.splitlines() == ["error: non-finite loss at step 1"]
+
+    def test_non_finite_logits_end_training_in_one_error_line(self, tmp_path):
+        """One step at lr 1e30 still has a finite loss, but the validation pass
+        after it gets non-finite logits: no val_ema, no checkpoint."""
+        corpus = gen_corpus(tmp_path)
+        config = tmp_path / "overflow.json"
+        config.write_text(json.dumps({**TINY_CONFIG, "learning_rate": 1e30, "max_steps": 1}))
+        ckpt = tmp_path / "m.ckpt"
+        run = run_cli(["train", "--config", str(config), "--data", corpus, "--out", str(ckpt)])
+        assert run.returncode == 1
+        [line] = run.stderr.splitlines()
+        assert line.startswith("error: ") and "non-finite logits" in line
+        assert "val_ema" not in run.stdout
+        assert not ckpt.exists()
+
+    @pytest.mark.parametrize("command", [
+        ["eval", "--split", "test"],
+        ["predict", "--question", "which elements are the children of the title?"],
+    ], ids=["eval", "predict"])
+    def test_a_model_with_non_finite_logits_is_refused(self, tmp_path, tiny_config, command):
+        corpus = gen_corpus(tmp_path)
+        ckpt = str(tmp_path / "model.ckpt")
+        assert main(["train", "--config", tiny_config, "--data", corpus, "--out", ckpt]) == 0
+        model = load_model(ckpt)
+        for p in model.parameters():
+            p.data = p.data * np.float32(1e30)
+        save_checkpoint(ckpt, model)
+        if command[0] == "predict":
+            command = [*command, "--doc-id", json.loads(open(corpus).readline())["doc_id"]]
+        run = run_cli([*command, "--ckpt", ckpt, "--data", corpus])
+        assert run.returncode == 1
+        [line] = run.stderr.splitlines()
+        assert line.startswith("error: ") and "non-finite logits" in line
+        assert run.stdout == ""
 
     def test_missing_data_file(self, tmp_path, capsys):
         code = main(["train", "--data", str(tmp_path / "absent.jsonl"),

@@ -346,10 +346,10 @@ class TestBatchedTrainStep:
                    cfg.learning_rate, 0)
         blocks = 3 * cfg.n_layers  # bidir, causal and content encoders
         # Six per block (q, k, v, output, two feed-forward), the bbox injection,
-        # the visual MLP's two and the reduction.
-        assert ops.count("linear") == 6 * blocks + 4 == 40
+        # the visual MLP's two, the reduction and the scorer's two layers.
+        assert ops.count("linear") == 6 * blocks + 6 == 42
         assert ops.count("attention") == blocks == 6
-        assert len(ops) == 105
+        assert len(ops) == 103
 
     def test_each_question_gets_its_own_logits_bit_for_bit(self):
         model, batch = self._model_and_batch()

@@ -9,7 +9,7 @@ from jaeger.encoders import attention_bias
 from jaeger.errors import ContractError, IndexOutOfRange, ShapeError
 from jaeger.numerics import (Tape, Tensor, _emit, add, attention, bce_with_logits,
                              concat_last, embedding_lookup, layer_norm, linear,
-                             masked_mean_rows, merge_rows, mul, relu, reshape, rowwise_matmul,
+                             masked_mean_rows, merge_rows, mul, relu, reshape,
                              seeded_init, sgd_step, softmax_in_place, sum_all, xavier_bound)
 
 from fdcheck import assert_grads_match, random_param
@@ -410,44 +410,6 @@ class TestBce:
             bce_with_logits(Tensor([0.0, 1.0]), np.array([1.0, 0.0]), np.ones(3))
 
 
-class TestRowwiseMatmul:
-    def test_values_are_the_row_by_row_product(self):
-        rng = np.random.default_rng(20)
-        x = rng.normal(size=(5, 7)).astype(np.float32)
-        w = rng.normal(size=(7, 3)).astype(np.float32)
-        v = rng.normal(size=7).astype(np.float32)
-        got = rowwise_matmul(Tensor(x), Tensor(w)).data
-        np.testing.assert_array_equal(got, (x[:, :, None] * w).sum(axis=1))
-        np.testing.assert_allclose(got, x @ w, rtol=1e-5, atol=1e-5)
-        np.testing.assert_array_equal(rowwise_matmul(Tensor(x), Tensor(v)).data,
-                                      (x * v).sum(axis=1))
-
-    def test_a_row_does_not_depend_on_the_other_rows(self):
-        rng = np.random.default_rng(21)
-        x = rng.normal(size=(9, 40)).astype(np.float32)
-        w = rng.normal(size=(40, 16)).astype(np.float32)
-        whole = rowwise_matmul(Tensor(x), Tensor(w)).data
-        for i in range(9):
-            np.testing.assert_array_equal(rowwise_matmul(Tensor(x[i:i + 1]), Tensor(w)).data,
-                                          whole[i:i + 1])
-
-    def test_gradients(self):
-        rng = np.random.default_rng(22)
-        x = random_param(rng, 4, 5)
-        w = random_param(rng, 5, 3)
-        v = random_param(rng, 5)
-        c = Tensor(rng.normal(size=(4, 3)), dtype=np.float64)
-        u = Tensor(rng.normal(size=4), dtype=np.float64)
-        assert_grads_match([x, w], lambda: sum_all(mul(rowwise_matmul(x, w), c)))
-        assert_grads_match([x, v], lambda: sum_all(mul(rowwise_matmul(x, v), u)))
-
-    def test_shape_errors(self):
-        with pytest.raises(ShapeError):
-            rowwise_matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
-        with pytest.raises(ShapeError):
-            rowwise_matmul(Tensor(np.zeros(3)), Tensor(np.zeros((3, 2))))
-
-
 class TestSmallOps:
     def test_add_bias_broadcast(self):
         x = Tensor(np.ones((2, 3)))
@@ -464,8 +426,8 @@ class TestSmallOps:
         got = linear(Tensor(x), Tensor(w), Tensor(b)).data
         np.testing.assert_allclose(got, x @ w + b)
 
-    @pytest.mark.parametrize("x_shape", [(4,), (3, 4), (2, 3, 4)],
-                             ids=["vector", "matrix", "stack"])
+    @pytest.mark.parametrize("x_shape", [(4,), (3, 4), (2, 3, 4), (2, 3, 5, 4)],
+                             ids=["vector", "matrix", "stack", "two-leading-axes"])
     def test_linear_gradients(self, x_shape):
         """One record whose backward gives x, w and b their gradients."""
         rng = np.random.default_rng(24)
@@ -487,6 +449,31 @@ class TestSmallOps:
         for i in range(len(x)):
             np.testing.assert_array_equal(
                 linear(Tensor(x[i:i + 1]), Tensor(w), Tensor(b)).data[0], whole[i])
+
+    @pytest.mark.parametrize("width", [4, 32, 80])
+    def test_linear_computes_each_row_alone_with_a_vector_weight(self, width):
+        """A (d,) weight gives one value per row, each its own one-row product,
+        as the scorer's output layer needs for candidate invariance."""
+        rng = np.random.default_rng(28)
+        x = rng.normal(size=(30, width)).astype(np.float32)
+        v, b = rng.normal(size=width).astype(np.float32), np.float32(0.25)
+        whole = linear(Tensor(x), Tensor(v), Tensor(b)).data
+        assert whole.shape == (30,)
+        np.testing.assert_allclose(whole, x @ v + b, rtol=1e-5, atol=1e-5)
+        for i in range(len(x)):
+            np.testing.assert_array_equal(
+                linear(Tensor(x[i:i + 1]), Tensor(v), Tensor(b)).data, whole[i:i + 1])
+
+    @pytest.mark.parametrize("x_shape", [(4,), (3, 4), (2, 3, 4), (2, 3, 5, 4)],
+                             ids=["vector", "matrix", "stack", "two-leading-axes"])
+    def test_linear_vector_weight_gradients(self, x_shape):
+        """A (d,) weight and a () bias, as in the scorer's output layer, get
+        gradients of their own shapes whatever the input's leading axes."""
+        rng = np.random.default_rng(29)
+        x, w, b = random_param(rng, *x_shape), random_param(rng, 4), random_param(rng)
+        c = Tensor(rng.normal(size=x_shape[:-1]), dtype=np.float64)
+        assert_grads_match([x, w, b], lambda: sum_all(mul(linear(x, w, b), c)))
+        assert (x.grad.shape, w.grad.shape, b.grad.shape) == (x_shape, (4,), ())
 
     def test_merge_rows_places_each_part_row(self):
         a, b = np.arange(6.0).reshape(3, 2), -np.arange(4.0).reshape(2, 2)
@@ -511,7 +498,8 @@ class TestSmallOps:
                 merge_rows(parts, index)
 
     def test_linear_rejects_bad_shapes(self):
-        for x, w, b in (((3, 4), (5, 2), (2,)), ((3, 4), (4,), (1,)), ((3, 4), (4, 2), (3,))):
+        for x, w, b in (((3, 4), (5, 2), (2,)), ((3, 4), (4,), (1,)), ((3, 4), (4, 2), (3,)),
+                        ((3, 4), (5,), ()), ((3, 4), (4, 2, 2), (2, 2))):
             with pytest.raises(ShapeError):
                 linear(Tensor(np.zeros(x)), Tensor(np.zeros(w)), Tensor(np.zeros(b)))
 
