@@ -188,19 +188,15 @@ def encode_content(ids, mask: np.ndarray, bbox, params: SimpleNamespace,
     lead, length, d = ids.shape[:-1], ids.shape[-1], cfg.d_model
     ids, mask = ids.reshape(-1, length), mask.reshape(-1, length)
     width = np.minimum(-(-np.maximum(mask.sum(axis=-1), 1) // WIDTH_STEP) * WIDTH_STEP, length)
-    widths = np.unique(width)
+    widths = np.unique(width) if width.size else np.array([length])  # no elements: one empty group
+    rows = [np.flatnonzero(width == w) for w in widths]
 
-    def pooled(ids, mask, extra):
-        hidden = run_blocks(ids, mask, params, cfg, extra=reshape(extra, (len(ids), 1, d)))
-        return masked_mean_rows(hidden, mask)
+    def pooled(r, w):
+        hidden = run_blocks(ids[r, :w], mask[r, :w], params, cfg,
+                            extra=reshape(embedding_lookup(proj, r), (len(r), 1, d)))
+        return masked_mean_rows(hidden, mask[r, :w])
 
-    if widths.size <= 1:  # one width: no gather and no merge
-        w = int(widths[0]) if widths.size else length
-        feats = pooled(ids[:, :w], mask[:, :w], proj)
-    else:
-        rows = [np.flatnonzero(width == w) for w in widths]
-        feats = merge_rows([pooled(ids[r, :w], mask[r, :w], embedding_lookup(proj, r))
-                            for w, r in zip(widths, rows)], np.concatenate(rows))
+    feats = merge_rows([pooled(r, w) for r, w in zip(rows, widths)], np.concatenate(rows))
     return reshape(feats, (*lead, d))
 
 

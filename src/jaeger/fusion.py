@@ -1,10 +1,11 @@
-"""Feature fusion: concatenation, dimensionality reduction and scoring.
+"""Feature fusion: dimensionality reduction and scoring.
 
-The two question features are concatenated, reduced to a narrower width
-by a learned affine map, and paired with each candidate element's
-content and visual features. Every candidate is scored independently by
-the same small perceptron, so logits never mix information across
-candidates and the answer set is read off per candidate.
+The two question features, concatenated by the model, are reduced to a
+narrower width by a learned affine map and paired with each candidate
+element's content and visual features. Every candidate is scored
+independently by the same small perceptron, so logits never mix
+information across candidates and the answer set is read off per
+candidate.
 """
 
 from __future__ import annotations
@@ -31,24 +32,12 @@ def init_fusion(q_width: int, d_reduced: int, d_content: int, d_visual: int,
     })
 
 
-def concat_question_features(qfeat1: Tensor, qfeat2: Tensor) -> Tensor:
-    """Plain concatenation of (..., d1) and (..., d2) features, bidirectional feature first."""
-    return concat_last(qfeat1, qfeat2)
-
-
 def reduce_dim(qfeat: Tensor, params: SimpleNamespace) -> Tensor:
-    """Learned affine map down to the reduced width, for a (..., q) stack of questions.
-
-    Each question goes through its own (1, q) @ (q, r) product: a (B, q)
-    @ (q, r) GEMM rounds differently from the one-row product, which would
-    make a question's reduction depend on the batch it shares.
-    """
-    q, r = params.reduce_w.data.shape
-    if qfeat.data.ndim == 0 or qfeat.data.shape[-1] != q:
-        raise ShapeError(f"question width {qfeat.data.shape} does not match reduction input {q}")
-    lead = qfeat.data.shape[:-1]
-    rows = linear(reshape(qfeat, (*lead, 1, q)), params.reduce_w, params.reduce_b)
-    return reshape(rows, (*lead, r))
+    """Learned affine map of a (B, q) question stack down to the reduced width, row by row."""
+    q = params.reduce_w.data.shape[0]
+    if qfeat.data.ndim != 2 or qfeat.data.shape[1] != q:
+        raise ShapeError(f"question stack {qfeat.data.shape} is not a (B, {q}) matrix")
+    return linear(qfeat, params.reduce_w, params.reduce_b)
 
 
 def score_candidates(qreduced: Tensor, content_feats: Tensor, visual_feats: Tensor,

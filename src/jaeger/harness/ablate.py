@@ -12,7 +12,7 @@ from dataclasses import replace
 from ..config import TrainConfig, VARIANTS
 from ..data import Document
 from ..errors import ContractError
-from .train import encode_split, evaluate, three_way_split, train
+from .train import evaluate_checkpoint, train
 
 
 def ablate(cfg: TrainConfig, corpus: list[Document]) -> list[dict]:
@@ -22,15 +22,12 @@ def ablate(cfg: TrainConfig, corpus: list[Document]) -> list[dict]:
     rows = []
     for variant in VARIANTS:
         vcfg = replace(cfg, variant=variant)
-        result = train(vcfg, corpus)
-        _, val_docs, test_docs = three_way_split(corpus, vcfg)
-        val_samples = encode_split(val_docs, result.vocab, vcfg)
-        test_samples = encode_split(test_docs, result.vocab, vcfg)
+        model = train(vcfg, corpus).model
         rows.append({
             "variant": variant,
             "question_width": vcfg.question_width,
-            "val_ema": evaluate(result.model, val_samples, "val")["ema"],
-            "test_ema": evaluate(result.model, test_samples, "test")["ema"],
+            "val_ema": evaluate_checkpoint(model, corpus, "val")["ema"],
+            "test_ema": evaluate_checkpoint(model, corpus, "test")["ema"],
         })
     return rows
 

@@ -10,7 +10,7 @@ import time
 
 from ..config import TrainConfig
 from ..data import GenConfig, generate_corpus
-from .train import encode_split, evaluate, train
+from .train import evaluate_checkpoint, train
 
 
 def overfit_config(seed: int, learning_rate: float, max_steps: int) -> TrainConfig:
@@ -40,8 +40,7 @@ def run_overfit(seed: int = 42, learning_rate: float = 0.05,
                              questions_per_doc=4)
     started = time.monotonic()
     result = train(cfg, corpus)
-    samples = encode_split(corpus, result.vocab, cfg)
-    report = evaluate(result.model, samples, "train")
+    report = evaluate_checkpoint(result.model, corpus, "train")
     return {
         "split": report["split"],
         "n": report["n"],

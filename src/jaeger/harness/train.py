@@ -120,7 +120,8 @@ def train(cfg: TrainConfig, corpus: list[Document]) -> TrainResult:
 
     Batches are drawn in a seeded shuffled order each epoch; metrics
     collect one row per epoch with the mean train loss and, when a val
-    split exists, its EMA.
+    split exists, its EMA. Without one, the last batch is scored once
+    after the final step, and non-finite logits raise TrainingDiverged.
     """
     if not corpus:
         raise ContractError("cannot train on an empty corpus")
@@ -152,6 +153,11 @@ def train(cfg: TrainConfig, corpus: list[Document]) -> TrainResult:
         result.metrics.append(row)
         if cfg.max_steps is not None and step >= cfg.max_steps:
             break
+    if not val_samples:  # no validation pass read the final weights: score the last batch
+        with np.errstate(all="ignore"):
+            if not np.isfinite(model.batch_logits(batch).data).all():
+                raise TrainingDiverged(f"non-finite logits after step {step}: "
+                                       "the model's weights overflow its forward pass")
     result.steps = step
     return result
 

@@ -11,8 +11,8 @@ from .encoders import (EncoderConfig, encode_content, encode_question_bidir,
                        encode_question_causal, encode_visual, init_content, init_encoder,
                        init_visual)
 from .errors import ContractError, ShapeError
-from .fusion import concat_question_features, init_fusion, reduce_dim, score_candidates
-from .numerics import ParamSource, Tensor, active_tape, seeded
+from .fusion import init_fusion, reduce_dim, score_candidates
+from .numerics import ParamSource, Tensor, active_tape, concat_last, seeded
 from .text import Vocabulary, encode_text
 
 
@@ -159,7 +159,7 @@ class JaegerModel:
             feats.append(encode_question_bidir(ids, mask, self.bidir, self.bidir_cfg))
         if self.causal is not None:
             feats.append(encode_question_causal(ids, mask, self.causal, self.causal_cfg))
-        return concat_question_features(*feats) if len(feats) == 2 else feats[0]
+        return concat_last(*feats) if len(feats) == 2 else feats[0]
 
     def candidate_features(self, cands: EncodedCandidates) -> tuple[Tensor, Tensor]:
         """(content, visual) feature rows, one per candidate; no question enters them."""

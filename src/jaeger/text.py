@@ -64,11 +64,6 @@ class Vocabulary:
                 f.write(tok + "\n")
 
     @classmethod
-    def load(cls, path: str) -> "Vocabulary":
-        with open(path, "rb") as f:
-            return cls.parse(f.read(), path)
-
-    @classmethod
     def parse(cls, data: bytes, path: str) -> "Vocabulary":
         """A vocabulary from the bytes of a file written by save(); path names it in errors."""
         try:

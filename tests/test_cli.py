@@ -137,6 +137,21 @@ class TestTrainEvalPredict:
         assert "val_ema" not in run.stdout
         assert not ckpt.exists()
 
+    def test_non_finite_logits_without_a_validation_split_end_in_one_error_line(self, tmp_path):
+        """With no validation pass, the last batch is scored once after the final
+        step. The weights stay finite (below 1e30), so only the logits show it."""
+        corpus = str(tmp_path / "corpus.jsonl")
+        assert main(["gen-data", "--seed", "3", "--docs", "12", "--out", corpus]) == 0
+        config = tmp_path / "overflow.json"
+        config.write_text(json.dumps({"learning_rate": 1e30, "max_steps": 1,
+                                      "split_ratios": [1.0]}))
+        ckpt = tmp_path / "m.ckpt"
+        run = run_cli(["train", "--config", str(config), "--data", corpus, "--out", str(ckpt)])
+        assert run.returncode == 1
+        [line] = run.stderr.splitlines()
+        assert line.startswith("error: ") and "non-finite logits" in line
+        assert not ckpt.exists()
+
     @pytest.mark.parametrize("command", [
         ["eval", "--split", "test"],
         ["predict", "--question", "which elements are the children of the title?"],

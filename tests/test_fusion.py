@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from jaeger.errors import ContractError, ShapeError
-from jaeger.fusion import (concat_question_features, init_fusion, per_candidate_mult_count,
-                           predict_answer_set, reduce_dim, score_candidates)
+from jaeger.fusion import (init_fusion, per_candidate_mult_count, predict_answer_set, reduce_dim,
+                           score_candidates)
 from jaeger.numerics import Tensor, seeded
 from jaeger.rng import Xoshiro256
 
@@ -18,46 +18,25 @@ def random_features(seed: int, n: int, d_q=6, d_c=5, d_v=3):
     return q, content, visual
 
 
-class TestConcat:
-    def test_order_and_values(self):
-        got = concat_question_features(Tensor([1.0, 2.0]), Tensor([3.0])).data
-        np.testing.assert_array_equal(got, [1.0, 2.0, 3.0])
-
-    def test_width_adds(self):
-        a = Tensor(np.zeros(32, dtype=np.float32))
-        b = Tensor(np.zeros(48, dtype=np.float32))
-        assert concat_question_features(a, b).shape == (80,)
-
-    def test_halves_recoverable_bit_exactly(self):
-        rng = np.random.default_rng(0)
-        a = rng.normal(size=32).astype(np.float32)
-        b = rng.normal(size=48).astype(np.float32)
-        cat = concat_question_features(Tensor(a), Tensor(b)).data
-        np.testing.assert_array_equal(cat[:32], a)
-        np.testing.assert_array_equal(cat[32:], b)
-
-    def test_matrix_inputs_rejected(self):
-        with pytest.raises(ShapeError):
-            concat_question_features(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
-
-
 class TestReduce:
     def test_identity_weights_pass_through(self):
         params = init_fusion(4, 4, 5, 3, 8, seeded(0))
         params.reduce_w.data[:] = np.eye(4, dtype=np.float32)
         params.reduce_b.data[:] = 0.0
-        q = Tensor(np.array([1.0, -2.0, 3.0, 0.5], dtype=np.float32))
+        q = Tensor(np.array([[1.0, -2.0, 3.0, 0.5], [0.0, 4.0, -1.0, 2.0]], dtype=np.float32))
         np.testing.assert_array_equal(reduce_dim(q, params).data, q.data)
 
     def test_output_width(self):
         params = init_fusion(80, 32, 5, 3, 8, seeded(0))
-        out = reduce_dim(Tensor(np.zeros(80, dtype=np.float32)), params)
-        assert out.shape == (32,)
+        out = reduce_dim(Tensor(np.zeros((3, 80), dtype=np.float32)), params)
+        assert out.shape == (3, 32)
 
     def test_wrong_input_width_rejected(self):
+        """So is a (q,) vector: one question is a (1, q) stack."""
         params = init_fusion(80, 32, 5, 3, 8, seeded(0))
-        with pytest.raises(ShapeError):
-            reduce_dim(Tensor(np.zeros(79, dtype=np.float32)), params)
+        for shape in ((3, 79), (80,)):
+            with pytest.raises(ShapeError):
+                reduce_dim(Tensor(np.zeros(shape, dtype=np.float32)), params)
 
     def test_reduction_cuts_scorer_work(self):
         """Scoring from the reduced width must cost fewer multiplications."""

@@ -255,13 +255,10 @@ def content_records(widths: int, n_layers: int) -> int:
     A pass is the token and position lookups and their add, the bbox add,
     12 records per block (four projections, attention, two adds, two layer
     norms, two feed-forward linears and a relu) and the pooled mean. The
-    bbox projection comes first. One width reshapes it for its pass; several
-    widths gather and reshape each pass's rows, and a merge joins the passes.
+    bbox projection comes first, each width gathers and reshapes its rows of
+    it, and a merge joins the passes.
     """
-    one_pass = 4 + 12 * n_layers + 1
-    if widths == 1:
-        return 1 + 1 + one_pass
-    return 1 + widths * (2 + one_pass) + 1
+    return 1 + widths * (2 + 4 + 12 * n_layers + 1) + 1
 
 
 class TestForward:
@@ -328,12 +325,13 @@ class TestBatchedTrainStep:
         train_step(model, batch, 0.01, 0)
         assert swept == [one_forward + 1]
 
-    def test_an_affine_layer_is_one_record(self, monkeypatch):
-        """At the default widths a dual step records one linear per affine layer
-        and one attention per block."""
+    def _default_step_ops(self, monkeypatch, corpus, widths):
+        """The ops a dual step records at the default widths, on a first batch whose
+        elements span this many content widths."""
         cfg = TrainConfig(learning_rate=0.05)
-        corpus = small_corpus(n_docs=4)
         model = JaegerModel(cfg, build_vocab(corpus_texts(corpus)))
+        batch = encode_split(corpus, model.vocab, cfg)[:cfg.batch_size]
+        assert content_widths(EncodedCandidates.concat([s.candidates for s in batch])) == widths
         ops = []
 
         class CountingTape(Tape):
@@ -342,14 +340,28 @@ class TestBatchedTrainStep:
                 return super().backward(loss, params)
 
         monkeypatch.setattr("jaeger.harness.train.Tape", CountingTape)
-        train_step(model, encode_split(corpus, model.vocab, cfg)[:cfg.batch_size],
-                   cfg.learning_rate, 0)
+        train_step(model, batch, cfg.learning_rate, 0)
+        return cfg, ops
+
+    def test_an_affine_layer_is_one_record(self, monkeypatch):
+        """At the default widths a dual step records one linear per affine layer
+        and one attention per block."""
+        cfg, ops = self._default_step_ops(monkeypatch, small_corpus(n_docs=4), widths=1)
         blocks = 3 * cfg.n_layers  # bidir, causal and content encoders
         # Six per block (q, k, v, output, two feed-forward), the bbox injection,
         # the visual MLP's two, the reduction and the scorer's two layers.
         assert ops.count("linear") == 6 * blocks + 6 == 42
         assert ops.count("attention") == blocks == 6
         assert len(ops) == 103
+
+    def test_a_second_content_width_adds_one_content_pass(self, monkeypatch):
+        """3-page documents mix content widths 8 and 16: the content encoder runs
+        twice, each pass gathering its elements' rows, and one merge joins them."""
+        corpus = generate_corpus(5, 2, GenConfig(n_pages=3, elements_per_page=(8, 12)),
+                                 questions_per_doc=2)
+        cfg, ops = self._default_step_ops(monkeypatch, corpus, widths=2)
+        n_layers = cfg.n_layers
+        assert len(ops) == 103 + content_records(2, n_layers) - content_records(1, n_layers) == 134
 
     def test_each_question_gets_its_own_logits_bit_for_bit(self):
         model, batch = self._model_and_batch()

@@ -99,8 +99,9 @@ class TestConcat:
         np.testing.assert_array_equal(cat.data[:, 5:7], b)
 
     def test_leading_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            concat_last(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 3))))
+        for a, b in (((2, 3), (4, 3)), ((2, 3), (3,))):  # the second: a matrix and a vector
+            with pytest.raises(ShapeError):
+                concat_last(Tensor(np.zeros(a)), Tensor(np.zeros(b)))
 
     def test_gradients(self):
         rng = np.random.default_rng(5)

@@ -88,7 +88,7 @@ class TestVocabulary:
         vocab = build_vocab(["the quick brown fox", "the lazy dog"])
         path = tmp_path / "vocab.txt"
         vocab.save(path)
-        loaded = Vocabulary.load(path)
+        loaded = Vocabulary.parse(path.read_bytes(), str(path))
         assert loaded.tokens == vocab.tokens
         assert len(loaded) == len(vocab)
 
