@@ -71,11 +71,22 @@ class TrainConfig:
             raise ContractError(f"threshold must lie strictly in (0, 1), got {self.threshold}")
         if self.variant not in VARIANTS:
             raise ContractError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        for name in ("batch_size", "min_count", "max_question_len", "max_content_len",
-                     "d_bidir", "d_causal", "d_content", "d_visual", "d_vis_in",
-                     "d_reduced", "scorer_hidden", "n_heads", "n_layers", "ff_multiplier"):
+        for name in ("batch_size", "min_count", "d_bidir", "d_causal", "d_content",
+                     "d_visual", "d_vis_in", "d_reduced", "scorer_hidden", "n_heads",
+                     "n_layers", "ff_multiplier"):
             if getattr(self, name) < 1:
                 raise ContractError(f"{name} must be at least 1, got {getattr(self, name)}")
+        # Every encoded text holds CLS and SEP, and every encoder splits its
+        # width into n_heads equal heads; the encoders and encode_text check
+        # these too, but only here does the error name the config's file.
+        for name in ("max_question_len", "max_content_len"):
+            if getattr(self, name) < 2:
+                raise ContractError(f"{name} must be at least 2 to fit CLS and SEP, "
+                                    f"got {getattr(self, name)}")
+        for name in ("d_bidir", "d_causal", "d_content"):
+            if getattr(self, name) % self.n_heads:
+                raise ContractError(f"{name} {getattr(self, name)} is not divisible by "
+                                    f"n_heads {self.n_heads}")
         if self.max_steps is not None and self.max_steps < 1:
             raise ContractError(f"max_steps must be at least 1, got {self.max_steps}")
 

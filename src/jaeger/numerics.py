@@ -491,7 +491,7 @@ def seeded_init(shape: Sequence[int], scheme: str, seed: int, stream: str = "",
         b = xavier_bound(dims)
         gen = Xoshiro256(seed, stream)
         n = int(np.prod(dims)) if dims else 1
-        vals = np.array([gen.uniform(-b, b) for _ in range(n)], dtype=np.float64)
+        vals = gen.uniforms(n, -b, b)
         data = vals.reshape(dims).astype(dtype)
     else:
         raise ContractError(f"unknown init scheme {scheme!r}")

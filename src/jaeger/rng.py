@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from typing import Sequence, TypeVar
 
+import numpy as np
+
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -79,6 +81,30 @@ class Xoshiro256:
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.random()
+
+    def uniforms(self, n: int, lo: float, hi: float) -> np.ndarray:
+        """n float64 draws, bit-identical to n uniform(lo, hi) calls.
+
+        One loop over local words advances the state and keeps each
+        pre-step s1; the ** scrambler and the float conversion then run
+        as whole-array uint64 and float64 ops. The generator ends in the
+        same state as after the n per-draw calls.
+        """
+        s0, s1, s2, s3 = self._s
+        pre = [0] * n
+        for i in range(n):
+            pre[i] = s1
+            t = (s1 << 17) & _MASK64
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+        self._s = [s0, s1, s2, s3]
+        x = np.array(pre, dtype=np.uint64) * np.uint64(5)
+        x = ((x << np.uint64(7)) | (x >> np.uint64(57))) * np.uint64(9)
+        return lo + (hi - lo) * ((x >> np.uint64(11)).astype(np.float64) * 2.0**-53)
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n) without modulo bias."""

@@ -358,6 +358,24 @@ class TestBadJsonAtTheBoundary:
         assert code == 1
         assert err.startswith("error:") and message in err and "cfg.json" in err
 
+    @pytest.mark.parametrize("raw,message", [
+        ({"n_heads": 3}, "d_bidir 32 is not divisible by n_heads 3"),
+        ({"max_content_len": 1}, "max_content_len must be at least 2"),
+    ], ids=["heads-do-not-divide-width", "content-len-below-cls-sep"])
+    def test_range_fault_found_at_model_build_names_the_file(self, tmp_path, capsys,
+                                                             raw, message):
+        """Faults that only the model's encoders or the text encoder would
+        catch are refused with the config, so the error names its file."""
+        corpus = gen_corpus(tmp_path)
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(raw))
+        code = main(["train", "--config", str(config), "--data", corpus,
+                     "--out", str(tmp_path / "m.ckpt")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and message in err and "cfg.json" in err
+        assert not os.path.exists(tmp_path / "m.ckpt")
+
 
 class TestInvalidUtf8AtTheBoundary:
     """Bytes that are not UTF-8 end in `error:` naming the file, not a traceback."""

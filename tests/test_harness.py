@@ -28,7 +28,7 @@ from jaeger.fusion import predict_answer_set
 from jaeger.harness.ablate import ablate, format_ablation_table
 from jaeger.harness.checkpoint import (config_path, load_checkpoint, load_model,
                                        save_checkpoint, vocab_path)
-from jaeger.harness.gradcheck import format_gradcheck, run_gradcheck
+from jaeger.harness.gradcheck import format_gradcheck, run_gradcheck, tiny_gradcheck_config
 from jaeger.harness.metrics import ema
 from jaeger.harness.train import (_batch_loss, corpus_texts, encode_split, evaluate,
                                   evaluate_checkpoint, three_way_split, train, train_step)
@@ -835,6 +835,18 @@ class TestFreshInit:
                                           build_vocab(["alpha beta"])))
         with open(path, "rb") as f:
             assert hashlib.sha256(f.read()).hexdigest() == digest
+
+    def test_float64_fresh_tensors_are_pinned(self):
+        """The float32 pins above hide low-bit changes in the float64 draws
+        that gradcheck's model is built from; this digest covers every
+        tensor's float64 bytes, in registry order."""
+        model = JaegerModel(tiny_gradcheck_config(), build_vocab(["alpha beta"]),
+                            seeded(7, np.float64))
+        h = hashlib.sha256()
+        for p in model.named_parameters().values():
+            assert p.data.dtype == np.float64
+            h.update(p.data.tobytes())
+        assert h.hexdigest() == "7010d0bb0557f3b2b836809eab1ab0dd5c037c5d0b8b074780210fc66cfed924"
 
 
 class TestGradcheck:

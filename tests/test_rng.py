@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from jaeger.rng import Xoshiro256, derive_stream, splitmix64
@@ -100,3 +101,55 @@ class TestXoshiro:
         gen = Xoshiro256(17, "pick")
         seen = {gen.choice("abcd") for _ in range(200)}
         assert seen == set("abcd")
+
+    def test_known_answer_vector(self):
+        """xoshiro256** from the state [1, 2, 3, 4]. The first two outputs
+        follow by hand: rotl(2 * 5, 7) * 9 = 11520, and after one step s1
+        is 0."""
+        gen = Xoshiro256(0)
+        gen._s = [1, 2, 3, 4]
+        assert [gen.next_u64() for _ in range(4)] == [
+            11520, 0, 1509978240, 1215971899390074240]
+        gen._s = [1, 2, 3, 4]
+        expected = [(v >> 11) * 2.0**-53 for v in (11520, 0, 1509978240, 1215971899390074240)]
+        assert gen.uniforms(4, 0.0, 1.0).tolist() == expected
+
+
+class TestUniforms:
+    """uniforms(n, lo, hi) is n uniform(lo, hi) calls drawn in one pass."""
+
+    @staticmethod
+    def _pair(state=None):
+        a, b = Xoshiro256(7, "weights"), Xoshiro256(7, "weights")
+        if state is not None:
+            a._s, b._s = list(state), list(state)
+        return a, b
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 1000])
+    @pytest.mark.parametrize("lo,hi", [(-0.2886751345948129, 0.2886751345948129),
+                                       (1.0, 2.0), (0.0, 0.0)])
+    def test_matches_per_draw_calls_bit_for_bit(self, n, lo, hi):
+        batch, single = self._pair()
+        got = batch.uniforms(n, lo, hi)
+        want = np.array([single.uniform(lo, hi) for _ in range(n)], dtype=np.float64)
+        assert got.dtype == np.float64 and got.shape == (n,)
+        assert got.tobytes() == want.tobytes()
+        assert batch.next_u64() == single.next_u64()
+
+    def test_state_words_at_or_above_two_to_the_63_wrap(self):
+        """Every state word has its top bit set, so *5, the rotate and *9
+        all overflow 64 bits and must wrap exactly as next_u64 masks them."""
+        state = [(1 << 64) - 1, (1 << 63) | 0x9E3779B97F4A7C15, 1 << 63,
+                 (1 << 64) - 0x1234567]
+        batch, single = self._pair(state)
+        got = batch.uniforms(500, -1.5, 0.5)
+        want = np.array([single.uniform(-1.5, 0.5) for _ in range(500)])
+        assert got.tobytes() == want.tobytes()
+        assert batch._s == single._s
+        assert batch.next_u64() == single.next_u64()
+
+    def test_zero_draws_return_an_empty_float64_array(self):
+        gen, untouched = self._pair()
+        got = gen.uniforms(0, -1.0, 1.0)
+        assert got.dtype == np.float64 and got.shape == (0,)
+        assert gen._s == untouched._s
