@@ -1,7 +1,8 @@
 """Toy transformer encoders for questions, element content and visuals.
 
 Blocks are post-norm: self-attention, residual add, layer norm,
-feed-forward, residual add, layer norm. Attention masks PAD keys always
+feed-forward, residual add, layer norm, as four tape records
+(self_attention, residual_norm, feed_forward, residual_norm). Attention masks PAD keys always
 and future keys when the encoder is causal; masked scores are set to
 -inf before the softmax so masked weights are exactly zero, which makes
 causal and PAD invariance hold bit-for-bit.
@@ -15,8 +16,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .numerics import (ParamSource, Tensor, add, attention, embedding_lookup, layer_norm,
-                       linear, make_params, masked_mean_rows, merge_rows, relu, reshape)
+from .numerics import (ParamSource, Tensor, add, embedding_lookup, feed_forward, linear,
+                       make_params, masked_mean_rows, merge_rows, reshape, residual_norm,
+                       self_attention)
 from .text import embed_sequence
 
 
@@ -76,31 +78,21 @@ def attention_bias(mask: np.ndarray, causal: bool, dtype) -> np.ndarray:
     return np.where(visible, 0.0, -np.inf).astype(dtype)
 
 
-def multi_head_attention(x: Tensor, mask: np.ndarray, params: SimpleNamespace,
-                         cfg: EncoderConfig) -> Tensor:
-    """Masked scaled dot-product attention over all heads, then output projection.
-
-    x has shape (..., L, d_model); the q, k and v projections keep that shape
-    and numerics.attention splits them into heads.
-    """
-    q, k, v = (linear(x, w, b) for w, b in ((params.wq, params.bq), (params.wk, params.bk),
-                                            (params.wv, params.bv)))
-    # The mask gains a head axis of size 1, so one bias serves every head.
-    bias = attention_bias(np.asarray(mask)[..., None, :], cfg.causal, x.data.dtype)
-    return linear(attention(q, k, v, bias, cfg.n_heads), params.wo, params.bo)
-
-
-def transformer_block(x: Tensor, mask: np.ndarray, params: SimpleNamespace,
+def transformer_block(x: Tensor, bias: np.ndarray, params: SimpleNamespace,
                       cfg: EncoderConfig) -> Tensor:
-    """One post-norm block; preserves the (..., L, d_model) shape."""
+    """One post-norm block; preserves the (..., L, d_model) shape.
+
+    bias is the attention bias of the block's keys, with a head axis of size
+    1: attention_bias(mask[..., None, :], cfg.causal, dtype).
+    """
     if x.data.ndim < 2 or x.data.shape[-1] != cfg.d_model:
         raise ShapeError(f"block input {x.data.shape} does not match d_model {cfg.d_model}")
     if x.data.shape[-2] > cfg.max_seq:
         raise ContractError(f"sequence of {x.data.shape[-2]} exceeds max_seq {cfg.max_seq}")
-    attn = multi_head_attention(x, mask, params, cfg)
-    h = layer_norm(add(x, attn), params.ln1_g, params.ln1_b)
-    ff = linear(relu(linear(h, params.w1, params.b1)), params.w2, params.b2)
-    return layer_norm(add(h, ff), params.ln2_g, params.ln2_b)
+    p = params
+    attn = self_attention(x, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo, bias, cfg.n_heads)
+    h = residual_norm(x, attn, p.ln1_g, p.ln1_b)
+    return residual_norm(h, feed_forward(h, p.w1, p.b1, p.w2, p.b2), p.ln2_g, p.ln2_b)
 
 
 def run_blocks(ids, mask: np.ndarray, params: SimpleNamespace, cfg: EncoderConfig,
@@ -109,8 +101,10 @@ def run_blocks(ids, mask: np.ndarray, params: SimpleNamespace, cfg: EncoderConfi
     x = embed_sequence(ids, params.tok, params.pos)
     if extra is not None:
         x = add(x, extra)
+    # The mask gains a head axis of size 1, so one bias serves every head and block.
+    bias = attention_bias(np.asarray(mask)[..., None, :], cfg.causal, x.data.dtype)
     for blk in params.blocks:
-        x = transformer_block(x, mask, blk, cfg)
+        x = transformer_block(x, bias, blk, cfg)
     return x
 
 
@@ -181,7 +175,7 @@ def encode_content(ids, mask: np.ndarray, bbox, params: SimpleNamespace,
     if degenerate.any():
         raise ContractError(f"degenerate bbox {tuple(box[degenerate][0].tolist())}")
     dtype = params.bbox_w.data.dtype
-    proj = linear(Tensor(box.reshape(-1, 4).astype(dtype)), params.bbox_w, params.bbox_b)
+    proj = linear(box.reshape(-1, 4).astype(dtype), params.bbox_w, params.bbox_b)
     mask = np.asarray(mask)
     if mask.shape != ids.shape:
         raise ShapeError(f"mask shape {mask.shape} does not match ids shape {ids.shape}")
@@ -210,9 +204,8 @@ def init_visual(d_in: int, d_hidden: int, d_out: int, make: ParamSource,
 
 def encode_visual(descriptor, params: SimpleNamespace) -> Tensor:
     """relu affine then affine, mapping (..., d_in) raw descriptors to d_v."""
-    dtype = params.w1.data.dtype
-    x = Tensor(np.asarray(descriptor, dtype=dtype))
-    if x.data.ndim == 0 or x.data.shape[-1] != params.w1.data.shape[0]:
+    x = np.asarray(descriptor, dtype=params.w1.data.dtype)
+    if x.ndim == 0 or x.shape[-1] != params.w1.data.shape[0]:
         raise ShapeError(
-            f"descriptor shape {x.data.shape} does not match input width {params.w1.data.shape[0]}")
-    return linear(relu(linear(x, params.w1, params.b1)), params.w2, params.b2)
+            f"descriptor shape {x.shape} does not match input width {params.w1.data.shape[0]}")
+    return feed_forward(x, params.w1, params.b1, params.w2, params.b2)

@@ -15,8 +15,8 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .numerics import (ParamSource, Tensor, concat_last, embedding_lookup, linear, make_params,
-                       relu, reshape, _sigmoid)
+from .numerics import (ParamSource, Tensor, concat_last, embedding_lookup, feed_forward, linear,
+                       make_params, reshape, _sigmoid)
 
 
 def init_fusion(q_width: int, d_reduced: int, d_content: int, d_visual: int,
@@ -61,8 +61,7 @@ def score_candidates(qreduced: Tensor, content_feats: Tensor, visual_feats: Tens
     width = qreduced.data.shape[-1]
     questions = reshape(qreduced, (qreduced.data.size // width, width))
     f = concat_last(concat_last(embedding_lookup(questions, rows), content_feats), visual_feats)
-    h = relu(linear(f, params.score_w1, params.score_b1))
-    return linear(h, params.score_w2, params.score_b2)
+    return feed_forward(f, params.score_w1, params.score_b1, params.score_w2, params.score_b2)
 
 
 def predict_answer_set(logits, threshold: float = 0.5) -> set[int]:

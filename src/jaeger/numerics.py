@@ -61,7 +61,7 @@ class Tensor:
     def item(self) -> float:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single value, got shape {self.shape}")
-        return float(self.data)
+        return float(self.data.reshape(()))
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype})"
@@ -133,6 +133,8 @@ class Tape:
             if g is None:
                 continue
             for tid, gin in zip(rec.input_ids, rec.backward_fn(g)):
+                if gin is None:  # a constant input
+                    continue
                 acc = grads.get(tid)
                 grads[tid] = gin if acc is None else acc + gin
         for p in params:
@@ -140,19 +142,28 @@ class Tape:
             p.grad = np.zeros_like(p.data) if g is None else np.asarray(g, dtype=p.data.dtype)
 
 
-def _check_dtypes(op: str, *ts: Tensor) -> None:
-    first = ts[0].data.dtype
+def _data(t: Tensor | Array) -> Array:
+    """A tensor's values, or a constant input's own array."""
+    return t.data if isinstance(t, Tensor) else t
+
+
+def _check_dtypes(op: str, *ts: Tensor | Array) -> None:
+    first = _data(ts[0]).dtype
     for t in ts[1:]:
-        if t.data.dtype != first:
-            raise ContractError(f"{op}: mixed dtypes {first} and {t.data.dtype}")
+        if _data(t).dtype != first:
+            raise ContractError(f"{op}: mixed dtypes {first} and {_data(t).dtype}")
 
 
-def _emit(op: str, inputs: tuple[Tensor, ...], out_data: Array, backward_fn) -> Tensor:
-    """Wrap an op's output; while a tape is active, record the op on it."""
+def _emit(op: str, inputs: tuple[Tensor | Array, ...], out_data: Array, backward_fn) -> Tensor:
+    """Wrap an op's output; while a tape is active, record the op on it.
+
+    An input that is a plain array is a constant: it gets no node id (-1),
+    and backward_fn returns None in its place instead of computing a gradient.
+    """
     out = Tensor(out_data)
     tape = active_tape()
     if tape is not None:
-        ids = tuple(tape.node_id(t) for t in inputs)
+        ids = tuple(tape.node_id(t) if isinstance(t, Tensor) else -1 for t in inputs)
         tape.records.append(TapeRecord(op, ids, tape.node_id(out), backward_fn))
     return out
 
@@ -275,42 +286,6 @@ def sum_all(x: Tensor) -> Tensor:
     return _emit("sum_all", (x,), np.asarray(x.data.sum(), dtype=x.data.dtype), bwd)
 
 
-def relu(x: Tensor) -> Tensor:
-    """max(x, 0); the gradient at exactly 0 is 0."""
-    pos = x.data > 0
-
-    def bwd(g: Array):
-        return (g * pos,)
-
-    return _emit("relu", (x,), np.maximum(x.data, 0), bwd)
-
-
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean and unit variance, then scale and shift.
-
-    Uses population variance; eps is fixed by callers at 1e-5.
-    """
-    _check_dtypes("layer_norm", x, gamma, beta)
-    d = x.data.shape[-1]
-    if gamma.data.shape != (d,) or beta.data.shape != (d,):
-        raise ShapeError(
-            f"layer_norm params {gamma.data.shape}/{beta.data.shape} do not match width {d}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
-    xhat = xc * inv
-    out = xhat * gamma.data + beta.data
-
-    def bwd(g: Array):
-        dxhat = g * gamma.data
-        gx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-        return gx, _sum_to(g * xhat, gamma.data.shape), _sum_to(g, beta.data.shape)
-
-    return _emit("layer_norm", (x, gamma, beta), out, bwd)
-
-
 def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Gather rows of an embedding table for ids of any shape; backward scatter-adds."""
     idx = np.asarray(ids, dtype=np.int64)
@@ -368,32 +343,112 @@ def bce_with_logits(logits: Tensor, targets, weights=None) -> Tensor:
     return _emit("bce_with_logits", (logits,), np.asarray(loss, dtype=z.dtype), bwd)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """Affine map x @ w + b as one tape record, over (..., d) rows with a (d, k)
-    weight and a (k,) bias or a (d,) weight and a () bias.
+def _check_affine(op: str, x_shape: tuple[int, ...], wd: Array, bd: Array) -> None:
+    if not x_shape or wd.ndim not in (1, 2) or x_shape[-1] != wd.shape[0] \
+            or bd.shape != wd.shape[1:]:
+        raise ShapeError(f"{op} needs (..., d) rows, a (d, k) weight and a (k,) bias "
+                         f"or a (d,) weight and a () bias, got {x_shape}, {wd.shape} "
+                         f"and {bd.shape}")
+
+
+def _affine(xd: Array, wd: Array, bd: Array) -> Array:
+    """x @ w + b over (..., d) rows, with a (d, k) weight and a (k,) bias or a (d,)
+    weight and a () bias; the affine rule linear, feed_forward and self_attention share.
 
     A matrix x goes through as a stack of (1, d) rows: BLAS picks its kernel
     from the row count (a single row takes GEMV), so a whole-matrix product
     would round a row differently depending on how many rows share the call.
-    The backward pass flattens the leading axes into rows, so each gradient
-    is one product or one sum over all of them.
+    """
+    out = np.matmul(xd[:, None, :], wd)[:, 0] if xd.ndim == 2 else np.matmul(xd, wd)
+    out += bd
+    return out
+
+
+def _affine_grads(g: Array, xd: Array, wd: Array, need_x: bool = True):
+    """The x, w and b gradients of _affine for upstream g; None for x when it is a constant.
+
+    The leading axes flatten into rows, so each gradient is one product or
+    one sum over all of them.
+    """
+    w2 = wd.reshape(len(wd), -1)  # a (d,) weight as a (d, 1) matrix
+    g2 = g.reshape(-1, w2.shape[1])
+    gx = (g2 @ w2.T).reshape(xd.shape) if need_x else None
+    return (gx, (xd.reshape(-1, len(wd)).T @ g2).reshape(wd.shape),
+            g2.sum(axis=0).reshape(wd.shape[1:]))
+
+
+def linear(x: Tensor | Array, w: Tensor, b: Tensor) -> Tensor:
+    """Affine map x @ w + b as one tape record, over (..., d) rows with a (d, k)
+    weight and a (k,) bias or a (d,) weight and a () bias; see _affine.
+
+    x may be a plain array, a constant that gets no gradient.
     """
     _check_dtypes("linear", x, w, b)
-    xd, wd, bd = x.data, w.data, b.data
-    if xd.ndim == 0 or wd.ndim not in (1, 2) or xd.shape[-1] != wd.shape[0] \
-            or bd.shape != wd.shape[1:]:
-        raise ShapeError(f"linear needs (..., d) rows, a (d, k) weight and a (k,) bias "
-                         f"or a (d,) weight and a () bias, got {xd.shape}, {wd.shape} "
-                         f"and {bd.shape}")
+    xd, wd = _data(x), w.data
+    _check_affine("linear", xd.shape, wd, b.data)
 
     def bwd(g: Array):
-        w2 = wd.reshape(len(wd), -1)  # a (d,) weight as a (d, 1) matrix
-        rows, g2 = xd.reshape(-1, len(wd)), g.reshape(-1, w2.shape[1])
-        return ((g2 @ w2.T).reshape(xd.shape), (rows.T @ g2).reshape(wd.shape),
-                g2.sum(axis=0).reshape(bd.shape))
+        return _affine_grads(g, xd, wd, isinstance(x, Tensor))
 
-    out = np.matmul(xd[:, None, :], wd)[:, 0] if xd.ndim == 2 else np.matmul(xd, wd)
-    return _emit("linear", (x, w, b), out + bd, bwd)
+    return _emit("linear", (x, w, b), _affine(xd, wd, b.data), bwd)
+
+
+def feed_forward(x: Tensor | Array, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """relu(x @ w1 + b1) @ w2 + b2 as one tape record: two _affine layers around a relu.
+
+    w1 is (d, f); w2 is (f, k) with a (k,) bias, or (f,) with a () bias for
+    one value per row. x may be a plain array, a constant that gets no
+    gradient. The relu's gradient at exactly 0 is 0.
+    """
+    _check_dtypes("feed_forward", x, w1, b1, w2, b2)
+    xd = _data(x)
+    if w1.data.ndim != 2:
+        raise ShapeError(f"feed_forward needs a (d, f) first weight, got {w1.data.shape}")
+    _check_affine("feed_forward", xd.shape, w1.data, b1.data)
+    _check_affine("feed_forward", xd.shape[:-1] + w1.data.shape[1:], w2.data, b2.data)
+    h = _affine(xd, w1.data, b1.data)
+    np.maximum(h, 0, out=h)
+
+    def bwd(g: Array):
+        gh, gw2, gb2 = _affine_grads(g, h, w2.data)
+        gh *= h > 0
+        return (*_affine_grads(gh, xd, w1.data, isinstance(x, Tensor)), gw2, gb2)
+
+    return _emit("feed_forward", (x, w1, b1, w2, b2), _affine(h, w2.data, b2.data), bwd)
+
+
+def residual_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor,
+                  eps: float = 1e-5) -> Tensor:
+    """layer_norm(x + y) as one tape record: a block's residual add and its norm.
+
+    The sum's last axis is normalized to zero mean and unit population
+    variance, then scaled by gamma and shifted by beta; eps is fixed by
+    callers at 1e-5. x and y get the same gradient.
+    """
+    _check_dtypes("residual_norm", x, y, gamma, beta)
+    d = x.data.shape[-1] if x.data.ndim else 0
+    if y.data.shape != x.data.shape or gamma.data.shape != (d,) or beta.data.shape != (d,):
+        raise ShapeError(f"residual_norm needs equal (..., d) x and y and (d,) gamma and beta, "
+                         f"got {x.data.shape}, {y.data.shape}, {gamma.data.shape} and "
+                         f"{beta.data.shape}")
+    xhat = x.data + y.data
+    xhat -= xhat.mean(axis=-1, keepdims=True)
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
+    xhat *= inv
+    out = xhat * gamma.data
+    out += beta.data
+
+    def bwd(g: Array):
+        dxhat = g * gamma.data
+        t = dxhat * xhat
+        m1, m2 = dxhat.mean(axis=-1, keepdims=True), t.mean(axis=-1, keepdims=True)
+        dxhat -= m1
+        dxhat -= np.multiply(xhat, m2, out=t)
+        dxhat *= inv
+        return dxhat, dxhat, _sum_to(g * xhat, gamma.data.shape), _sum_to(g, beta.data.shape)
+
+    return _emit("residual_norm", (x, y, gamma, beta), out, bwd)
 
 
 def softmax_in_place(s: Array) -> Array:
@@ -408,34 +463,43 @@ def softmax_in_place(s: Array) -> Array:
     return s
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, bias: Array, n_heads: int) -> Tensor:
-    """Multi-head scaled dot-product attention, (..., L, d) projections in and out, as one record.
+def self_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor, wv: Tensor,
+                   bv: Tensor, wo: Tensor, bo: Tensor, bias: Array, n_heads: int) -> Tensor:
+    """Multi-head scaled dot-product self-attention over (..., L, d) rows, output
+    projection included, as one record.
 
-    Each projection is split into n_heads heads of width d_head = d / n_heads;
-    per head the weights are softmax(q·kᵀ / √d_head + bias) and the context is
-    weights·v, and the heads are merged back. bias broadcasts against the
-    (..., n_heads, L, L) scores: 0 for a visible key, -inf for a masked one,
-    which gets a weight of exactly 0.
+    q, k and v come from one _affine product with a (d, 3d) weight, the three
+    weights concatenated on each call, so each stays a parameter of its own.
+    Each is split into n_heads heads of width d_head = d / n_heads; per head
+    the weights are softmax(q·kᵀ / √d_head + bias) and the context is
+    weights·v. The merged heads go through the wo, bo projection. bias
+    broadcasts against the (..., n_heads, L, L) scores: 0 for a visible key,
+    -inf for a masked one, which gets a weight of exactly 0.
 
-    Temporaries are updated in place and each input gradient is merged as
-    soon as it exists, so few (..., L, L) arrays are alive at once.
+    The backward fills one (..., L, 3d) gradient for q, k and v, so x's
+    gradient is one product and so are the three weights'. Temporaries are
+    updated in place, so few (..., L, L) arrays are alive at once.
     """
-    _check_dtypes("attention", q, k, v)
-    shape = q.data.shape
-    if k.data.shape != shape or v.data.shape != shape or len(shape) < 2 \
-            or shape[-1] % n_heads:
-        raise ShapeError(f"attention needs equal (..., L, d) q, k and v with d divisible by "
-                         f"{n_heads} heads, got {shape}, {k.data.shape} and {v.data.shape}")
-    split = (*shape[:-1], n_heads, shape[-1] // n_heads)
+    params = (wq, bq, wk, bk, wv, bv, wo, bo)
+    _check_dtypes("self_attention", x, *params)
+    shape = x.data.shape
+    d = shape[-1] if shape else 0
+    if len(shape) < 2 or d % n_heads or any(p.data.shape != ((d, d), (d,))[i % 2]
+                                            for i, p in enumerate(params)):
+        raise ShapeError(f"self_attention needs (..., L, d) rows with d divisible by {n_heads} "
+                         f"heads, (d, d) weights and (d,) biases, got {shape} and "
+                         f"{[p.data.shape for p in params]}")
+    wqkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
+    qkv = _affine(x.data, wqkv, np.concatenate([bq.data, bk.data, bv.data]))
+    split = (*shape[:-1], 3, n_heads, d // n_heads)
 
-    def heads(a: Array) -> Array:
-        return a.reshape(split).swapaxes(-3, -2)
+    def heads(a: Array) -> tuple[Array, ...]:
+        """q, k and v of a (..., L, 3d) array as (..., n_heads, L, d_head) views."""
+        parts = a.reshape(split)
+        return tuple(parts[..., i, :, :].swapaxes(-3, -2) for i in range(3))
 
-    def merge(a: Array) -> Array:
-        return a.swapaxes(-3, -2).reshape(shape)
-
-    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
-    c = q.data.dtype.type(1.0 / math.sqrt(split[-1]))
+    qh, kh, vh = heads(qkv)
+    c = x.data.dtype.type(1.0 / math.sqrt(split[-1]))
     y = np.matmul(qh, kh.swapaxes(-2, -1))
     y *= c
     try:
@@ -443,18 +507,25 @@ def attention(q: Tensor, k: Tensor, v: Tensor, bias: Array, n_heads: int) -> Ten
     except ValueError:
         raise ShapeError(f"attention bias {np.shape(bias)} does not fit scores {y.shape}") from None
     softmax_in_place(y)
+    ctx = np.matmul(y, vh).swapaxes(-3, -2).reshape(shape)
 
     def bwd(g: Array):
-        gh = heads(g)
-        gv = merge(np.matmul(y.swapaxes(-1, -2), gh))
+        gctx, gwo, gbo = _affine_grads(g, ctx, wo.data)
+        gh = gctx.reshape(split[:-3] + split[-2:]).swapaxes(-3, -2)
+        gqkv = np.empty_like(qkv)
+        gq, gk, gv = heads(gqkv)
+        gv[...] = np.matmul(y.swapaxes(-1, -2), gh)
         gs = np.matmul(gh, vh.swapaxes(-1, -2))
         gs -= (gs * y).sum(axis=-1, keepdims=True)
         gs *= y
         gs *= c
-        gk = merge(np.matmul(qh.swapaxes(-1, -2), gs).swapaxes(-2, -1))
-        return merge(np.matmul(gs, kh)), gk, gv
+        gk[...] = np.matmul(qh.swapaxes(-1, -2), gs).swapaxes(-2, -1)
+        gq[...] = np.matmul(gs, kh)
+        gx, gw, gb = _affine_grads(gqkv, x.data, wqkv)
+        pairs = zip(np.split(gw, 3, axis=1), np.split(gb, 3))
+        return (gx, *(a for pair in pairs for a in pair), gwo, gbo)
 
-    return _emit("attention", (q, k, v), merge(np.matmul(y, vh)), bwd)
+    return _emit("self_attention", (x, *params), _affine(ctx, wo.data, bo.data), bwd)
 
 
 def sgd_step(params: Sequence[Tensor], learning_rate: float) -> None:

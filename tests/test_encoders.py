@@ -5,11 +5,11 @@ import pytest
 
 from jaeger.encoders import (WIDTH_STEP, EncoderConfig, attention_bias, encode_content,
                              encode_question_bidir, encode_question_causal, encode_visual,
-                             init_block, init_content, init_encoder, init_visual,
-                             multi_head_attention, run_blocks, transformer_block)
+                             init_block, init_content, init_encoder, init_visual, run_blocks,
+                             transformer_block)
 from jaeger.errors import ContractError, ShapeError
 from jaeger.numerics import (Tape, Tensor, linear, masked_mean_rows, mul, reshape, seeded,
-                             sum_all)
+                             self_attention, sum_all)
 from jaeger.text import build_vocab, encode_text
 
 from fdcheck import assert_grads_match
@@ -17,6 +17,17 @@ from fdcheck import assert_grads_match
 CFG = EncoderConfig(d_model=8, n_heads=2, n_layers=2, d_ff=16, max_seq=16)
 CAUSAL_CFG = EncoderConfig(d_model=8, n_heads=2, n_layers=2, d_ff=16, max_seq=16, causal=True)
 VOCAB = build_vocab(["a study of soil and rain", "what is the parent of beta"])
+
+
+def block_bias(mask, causal=False, dtype=np.float32) -> np.ndarray:
+    """The bias run_blocks gives each block: attention_bias with a head axis of size 1."""
+    return attention_bias(np.asarray(mask)[..., None, :], causal, dtype)
+
+
+def block_attention(x, bias, blk, cfg):
+    """A block's self_attention sublayer."""
+    return self_attention(x, blk.wq, blk.bq, blk.wk, blk.bk, blk.wv, blk.bv, blk.wo, blk.bo,
+                          bias, cfg.n_heads)
 
 
 class TestEncoderConfig:
@@ -55,23 +66,25 @@ class TestAttention:
         blk = init_block(cfg, seeded(3), prefix="t")
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(1, 8)).astype(np.float32))
-        got = multi_head_attention(x, np.array([True]), blk, cfg).data
+        got = block_attention(x, block_bias([True]), blk, cfg).data
         want = linear(linear(x, blk.wv, blk.bv), blk.wo, blk.bo).data
         np.testing.assert_array_equal(got, want)
 
-    def test_four_projections_around_one_attention_record(self):
-        """The mask bias is a plain array, so no record takes it as an input."""
+    def test_a_block_is_four_records(self):
+        """self_attention takes x and the four projections' weights; the mask bias is a
+        plain array, so no record takes it as an input."""
         blk = init_block(CFG, seeded(1), prefix="t")
         x = Tensor(np.zeros((2, 5, 8), dtype=np.float32))
         with Tape() as tape:
-            multi_head_attention(x, np.ones((2, 5), dtype=bool), blk, CFG)
+            transformer_block(x, block_bias(np.ones((2, 5), dtype=bool)), blk, CFG)
         assert [(r.op, len(r.input_ids)) for r in tape.records] == \
-            [("linear", 3)] * 3 + [("attention", 3), ("linear", 3)]
+            [("self_attention", 9), ("residual_norm", 4), ("feed_forward", 5),
+             ("residual_norm", 4)]
 
     def test_output_shape(self):
         blk = init_block(CFG, seeded(1), prefix="t")
         x = Tensor(np.zeros((5, 8), dtype=np.float32))
-        out = multi_head_attention(x, np.ones(5, dtype=bool), blk, CFG)
+        out = block_attention(x, block_bias(np.ones(5, dtype=bool)), blk, CFG)
         assert out.shape == (5, 8)
 
     def test_gradients_through_block(self):
@@ -79,11 +92,11 @@ class TestAttention:
         blk = init_block(cfg, seeded(11, np.float64), prefix="g")
         rng = np.random.default_rng(1)
         x = Tensor(rng.normal(size=(3, 4)), dtype=np.float64)
-        mask = np.array([True, True, False])
+        bias = block_bias(np.array([True, True, False]), dtype=np.float64)
         w = Tensor(rng.normal(size=(3, 4)), dtype=np.float64)
         params = [x] + list(vars(blk).values())
         assert_grads_match(params,
-                           lambda: sum_all(mul(transformer_block(x, mask, blk, cfg), w)),
+                           lambda: sum_all(mul(transformer_block(x, bias, blk, cfg), w)),
                            tol=1e-4)
 
 
@@ -92,21 +105,21 @@ class TestTransformerBlock:
         blk = init_block(CFG, seeded(2), prefix="t")
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(size=(6, 8)).astype(np.float32))
-        out = transformer_block(x, np.ones(6, dtype=bool), blk, CFG)
+        out = transformer_block(x, block_bias(np.ones(6, dtype=bool)), blk, CFG)
         assert out.shape == (6, 8)
 
     def test_wrong_width_rejected(self):
         blk = init_block(CFG, seeded(2), prefix="t")
         with pytest.raises(ShapeError):
             transformer_block(Tensor(np.zeros((3, 4), dtype=np.float32)),
-                              np.ones(3, dtype=bool), blk, CFG)
+                              block_bias(np.ones(3, dtype=bool)), blk, CFG)
 
     def test_sequence_over_max_rejected(self):
         cfg = EncoderConfig(d_model=8, n_heads=2, n_layers=1, d_ff=16, max_seq=4)
         blk = init_block(cfg, seeded(2), prefix="t")
         with pytest.raises(ContractError):
             transformer_block(Tensor(np.zeros((5, 8), dtype=np.float32)),
-                              np.ones(5, dtype=bool), blk, cfg)
+                              block_bias(np.ones(5, dtype=bool)), blk, cfg)
 
 
 class TestQuestionEncoders:

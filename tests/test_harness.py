@@ -253,12 +253,12 @@ def content_records(widths: int, n_layers: int) -> int:
     """Records of one encode_content call whose elements span this many widths.
 
     A pass is the token and position lookups and their add, the bbox add,
-    12 records per block (four projections, attention, two adds, two layer
-    norms, two feed-forward linears and a relu) and the pooled mean. The
+    4 records per block (self_attention, residual_norm, feed_forward,
+    residual_norm) and the pooled mean. The
     bbox projection comes first, each width gathers and reshapes its rows of
     it, and a merge joins the passes.
     """
-    return 1 + widths * (2 + 4 + 12 * n_layers + 1) + 1
+    return 1 + widths * (2 + 4 + 4 * n_layers + 1) + 1
 
 
 class TestForward:
@@ -325,6 +325,26 @@ class TestBatchedTrainStep:
         train_step(model, batch, 0.01, 0)
         assert swept == [one_forward + 1]
 
+    def test_constant_inputs_are_not_on_the_tape(self, monkeypatch):
+        """The bbox and visual descriptor arrays enter their layers as constants:
+        every leaf on the step's tape is a parameter, so no gradient is computed
+        for them."""
+        model, batch = self._model_and_batch()
+        seen = {}
+
+        class LeafTape(Tape):
+            def backward(self, loss, params):
+                ids = {i for rec in self.records for i in rec.input_ids}
+                seen["leaves"] = ids - {rec.output_id for rec in self.records}
+                seen["params"] = {p._tid for p in params if p._tape is self}
+                seen["constants"] = [rec.op for rec in self.records if -1 in rec.input_ids]
+                return super().backward(loss, params)
+
+        monkeypatch.setattr("jaeger.harness.train.Tape", LeafTape)
+        train_step(model, batch, 0.01, 0)
+        assert seen["leaves"] - {-1} <= seen["params"]
+        assert seen["constants"] == ["linear", "feed_forward"]  # the bbox, the descriptors
+
     def _default_step_ops(self, monkeypatch, corpus, widths):
         """The ops a dual step records at the default widths, on a first batch whose
         elements span this many content widths."""
@@ -344,15 +364,16 @@ class TestBatchedTrainStep:
         return cfg, ops
 
     def test_an_affine_layer_is_one_record(self, monkeypatch):
-        """At the default widths a dual step records one linear per affine layer
-        and one attention per block."""
+        """At the default widths a dual step records one op per sublayer: a block
+        is self_attention, residual_norm, feed_forward, residual_norm."""
         cfg, ops = self._default_step_ops(monkeypatch, small_corpus(n_docs=4), widths=1)
         blocks = 3 * cfg.n_layers  # bidir, causal and content encoders
-        # Six per block (q, k, v, output, two feed-forward), the bbox injection,
-        # the visual MLP's two, the reduction and the scorer's two layers.
-        assert ops.count("linear") == 6 * blocks + 6 == 42
-        assert ops.count("attention") == blocks == 6
-        assert len(ops) == 103
+        assert ops.count("self_attention") == blocks == 6
+        assert ops.count("residual_norm") == 2 * blocks
+        # One per block, the visual MLP and the scorer.
+        assert ops.count("feed_forward") == blocks + 2 == 8
+        assert ops.count("linear") == 2  # the bbox injection and the reduction
+        assert len(ops) == 51
 
     def test_a_second_content_width_adds_one_content_pass(self, monkeypatch):
         """3-page documents mix content widths 8 and 16: the content encoder runs
@@ -361,7 +382,7 @@ class TestBatchedTrainStep:
                                  questions_per_doc=2)
         cfg, ops = self._default_step_ops(monkeypatch, corpus, widths=2)
         n_layers = cfg.n_layers
-        assert len(ops) == 103 + content_records(2, n_layers) - content_records(1, n_layers) == 134
+        assert len(ops) == 51 + content_records(2, n_layers) - content_records(1, n_layers) == 66
 
     def test_each_question_gets_its_own_logits_bit_for_bit(self):
         model, batch = self._model_and_batch()

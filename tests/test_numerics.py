@@ -7,12 +7,13 @@ import pytest
 
 from jaeger.encoders import attention_bias
 from jaeger.errors import ContractError, IndexOutOfRange, ShapeError
-from jaeger.numerics import (Tape, Tensor, _emit, add, attention, bce_with_logits,
-                             concat_last, embedding_lookup, layer_norm, linear,
-                             masked_mean_rows, merge_rows, mul, relu, reshape,
-                             seeded_init, sgd_step, softmax_in_place, sum_all, xavier_bound)
+from jaeger.numerics import (Tape, Tensor, _emit, add, bce_with_logits, concat_last,
+                             embedding_lookup, feed_forward, linear, masked_mean_rows,
+                             merge_rows, mul, reshape, residual_norm, seeded_init,
+                             self_attention, sgd_step, softmax_in_place, sum_all,
+                             xavier_bound)
 
-from fdcheck import assert_grads_match, random_param
+from fdcheck import assert_grads_match, finite_difference, random_param
 
 
 def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -26,6 +27,17 @@ def naive_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             for t in range(k):
                 out[i, j] += a[i, t] * b[t, j]
     return out
+
+
+class TestTensor:
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+    def test_item_of_one_value_in_any_shape(self, shape):
+        got = Tensor(np.full(shape, 2.5, dtype=np.float32)).item()
+        assert type(got) is float and got == 2.5
+
+    def test_item_needs_one_value(self):
+        with pytest.raises(ShapeError):
+            Tensor(np.zeros(2)).item()
 
 
 class TestMatmul:
@@ -112,7 +124,7 @@ class TestConcat:
 
 
 class TestSoftmax:
-    """softmax_in_place, the softmax attention computes its weights with."""
+    """softmax_in_place, the softmax self_attention computes its weights with."""
 
     def test_uniform_row(self):
         got = softmax_in_place(np.array([0.0, 0.0, 0.0]))
@@ -144,13 +156,25 @@ class TestSoftmax:
         np.testing.assert_allclose(got.sum(), 1.0, rtol=1e-12)
 
     def test_gradients(self):
-        """The closed-form softmax gradient, which attention's backward applies to q and k."""
+        """The closed-form softmax gradient, which self_attention's backward applies to
+        its scores, reaching x through q and k."""
         rng = np.random.default_rng(8)
-        q, k = random_param(rng, 3, 5, 4), random_param(rng, 3, 5, 4)
-        v = Tensor(rng.normal(size=(3, 5, 4)), dtype=np.float64)
+        x = random_param(rng, 3, 5, 4)
+        p = {name: Tensor(a) for name, a in attention_weights(rng, 4, np.float64).items()}
+        wq, wk = p["wq"], p["wk"]
         w = Tensor(rng.normal(size=(3, 5, 4)), dtype=np.float64)
         bias = np.zeros((3, 1, 5, 5))
-        assert_grads_match([q, k], lambda: sum_all(mul(attention(q, k, v, bias, 2), w)))
+        assert_grads_match([x, wq, wk], lambda: sum_all(mul(
+            self_attention(x, *(p[n] for n in ATTENTION_PARAMS), bias, 2), w)))
+
+
+ATTENTION_PARAMS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+
+
+def attention_weights(rng: np.random.Generator, d: int, dtype) -> dict:
+    """Random (d, d) weights and (d,) biases for self_attention, by parameter name."""
+    return {name: (rng.normal(size=(d, d) if name[0] == "w" else d) / np.sqrt(d)).astype(dtype)
+            for name in ATTENTION_PARAMS}
 
 
 def attention_mask_bias(keys: np.ndarray, causal: bool, dtype) -> np.ndarray:
@@ -158,158 +182,269 @@ def attention_mask_bias(keys: np.ndarray, causal: bool, dtype) -> np.ndarray:
     return attention_bias(keys[..., None, :], causal, dtype)
 
 
-def composed_attention(q, k, v, bias, n_heads, g):
-    """Output and q, k, v gradients of attention, written out as its separate steps.
+def rows_times(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a @ w as every affine layer computes it: a matrix one row at a time, a stack at once."""
+    return np.concatenate([a[i:i + 1] @ w for i in range(len(a))]) if a.ndim == 2 else a @ w
 
-    Forward: head split, q·kᵀ, scale by 1/√d_head, bias add, max-shifted
-    softmax, product with v, head merge. Backward: each step's own rule in
-    reverse, with the upstream gradient g of the merged output.
+
+def composed_attention(x, p, bias, n_heads, g):
+    """Output and input gradients of self_attention, written out as its separate steps.
+
+    Forward: the q, k and v products, head split, q·kᵀ, scale by 1/√d_head,
+    bias add, max-shifted softmax, product with v, head merge and the output
+    product. Backward: each step's own rule in reverse, with the upstream
+    gradient g of the output; q, k and v's gradients are joined into one
+    (..., L, 3d) array that goes back through the concatenated weights as
+    one product.
     """
-    shape = q.shape
-    split = (*shape[:-1], n_heads, shape[-1] // n_heads)
+    shape, d = x.shape, x.shape[-1]
+    split = (*shape[:-1], n_heads, d // n_heads)
+    q, k, v = (rows_times(x, p["w" + n]) + p["b" + n] for n in "qkv")
     qh, kh, vh = (a.reshape(split).swapaxes(-3, -2) for a in (q, k, v))
     kt = kh.swapaxes(-2, -1)
-    c = q.dtype.type(1.0 / np.sqrt(split[-1]))
+    c = x.dtype.type(1.0 / np.sqrt(split[-1]))
     scores = np.matmul(qh, kt) * c + bias
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     y = e / e.sum(axis=-1, keepdims=True)
-    ctx = np.matmul(y, vh)
-    out = ctx.swapaxes(-3, -2).reshape(shape)
+    ctx = np.matmul(y, vh).swapaxes(-3, -2).reshape(shape)
+    out = rows_times(ctx, p["wo"]) + p["bo"]
 
-    g_ctx = g.reshape(split).swapaxes(-3, -2)
+    g2, ctx2 = g.reshape(-1, d), ctx.reshape(-1, d)
+    g_ctx = (g2 @ p["wo"].T).reshape(split).swapaxes(-3, -2)
     g_y, g_vh = np.matmul(g_ctx, vh.swapaxes(-1, -2)), np.matmul(y.swapaxes(-1, -2), g_ctx)
     g_scores = y * (g_y - (g_y * y).sum(axis=-1, keepdims=True))
     g_scaled = g_scores * c
     g_qh, g_kt = np.matmul(g_scaled, kt.swapaxes(-1, -2)), np.matmul(qh.swapaxes(-1, -2), g_scaled)
-    g_kh = g_kt.swapaxes(-2, -1)
-    return out, [gh.swapaxes(-3, -2).reshape(shape) for gh in (g_qh, g_kh, g_vh)]
+    g_qkv = np.concatenate([gh.swapaxes(-3, -2).reshape(shape)
+                            for gh in (g_qh, g_kt.swapaxes(-2, -1), g_vh)], axis=-1)
+    g_qkv = g_qkv.reshape(-1, 3 * d)
+    w_qkv = np.concatenate([p["wq"], p["wk"], p["wv"]], axis=1)
+    g_w, g_b = x.reshape(-1, d).T @ g_qkv, g_qkv.sum(axis=0)
+    grads = {"x": (g_qkv @ w_qkv.T).reshape(shape), "wo": ctx2.T @ g2, "bo": g2.sum(axis=0)}
+    for i, n in enumerate("qkv"):
+        grads["w" + n], grads["b" + n] = g_w[:, i * d:(i + 1) * d], g_b[i * d:(i + 1) * d]
+    return out, grads
 
 
-def run_attention(q, k, v, bias, n_heads, g):
-    """attention's output and the q, k, v gradients the tape gives for upstream g."""
-    ts = [Tensor(a) for a in (q, k, v)]
+def run_attention(x, p, bias, n_heads, g):
+    """self_attention's output and the gradients the tape gives for upstream g, by name."""
+    ts = {"x": Tensor(x), **{name: Tensor(p[name]) for name in ATTENTION_PARAMS}}
     with Tape() as tape:
-        out = attention(*ts, bias, n_heads)
-        tape.backward(sum_all(mul(out, Tensor(g))), ts)
-    return out.data, [t.grad for t in ts]
+        out = self_attention(*ts.values(), bias, n_heads)
+        tape.backward(sum_all(mul(out, Tensor(g))), list(ts.values()))
+    return out.data, {name: t.grad for name, t in ts.items()}
+
+
+def attention_args(rng, shape, dtype=np.float64):
+    """A float64 parameter x of this shape and self_attention's eight weights, in order."""
+    p = attention_weights(rng, shape[-1], dtype)
+    return [random_param(rng, *shape)] + [Tensor(p[name]) for name in ATTENTION_PARAMS]
+
+
+def assert_attention_grads_match(args, forward):
+    """Every input's gradient against finite differences. bk adds one value to all of
+    a query's scores, which the softmax cancels: its gradient is zero, and its finite
+    difference is roundoff, so both are checked against zero instead."""
+    bk = args[4]
+    assert_grads_match([a for a in args if a is not bk], forward)
+    with Tape() as tape:
+        tape.backward(forward(), [bk])
+    assert np.abs(bk.grad).max() < 1e-12
+    assert np.abs(finite_difference([bk], forward)[0]).max() < 1e-9
 
 
 class TestAttention:
+    """self_attention: the q, k and v products, the attention core and the output projection."""
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("causal", [False, True], ids=["bidirectional", "causal"])
     def test_bit_identical_to_the_composed_steps(self, dtype, causal):
+        """Stacked and row-wise (2-D) inputs, PAD keys, 2 and 3 heads (d_head 6 and 4,
+        so the 1/√d_head scale rounds)."""
         rng = np.random.default_rng(30)
-        shape = (2, 3, 6, 12)  # d_head 6, so the 1/√d_head scale rounds
-        q, k, v, g = (rng.normal(size=shape).astype(dtype) for _ in range(4))
-        keys = np.ones(shape[:-1], dtype=bool)
-        keys[0, 1, 4:] = False  # PAD keys
-        keys[1, 2, 5] = False
-        bias = attention_mask_bias(keys, causal, dtype)
-        out, grads = run_attention(q, k, v, bias, 2, g)
-        want_out, want_grads = composed_attention(q, k, v, bias, 2, g)
-        assert out.dtype == dtype
-        np.testing.assert_array_equal(out, want_out)
-        for got, want in zip(grads, want_grads):
-            assert got.dtype == dtype
-            np.testing.assert_array_equal(got, want)
+        for shape in ((2, 3, 6, 12), (6, 12)):
+            keys = np.ones(shape[:-1], dtype=bool)
+            keys[..., 4:] = False  # PAD keys; every query still sees key 0
+            if len(shape) > 2:
+                keys[1, 2, 5] = True
+            bias = attention_mask_bias(keys, causal, dtype)
+            x, g = (rng.normal(size=shape).astype(dtype) for _ in range(2))
+            p = attention_weights(rng, shape[-1], dtype)
+            for n_heads in (2, 3):
+                out, grads = run_attention(x, p, bias, n_heads, g)
+                want_out, want_grads = composed_attention(x, p, bias, n_heads, g)
+                assert out.dtype == dtype
+                np.testing.assert_array_equal(out, want_out)
+                for name, want in want_grads.items():
+                    assert grads[name].dtype == dtype
+                    np.testing.assert_array_equal(grads[name], want, err_msg=name)
 
     def test_masked_key_gets_no_weight(self):
-        """A PAD key's value never reaches the output, and its k and v get zero gradients."""
+        """A PAD key's row never reaches another row's output, and with no upstream
+        gradient on its own row, its input gets exactly zero gradient."""
         rng = np.random.default_rng(31)
-        q, k, v, g = (rng.normal(size=(5, 4)) for _ in range(4))
+        x, g = (rng.normal(size=(5, 4)) for _ in range(2))
+        g[2] = 0.0
+        p = attention_weights(rng, 4, np.float64)
         bias = attention_mask_bias(np.array([True, True, False, True, True]), False,
                                    np.float64)
-        out, (_, gk, gv) = run_attention(q, k, v, bias, 2, g)
-        v2 = v.copy()
-        v2[2] = 1e6
-        np.testing.assert_array_equal(run_attention(q, k, v2, bias, 2, g)[0], out)
-        assert not gk[2].any() and not gv[2].any()
+        out, grads = run_attention(x, p, bias, 2, g)
+        x2 = x.copy()
+        x2[2] = 1e3
+        others = [0, 1, 3, 4]
+        np.testing.assert_array_equal(run_attention(x2, p, bias, 2, g)[0][others], out[others])
+        assert not grads["x"][2].any()
 
     def test_gradients(self):
         rng = np.random.default_rng(32)
-        q, k, v = (random_param(rng, 2, 4, 6) for _ in range(3))
+        args = attention_args(rng, (2, 4, 6))
         w = Tensor(rng.normal(size=(2, 4, 6)), dtype=np.float64)
         bias = attention_mask_bias(np.array([[True] * 4, [True, True, True, False]]), False,
                                    np.float64)
-        assert_grads_match([q, k, v], lambda: sum_all(mul(attention(q, k, v, bias, 3), w)))
+        assert_attention_grads_match(args, lambda: sum_all(mul(self_attention(*args, bias, 3),
+                                                               w)))
 
     def test_causal_gradients(self):
         rng = np.random.default_rng(33)
-        q, k, v = (random_param(rng, 5, 4) for _ in range(3))
+        args = attention_args(rng, (5, 4))
         w = Tensor(rng.normal(size=(5, 4)), dtype=np.float64)
         bias = attention_mask_bias(np.ones(5, dtype=bool), True, np.float64)
-        assert_grads_match([q, k, v], lambda: sum_all(mul(attention(q, k, v, bias, 2), w)))
+        assert_attention_grads_match(args, lambda: sum_all(mul(self_attention(*args, bias, 2),
+                                                               w)))
 
     def test_large_scores_stay_finite(self):
         rng = np.random.default_rng(34)
-        q, k, v = (rng.normal(size=(6, 8)).astype(np.float32) for _ in range(3))
+        p = attention_weights(rng, 8, np.float32)
+        p["wq"] *= 1e3
+        x = rng.normal(size=(6, 8)).astype(np.float32)
         bias = attention_mask_bias(np.ones(6, dtype=bool), False, np.float32)
-        out = attention(Tensor(q * 1e3), Tensor(k), Tensor(v), bias, 2).data
+        out = self_attention(Tensor(x), *(Tensor(p[n]) for n in ATTENTION_PARAMS), bias, 2).data
         assert np.isfinite(out).all()
 
     def test_is_one_record(self):
-        q = Tensor(np.ones((3, 4)))
+        """x and the eight weights are the record's inputs; the bias is a plain array."""
+        args = attention_args(np.random.default_rng(35), (3, 4))
         with Tape() as tape:
-            attention(q, q, q, np.zeros((1, 3, 3)), 2)
-        assert [(rec.op, len(rec.input_ids)) for rec in tape.records] == [("attention", 3)]
+            self_attention(*args, np.zeros((1, 3, 3)), 2)
+        assert [(rec.op, len(rec.input_ids)) for rec in tape.records] == [("self_attention", 9)]
 
-    @pytest.mark.parametrize("q_shape,k_shape,v_shape,n_heads", [
-        ((3, 8), (4, 8), (4, 8), 2),
-        ((3, 8), (3, 8), (3, 6), 2),
-        ((2, 3, 8), (3, 8), (3, 8), 2),
-        ((3, 8), (3, 8), (3, 8), 3),
-        ((8,), (8,), (8,), 2),
+    @pytest.mark.parametrize("x_shape,name,w_shape,n_heads", [
+        ((3, 8), "wk", (9, 8), 2),
+        ((3, 8), "wv", (8, 6), 2),
+        ((3, 8), "wk", (1, 8, 8), 2),
+        ((3, 8), "wq", (8, 8), 3),
+        ((8,), "wq", (8, 8), 2),
     ], ids=["k-length", "v-width", "k-lead", "heads", "vector"])
-    def test_bad_shapes_rejected(self, q_shape, k_shape, v_shape, n_heads):
+    def test_bad_shapes_rejected(self, x_shape, name, w_shape, n_heads):
+        p = {n: Tensor(np.zeros(8 if n[0] == "b" else (8, 8))) for n in ATTENTION_PARAMS}
+        p[name] = Tensor(np.zeros(w_shape))
         with pytest.raises(ShapeError) as err:
-            attention(Tensor(np.zeros(q_shape)), Tensor(np.zeros(k_shape)),
-                      Tensor(np.zeros(v_shape)), np.zeros((1, 1)), n_heads)
-        assert str(q_shape) in str(err.value)
+            self_attention(Tensor(np.zeros(x_shape)), *p.values(), np.zeros((1, 1)), n_heads)
+        assert str(x_shape) in str(err.value)
 
     def test_bias_that_does_not_fit_rejected(self):
-        q = Tensor(np.zeros((3, 8)))
+        args = attention_args(np.random.default_rng(36), (3, 8))
         with pytest.raises(ShapeError):
-            attention(q, q, q, np.zeros((1, 4, 4)), 2)
+            self_attention(*args, np.zeros((1, 4, 4)), 2)
+
+
+def composed_residual_norm(x, y, gamma, beta, g, eps=1e-5):
+    """Output and x, y, gamma, beta gradients of residual_norm as separate steps:
+    the add, then layer norm's forward and backward."""
+    s = x + y
+    xc = s - s.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + x.dtype.type(eps))
+    xhat = xc * inv
+    dxhat = g * gamma
+    gx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    rows = (-1, x.shape[-1])
+    return xhat * gamma + beta, [gx, gx, (g * xhat).reshape(rows).sum(axis=0),
+                                 g.reshape(rows).sum(axis=0)]
 
 
 class TestLayerNorm:
+    """residual_norm: layer_norm(x + y) as one record."""
+
     def test_constant_row_maps_to_beta(self):
         """Zero variance is absorbed by eps instead of dividing by zero."""
         gamma = Tensor(np.ones(4))
         beta = Tensor(np.zeros(4))
-        got = layer_norm(Tensor([2.0, 2.0, 2.0, 2.0]), gamma, beta).data
+        got = residual_norm(Tensor([1.5] * 4), Tensor([0.5] * 4), gamma, beta).data
         np.testing.assert_allclose(got, 0.0, atol=1e-7)
 
     def test_normalizes_mean_and_variance(self):
         rng = np.random.default_rng(9)
-        x = rng.normal(loc=3.0, scale=2.5, size=(5, 16))
+        x, y = rng.normal(loc=3.0, scale=2.5, size=(2, 5, 16))
         gamma, beta = Tensor(np.ones(16)), Tensor(np.zeros(16))
-        got = layer_norm(Tensor(x), gamma, beta).data
+        got = residual_norm(Tensor(x), Tensor(y), gamma, beta).data
         np.testing.assert_allclose(got.mean(axis=-1), 0.0, atol=1e-12)
         np.testing.assert_allclose(got.var(axis=-1), 1.0, atol=1e-4)
 
     def test_gamma_beta_apply(self):
         x = Tensor(np.array([[1.0, -1.0]]))
-        got = layer_norm(x, Tensor([2.0, 2.0]), Tensor([0.5, 0.5])).data
+        got = residual_norm(x, Tensor(np.zeros((1, 2))), Tensor([2.0, 2.0]),
+                            Tensor([0.5, 0.5])).data
         np.testing.assert_allclose(got, [[2.5, -1.5]], atol=1e-4)
 
     def test_param_width_mismatch(self):
+        x = Tensor(np.zeros((2, 3)))
         with pytest.raises(ShapeError):
-            layer_norm(Tensor(np.zeros((2, 3))), Tensor(np.ones(4)), Tensor(np.zeros(4)))
+            residual_norm(x, x, Tensor(np.ones(4)), Tensor(np.zeros(4)))
+        with pytest.raises(ShapeError):
+            residual_norm(x, Tensor(np.zeros(3)), Tensor(np.ones(3)), Tensor(np.zeros(3)))
 
     def test_gradients(self):
         rng = np.random.default_rng(10)
-        x = random_param(rng, 4, 6)
+        x, y = random_param(rng, 4, 6), random_param(rng, 4, 6)
         gamma = random_param(rng, 6)
         beta = random_param(rng, 6)
         w = Tensor(rng.normal(size=(4, 6)), dtype=np.float64)
-        assert_grads_match([x, gamma, beta],
-                           lambda: sum_all(mul(layer_norm(x, gamma, beta), w)))
+        assert_grads_match([x, y, gamma, beta],
+                           lambda: sum_all(mul(residual_norm(x, y, gamma, beta), w)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(6,), (5, 6), (2, 3, 5, 6)])
+    def test_bit_identical_to_the_composed_steps(self, dtype, shape):
+        rng = np.random.default_rng(37)
+        x, y, g = (rng.normal(size=shape).astype(dtype) for _ in range(3))
+        gamma, beta = (rng.normal(size=shape[-1]).astype(dtype) for _ in range(2))
+        ts = [Tensor(a) for a in (x, y, gamma, beta)]
+        with Tape() as tape:
+            out = residual_norm(*ts)
+            assert [rec.op for rec in tape.records] == ["residual_norm"]
+            tape.backward(sum_all(mul(out, Tensor(g))), ts)
+        want_out, want_grads = composed_residual_norm(x, y, gamma, beta, g)
+        np.testing.assert_array_equal(out.data, want_out)
+        for t, want in zip(ts, want_grads):
+            assert t.grad.dtype == dtype
+            np.testing.assert_array_equal(t.grad, want)
+
+
+def composed_feed_forward(x, w1, b1, w2, b2, g):
+    """Output and x, w1, b1, w2, b2 gradients of feed_forward as separate steps:
+    an affine layer, the relu and a second affine layer, each with its own rule."""
+    pre = rows_times(x, w1) + b1
+    h = np.maximum(pre, 0)
+    out = rows_times(h, w2) + b2
+    w2m = w2.reshape(len(w2), -1)
+    g2 = g.reshape(-1, w2m.shape[1])
+    gh = (g2 @ w2m.T).reshape(h.shape) * (pre > 0)
+    gh2, x2 = gh.reshape(-1, w1.shape[1]), x.reshape(-1, w1.shape[0])
+    return out, [(gh2 @ w1.T).reshape(x.shape), x2.T @ gh2, gh2.sum(axis=0),
+                 (h.reshape(-1, len(w2)).T @ g2).reshape(w2.shape),
+                 g2.sum(axis=0).reshape(b2.shape)]
 
 
 class TestRelu:
+    """feed_forward: affine, relu, affine as one record."""
+
+    @staticmethod
+    def identity_layers(d: int):
+        return [Tensor(a) for a in (np.eye(d), np.zeros(d), np.eye(d), np.zeros(d))]
+
     def test_values(self):
-        got = relu(Tensor([-2.0, 0.0, 3.5])).data
+        got = feed_forward(Tensor([-2.0, 0.0, 3.5]), *self.identity_layers(3)).data
         np.testing.assert_array_equal(got, [0.0, 0.0, 3.5])
 
     def test_gradients_away_from_kink(self):
@@ -317,7 +452,79 @@ class TestRelu:
         x = Tensor(rng.normal(size=(3, 4)) + np.sign(rng.normal(size=(3, 4))) * 0.5,
                    dtype=np.float64)
         w = Tensor(rng.normal(size=(3, 4)), dtype=np.float64)
-        assert_grads_match([x], lambda: sum_all(mul(relu(x), w)))
+        assert_grads_match([x], lambda: sum_all(mul(feed_forward(x, *self.identity_layers(4)),
+                                                    w)))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("x_shape,w2_shape", [
+        ((5,), (6, 3)), ((7, 5), (6, 3)), ((2, 3, 5), (6, 3)), ((30, 5), (6,)), ((2, 3, 5), (6,)),
+    ], ids=["vector", "rows", "stack", "rows-vector-weight", "stack-vector-weight"])
+    def test_bit_identical_to_the_composed_steps(self, dtype, x_shape, w2_shape):
+        rng = np.random.default_rng(38)
+        x = rng.normal(size=x_shape).astype(dtype)
+        w1, b1 = rng.normal(size=(5, 6)).astype(dtype), rng.normal(size=6).astype(dtype)
+        w2 = rng.normal(size=w2_shape).astype(dtype)
+        b2 = rng.normal(size=w2_shape[1:]).astype(dtype)
+        g = rng.normal(size=x_shape[:-1] + w2_shape[1:]).astype(dtype)
+        ts = [Tensor(a) for a in (x, w1, b1, w2, b2)]
+        with Tape() as tape:
+            out = feed_forward(*ts)
+            assert [rec.op for rec in tape.records] == ["feed_forward"]
+            tape.backward(sum_all(mul(out, Tensor(g))), ts)
+        want_out, want_grads = composed_feed_forward(x, w1, b1, w2, b2, g)
+        np.testing.assert_array_equal(out.data, want_out)
+        for t, want in zip(ts, want_grads):
+            assert t.grad.dtype == dtype and t.grad.shape == t.data.shape
+            np.testing.assert_array_equal(t.grad, want)
+
+    @pytest.mark.parametrize("x_shape,w2_shape", [((3, 4), (5, 2)), ((2, 3, 4), (5, 2)),
+                                                  ((3, 4), (5,)), ((2, 3, 4), (5,))],
+                             ids=["rows", "stack", "rows-vector-weight", "stack-vector-weight"])
+    def test_gradients(self, x_shape, w2_shape):
+        rng = np.random.default_rng(39)
+        args = [random_param(rng, *s) for s in (x_shape, (4, 5), (5,), w2_shape, w2_shape[1:])]
+        c = Tensor(rng.normal(size=x_shape[:-1] + w2_shape[1:]), dtype=np.float64)
+        assert_grads_match(args, lambda: sum_all(mul(feed_forward(*args), c)))
+
+    def test_computes_each_row_alone(self):
+        """A candidate's score must not depend on how many rows share the call."""
+        rng = np.random.default_rng(40)
+        x = rng.normal(size=(30, 12)).astype(np.float32)
+        w1, b1 = rng.normal(size=(12, 8)).astype(np.float32), np.zeros(8, dtype=np.float32)
+        w2, b2 = rng.normal(size=8).astype(np.float32), np.float32(0.25)
+        layers = [Tensor(a) for a in (w1, b1, w2, b2)]
+        whole = feed_forward(Tensor(x), *layers).data
+        for i in range(len(x)):
+            np.testing.assert_array_equal(feed_forward(Tensor(x[i:i + 1]), *layers).data,
+                                          whole[i:i + 1])
+
+    def test_bad_shapes_rejected(self):
+        for x, w1, w2 in (((3, 4), (5, 6), (6, 2)), ((3, 4), (4, 6), (5, 2)),
+                          ((3, 4), (4,), (3, 2))):
+            args = [np.zeros(s) for s in (x, w1, w1[1:], w2, w2[1:])]
+            with pytest.raises(ShapeError):
+                feed_forward(Tensor(args[0]), *map(Tensor, args[1:]))
+
+
+class TestConstantInputs:
+    """A plain array input is a constant: no node id, and no gradient is computed for it."""
+
+    @pytest.mark.parametrize("op", ["linear", "feed_forward"])
+    def test_constant_gets_no_id_and_no_gradient(self, op):
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=(3, 4))
+        layers = [random_param(rng, *s) for s in ((4, 5), (5,), (5, 2), (2,))]
+        fn = linear if op == "linear" else feed_forward
+        params = layers[:2] if op == "linear" else layers
+        with Tape() as tape:
+            out = fn(x, *params)
+            (rec,) = tape.records
+            grads = rec.backward_fn(np.ones_like(out.data))
+            assert rec.input_ids[0] == -1 and grads[0] is None
+            assert len(grads) == len(params) + 1
+        c = Tensor(rng.normal(size=out.shape), dtype=np.float64)
+        assert_grads_match(params, lambda: sum_all(mul(fn(x, *params), c)))
+        np.testing.assert_array_equal(fn(x, *params).data, fn(Tensor(x), *params).data)
 
 
 class TestEmbedding:
