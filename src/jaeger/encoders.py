@@ -1,11 +1,11 @@
 """Toy transformer encoders for questions, element content and visuals.
 
-Blocks are post-norm: self-attention, residual add, layer norm,
-feed-forward, residual add, layer norm, as four tape records
-(self_attention, residual_norm, feed_forward, residual_norm). Attention masks PAD keys always
-and future keys when the encoder is causal; masked scores are set to
--inf before the softmax so masked weights are exactly zero, which makes
-causal and PAD invariance hold bit-for-bit.
+Blocks are post-norm: self-attention, residual add and layer norm,
+feed-forward, residual add and layer norm, as four tape records.
+Attention masks PAD keys always and future keys when the encoder is
+causal; masked scores are set to -inf before the softmax so masked
+weights are exactly zero, which makes causal and PAD invariance hold
+bit-for-bit.
 """
 
 from __future__ import annotations

@@ -352,8 +352,7 @@ def _check_affine(op: str, x_shape: tuple[int, ...], wd: Array, bd: Array) -> No
 
 
 def _affine(xd: Array, wd: Array, bd: Array) -> Array:
-    """x @ w + b over (..., d) rows, with a (d, k) weight and a (k,) bias or a (d,)
-    weight and a () bias; the affine rule linear, feed_forward and self_attention share.
+    """x @ w + b, the affine rule of linear, feed_forward and self_attention.
 
     A matrix x goes through as a stack of (1, d) rows: BLAS picks its kernel
     from the row count (a single row takes GEMV), so a whole-matrix product
@@ -365,11 +364,8 @@ def _affine(xd: Array, wd: Array, bd: Array) -> Array:
 
 
 def _affine_grads(g: Array, xd: Array, wd: Array, need_x: bool = True):
-    """The x, w and b gradients of _affine for upstream g; None for x when it is a constant.
-
-    The leading axes flatten into rows, so each gradient is one product or
-    one sum over all of them.
-    """
+    """_affine's x (None unless need_x), w and b gradients, each one product or one
+    sum over all rows: the leading axes flatten into rows."""
     w2 = wd.reshape(len(wd), -1)  # a (d,) weight as a (d, 1) matrix
     g2 = g.reshape(-1, w2.shape[1])
     gx = (g2 @ w2.T).reshape(xd.shape) if need_x else None
@@ -379,9 +375,7 @@ def _affine_grads(g: Array, xd: Array, wd: Array, need_x: bool = True):
 
 def linear(x: Tensor | Array, w: Tensor, b: Tensor) -> Tensor:
     """Affine map x @ w + b as one tape record, over (..., d) rows with a (d, k)
-    weight and a (k,) bias or a (d,) weight and a () bias; see _affine.
-
-    x may be a plain array, a constant that gets no gradient.
+    weight and a (k,) bias or a (d,) weight and a () bias. x may be a constant.
     """
     _check_dtypes("linear", x, w, b)
     xd, wd = _data(x), w.data
@@ -394,11 +388,8 @@ def linear(x: Tensor | Array, w: Tensor, b: Tensor) -> Tensor:
 
 
 def feed_forward(x: Tensor | Array, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """relu(x @ w1 + b1) @ w2 + b2 as one tape record: two _affine layers around a relu.
-
-    w1 is (d, f); w2 is (f, k) with a (k,) bias, or (f,) with a () bias for
-    one value per row. x may be a plain array, a constant that gets no
-    gradient. The relu's gradient at exactly 0 is 0.
+    """relu(x @ w1 + b1) @ w2 + b2 as one tape record, with a (d, f) w1 and a (f, k)
+    or (f,) w2 as in linear. x may be a constant. relu's gradient at 0 is 0.
     """
     _check_dtypes("feed_forward", x, w1, b1, w2, b2)
     xd = _data(x)
@@ -419,11 +410,9 @@ def feed_forward(x: Tensor | Array, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tens
 
 def residual_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor,
                   eps: float = 1e-5) -> Tensor:
-    """layer_norm(x + y) as one tape record: a block's residual add and its norm.
-
-    The sum's last axis is normalized to zero mean and unit population
-    variance, then scaled by gamma and shifted by beta; eps is fixed by
-    callers at 1e-5. x and y get the same gradient.
+    """Layer norm of x + y as one tape record: the last axis goes to zero mean and
+    unit population variance, then is scaled by gamma and shifted by beta.
+    x and y get the same gradient array, which nothing writes into.
     """
     _check_dtypes("residual_norm", x, y, gamma, beta)
     d = x.data.shape[-1] if x.data.ndim else 0
@@ -465,38 +454,29 @@ def softmax_in_place(s: Array) -> Array:
 
 def self_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor, wv: Tensor,
                    bv: Tensor, wo: Tensor, bo: Tensor, bias: Array, n_heads: int) -> Tensor:
-    """Multi-head scaled dot-product self-attention over (..., L, d) rows, output
-    projection included, as one record.
+    """Multi-head self-attention over (..., L, d) rows, with its output projection,
+    as one record.
 
-    q, k and v come from one _affine product with a (d, 3d) weight, the three
-    weights concatenated on each call, so each stays a parameter of its own.
-    Each is split into n_heads heads of width d_head = d / n_heads; per head
-    the weights are softmax(q·kᵀ / √d_head + bias) and the context is
-    weights·v. The merged heads go through the wo, bo projection. bias
-    broadcasts against the (..., n_heads, L, L) scores: 0 for a visible key,
-    -inf for a masked one, which gets a weight of exactly 0.
-
-    The backward fills one (..., L, 3d) gradient for q, k and v, so x's
-    gradient is one product and so are the three weights'. Temporaries are
-    updated in place, so few (..., L, L) arrays are alive at once.
+    q, k and v come from one (d, 3d) product, the weights concatenated on each
+    call; their backward is one (..., L, 3d) gradient, so x's and the weights'
+    are one product each. Per head of width d_head the weights are
+    softmax(q·kᵀ / √d_head + bias), 0 for a visible key and -inf for a masked
+    one, broadcast against the (..., n_heads, L, L) scores.
     """
     params = (wq, bq, wk, bk, wv, bv, wo, bo)
     _check_dtypes("self_attention", x, *params)
     shape = x.data.shape
     d = shape[-1] if shape else 0
-    if len(shape) < 2 or d % n_heads or any(p.data.shape != ((d, d), (d,))[i % 2]
-                                            for i, p in enumerate(params)):
-        raise ShapeError(f"self_attention needs (..., L, d) rows with d divisible by {n_heads} "
-                         f"heads, (d, d) weights and (d,) biases, got {shape} and "
+    if len(shape) < 2 or d % n_heads or [p.data.shape for p in params] != [(d, d), (d,)] * 4:
+        raise ShapeError(f"self_attention needs (..., L, d) rows, d divisible by {n_heads} heads, "
+                         f"(d, d) weights and (d,) biases, got {shape} and "
                          f"{[p.data.shape for p in params]}")
     wqkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
     qkv = _affine(x.data, wqkv, np.concatenate([bq.data, bk.data, bv.data]))
     split = (*shape[:-1], 3, n_heads, d // n_heads)
 
-    def heads(a: Array) -> tuple[Array, ...]:
-        """q, k and v of a (..., L, 3d) array as (..., n_heads, L, d_head) views."""
-        parts = a.reshape(split)
-        return tuple(parts[..., i, :, :].swapaxes(-3, -2) for i in range(3))
+    def heads(a: Array) -> list[Array]:  # (..., L, 3d) to q, k and v (..., n_heads, L, d_head)
+        return [a.reshape(split)[..., i, :, :].swapaxes(-3, -2) for i in range(3)]
 
     qh, kh, vh = heads(qkv)
     c = x.data.dtype.type(1.0 / math.sqrt(split[-1]))
