@@ -502,8 +502,8 @@ def self_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor, wv
         gk[...] = np.matmul(qh.swapaxes(-1, -2), gs).swapaxes(-2, -1)
         gq[...] = np.matmul(gs, kh)
         gx, gw, gb = _affine_grads(gqkv, x.data, wqkv)
-        pairs = zip(np.split(gw, 3, axis=1), np.split(gb, 3))
-        return (gx, *(a for pair in pairs for a in pair), gwo, gbo)
+        thirds = (slice(0, d), slice(d, 2 * d), slice(2 * d, None))  # q, k and v
+        return (gx, *(a for t in thirds for a in (gw[:, t], gb[t])), gwo, gbo)
 
     return _emit("self_attention", (x, *params), _affine(ctx, wo.data, bo.data), bwd)
 
