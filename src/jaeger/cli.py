@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 import numpy as np
 
 from .config import TrainConfig
 from .data import GenConfig, QASample, generate_corpus, read_jsonl, write_jsonl
-from .errors import JaegerError
+from .errors import ContractError, JaegerError
 from .fusion import predict_answer_set
 from .harness.ablate import ablate, format_ablation_table
 from .harness.checkpoint import load_model, save_checkpoint
@@ -42,6 +43,11 @@ def _load_train_config(args: argparse.Namespace) -> TrainConfig:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
+    # save_checkpoint writes beside --out, so a path it cannot replace fails before training.
+    if os.path.isdir(args.out):
+        raise ContractError(f"--out {args.out!r} is a directory")
+    if not os.path.isdir(os.path.dirname(args.out) or "."):
+        raise ContractError(f"--out {args.out!r}: its directory does not exist")
     cfg = _load_train_config(args)
     corpus = read_jsonl(args.data)
     result = train(cfg, corpus)

@@ -410,17 +410,29 @@ def _doc_from_record(raw: dict, where: str) -> Document:
     return doc
 
 
+# How write_jsonl opens every line; the id literal follows up to the next '"'.
+_ID_PREFIX = b'{"doc_id":"'
+
+
 def read_jsonl(path: str, doc_id: str | None = None) -> list[Document]:
     """Parse a corpus, rejecting malformed lines and unknown or missing fields.
 
     Every error names the file and the line. Given a doc_id, returns just
-    the first document with that id ([] if none): lines before it are
-    decoded and parsed as JSON objects, only it is schema-checked, and
-    no later line is read.
+    the first document with that id ([] if none): only it is schema-checked,
+    and no later line is read. A line before it that opens as write_jsonl's
+    do, holds no backslash and no second '"doc_id"', and whose id differs
+    from doc_id as bytes, cannot hold that document and is skipped unread;
+    every other line before it is decoded and parsed as a JSON object.
     """
     docs = []
+    key = None if doc_id is None else doc_id.encode("utf-8", "surrogatepass")
     with open(path, "rb") as f:
         for line_no, raw_line in enumerate(f, start=1):
+            if key is not None and raw_line.startswith(_ID_PREFIX) and b"\\" not in raw_line:
+                end = raw_line.find(b'"', len(_ID_PREFIX))
+                if (end != -1 and raw_line[len(_ID_PREFIX):end] != key
+                        and raw_line.find(b'"doc_id"', end) == -1):
+                    continue
             where = f"{path} line {line_no}"
             try:
                 line = raw_line.decode("utf-8")

@@ -408,6 +408,13 @@ def feed_forward(x: Tensor | Array, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tens
     return _emit("feed_forward", (x, w1, b1, w2, b2), _affine(h, w2.data, b2.data), bwd)
 
 
+def _mean_last(a: Array) -> Array:
+    """a.mean(axis=-1, keepdims=True), bit for bit, without ndarray.mean's Python wrapper."""
+    m = np.add.reduce(a, axis=-1, keepdims=True)
+    m /= a.shape[-1]
+    return m
+
+
 def residual_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor,
                   eps: float = 1e-5) -> Tensor:
     """Layer norm of x + y as one tape record: the last axis goes to zero mean and
@@ -421,9 +428,8 @@ def residual_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor,
                          f"got {x.data.shape}, {y.data.shape}, {gamma.data.shape} and "
                          f"{beta.data.shape}")
     xhat = x.data + y.data
-    xhat -= xhat.mean(axis=-1, keepdims=True)
-    var = (xhat * xhat).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + x.data.dtype.type(eps))
+    xhat -= _mean_last(xhat)
+    inv = 1.0 / np.sqrt(_mean_last(xhat * xhat) + x.data.dtype.type(eps))
     xhat *= inv
     out = xhat * gamma.data
     out += beta.data
@@ -431,7 +437,7 @@ def residual_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor,
     def bwd(g: Array):
         dxhat = g * gamma.data
         t = dxhat * xhat
-        m1, m2 = dxhat.mean(axis=-1, keepdims=True), t.mean(axis=-1, keepdims=True)
+        m1, m2 = _mean_last(dxhat), _mean_last(t)
         dxhat -= m1
         dxhat -= np.multiply(xhat, m2, out=t)
         dxhat *= inv

@@ -178,6 +178,20 @@ class TestTrainEvalPredict:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out", ["absent/m.ckpt", "."], ids=["missing-dir", "a-dir"])
+    def test_unwritable_out_fails_before_training(self, tmp_path, tiny_config, capsys,
+                                                  monkeypatch, out):
+        """A checkpoint path that cannot be written is refused before any step
+        runs, and the error names --out, not a temporary file beside it."""
+        corpus = gen_corpus(tmp_path)
+        capsys.readouterr()
+        out = str(tmp_path / out)
+        monkeypatch.setattr("jaeger.cli.train", lambda *a: pytest.fail("training ran"))
+        code = main(["train", "--config", tiny_config, "--data", corpus, "--out", out])
+        [line] = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert line.startswith("error:") and repr(out) in line and ".tmp-" not in line
+
     def test_missing_checkpoint(self, tmp_path, capsys):
         corpus = gen_corpus(tmp_path)
         code = main(["eval", "--ckpt", str(tmp_path / "absent.ckpt"),

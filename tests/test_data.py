@@ -5,6 +5,7 @@ import json
 import os
 
 import pytest
+from hypothesis import given, strategies as st
 
 import jaeger.data
 
@@ -352,6 +353,108 @@ class TestReadOneDocument:
         path.write_bytes(lines[0].encode() + bad + "".join(lines[1:]).encode())
         with pytest.raises((ParseError, SchemaError), match="corpus.jsonl line 2"):
             read_jsonl(path, json.loads(lines[2])["doc_id"])
+
+
+def record_line(doc: Document, compact=True, ensure_ascii=True, reverse=False) -> bytes:
+    """doc as one corpus line: write_jsonl's layout by default, or with spaces,
+    raw non-ASCII characters or the keys in reverse order."""
+    record = jaeger.data._doc_to_record(doc)
+    if reverse:
+        record = dict(reversed(record.items()))
+    text = json.dumps(record, separators=(",", ":") if compact else None,
+                      ensure_ascii=ensure_ascii)
+    return text.encode("utf-8") + b"\n"
+
+
+def renamed(ids, seed=31) -> list[Document]:
+    """A small generated corpus whose documents carry the given ids."""
+    docs = generate_corpus(seed, len(ids), GenConfig(elements_per_page=(3, 4)),
+                           questions_per_doc=1)
+    return [dataclasses.replace(doc, doc_id=i) for doc, i in zip(docs, ids)]
+
+
+class TestReadSkipsOtherIds:
+    """read_jsonl(path, doc_id) compares write_jsonl-layout ids as bytes and
+    parses every other line, so it returns what a full read finds first."""
+
+    def _check_every_id(self, path, docs):
+        """Each id, and one that is absent, gives the first such document of a full read."""
+        everything = read_jsonl(path)
+        for doc_id in [doc.doc_id for doc in docs] + ["doc-missing"]:
+            assert read_jsonl(path, doc_id) == [d for d in everything if d.doc_id == doc_id][:1]
+
+    def test_other_key_order_and_spaces(self, tmp_path):
+        docs = renamed(["doc-a", "doc-b", "doc-c", "doc-d"])
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(record_line(docs[0]) + record_line(docs[1], compact=False, reverse=True)
+                         + record_line(docs[2]) + record_line(docs[3], compact=False))
+        assert read_jsonl(path, "doc-b") == [docs[1]]
+        assert read_jsonl(path, "doc-d") == [docs[3]]
+        self._check_every_id(path, docs)
+
+    def test_id_with_a_quote(self, tmp_path):
+        docs = renamed(['doc-"a"', "doc-", 'doc-"a', 'doc-\\"a"'])
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(docs, path)
+        assert read_jsonl(path, 'doc-"a') == [docs[2]]
+        self._check_every_id(path, docs)
+
+    @pytest.mark.parametrize("ensure_ascii", [False, True])
+    def test_non_ascii_id(self, tmp_path, ensure_ascii):
+        docs = renamed(["doc-e", "doc-é", "文書", "doc-é2"])
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b"".join(record_line(doc, ensure_ascii=ensure_ascii) for doc in docs))
+        assert read_jsonl(path, "doc-é") == [docs[1]]
+        assert read_jsonl(path, "文書") == [docs[2]]
+        self._check_every_id(path, docs)
+
+    @pytest.mark.parametrize("ids", [["doc-1", "doc-10"], ["doc-10", "doc-1"]])
+    def test_id_that_prefixes_another(self, tmp_path, ids):
+        docs = renamed(ids)
+        path = tmp_path / "corpus.jsonl"
+        write_jsonl(docs, path)
+        for doc in docs:
+            assert read_jsonl(path, doc.doc_id) == [doc]
+
+    @pytest.mark.parametrize("key", [b'"doc_id":', b'"doc_id" : ', b'"doc\\u005fid":'],
+                             ids=["compact", "spaced", "escaped"])
+    @pytest.mark.parametrize("where", ["next", "last"])
+    def test_repeated_doc_id_key(self, tmp_path, where, key):
+        """json.loads keeps the last of two doc_id keys, so the line answers to that one,
+        however the second key is spelled."""
+        docs = renamed(["doc-a", "doc-b", "doc-a"])
+        line = record_line(docs[0])
+        twice = {"next": line.replace(b'"doc-a",', b'"doc-a",' + key + b'"doc-b",', 1),
+                 "last": line[:-2] + b"," + key + b'"doc-b"}\n'}[where]
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(twice + record_line(docs[1]) + record_line(docs[2]))
+        assert read_jsonl(path, "doc-b") == [dataclasses.replace(docs[0], doc_id="doc-b")]
+        assert read_jsonl(path, "doc-a") == [docs[2]]
+        self._check_every_id(path, docs)
+
+    def test_skipped_line_is_not_parsed(self, tmp_path):
+        """A write_jsonl-layout line naming another id is passed over unread,
+        and named in the error when it is the one asked for."""
+        docs = renamed(["doc-a", "doc-b"])
+        path = tmp_path / "corpus.jsonl"
+        path.write_bytes(b'{"doc_id":"doc-x",\xff{bad\n' + b"".join(map(record_line, docs)))
+        assert read_jsonl(path, "doc-b") == [docs[1]]
+        with pytest.raises(ParseError, match="corpus.jsonl line 1"):
+            read_jsonl(path, "doc-x")
+
+    @given(data=st.data())
+    def test_same_as_the_first_match_of_a_full_read(self, tmp_path_factory, data):
+        ids = data.draw(st.lists(st.sampled_from(["doc-1", "doc-10", 'doc-"', "doc-\\", "é", ""])
+                                 | st.text(max_size=4), min_size=1, max_size=5))
+        docs = renamed(ids, seed=data.draw(st.integers(0, 1 << 16)))
+        layouts = st.sampled_from([{}, {"ensure_ascii": False}, {"compact": False},
+                                   {"reverse": True}])
+        lines = [record_line(doc, **data.draw(layouts)) for doc in docs]
+        if data.draw(st.booleans()):  # a second doc_id key, naming the last document's id
+            lines[0] = lines[0][:-2] + b',"doc_id":' + json.dumps(ids[-1]).encode() + b"}\n"
+        path = tmp_path_factory.getbasetemp() / "property.jsonl"
+        path.write_bytes(b"".join(lines))
+        self._check_every_id(path, docs)
 
 
 class TestSplitCorpus:

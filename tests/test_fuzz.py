@@ -64,6 +64,16 @@ def corpus_file(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def three_doc_corpus(tmp_path_factory):
+    """A three-document corpus: asking for the last id skips or parses the lines before it."""
+    docs = generate_corpus(5, 3, GenConfig(n_pages=1, elements_per_page=(3, 4)),
+                           questions_per_doc=1)
+    path = tmp_path_factory.mktemp("corpus3") / "corpus.jsonl"
+    write_jsonl(docs, str(path))
+    return path, [doc.doc_id for doc in docs]
+
+
+@pytest.fixture(scope="module")
 def checkpoint(tmp_path_factory, corpus_file):
     """A freshly initialised tiny model's checkpoint, plus a scratch path to corrupt."""
     docs = read_jsonl(str(corpus_file))
@@ -88,6 +98,28 @@ def test_corrupt_corpus_line_raises_only_jaeger_errors(corpus_file, mutation):
         read_jsonl(str(bad), json.loads(corpus_file.read_text())["doc_id"])
     except JaegerError:
         pass
+
+
+@given(mutation=MUTATIONS)
+def test_corrupt_line_before_the_asked_document_raises_only_jaeger_errors(three_doc_corpus,
+                                                                          mutation):
+    """Looking up the first or the last id of a corrupted corpus raises only JaegerErrors,
+    and agrees with a full read whenever the whole file still parses."""
+    path, ids = three_doc_corpus
+    bad = path.with_name("bad.jsonl")
+    bad.write_bytes(mutate(path.read_bytes(), mutation))
+    try:
+        everything = read_jsonl(str(bad))
+    except JaegerError:
+        everything = None
+    for doc_id in (ids[0], ids[-1]):
+        try:
+            got = read_jsonl(str(bad), doc_id)
+        except JaegerError:
+            assert everything is None
+            continue
+        if everything is not None:
+            assert got == [doc for doc in everything if doc.doc_id == doc_id][:1]
 
 
 @pytest.mark.parametrize("field", ["elements", "questions"])

@@ -420,6 +420,23 @@ class TestLayerNorm:
             assert t.grad.dtype == dtype
             np.testing.assert_array_equal(t.grad, want)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("width", [1, 7, 8, 32, 33, 80, 129])
+    def test_bytes_match_the_mean_formula_at_every_width(self, dtype, width):
+        """Each mean is a sum and a divide by the width, with the same bytes as
+        ndarray.mean, forward and backward, on rows far from zero mean."""
+        rng = np.random.default_rng(width)
+        x, y, g = (rng.normal(loc=5.0, scale=3.0, size=(3, 4, width)).astype(dtype)
+                   for _ in range(3))
+        gamma, beta = (rng.normal(size=width).astype(dtype) for _ in range(2))
+        ts = [Tensor(a) for a in (x, y, gamma, beta)]
+        with Tape() as tape:
+            out = residual_norm(*ts)
+            tape.backward(sum_all(mul(out, Tensor(g))), ts)
+        want_out, want_grads = composed_residual_norm(x, y, gamma, beta, g)
+        assert out.data.tobytes() == want_out.tobytes()
+        assert [t.grad.tobytes() for t in ts] == [w.tobytes() for w in want_grads]
+
 
 def composed_feed_forward(x, w1, b1, w2, b2, g):
     """Output and x, w1, b1, w2, b2 gradients of feed_forward as separate steps:
