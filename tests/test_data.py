@@ -378,9 +378,11 @@ class TestReadSkipsOtherIds:
     parses every other line, so it returns what a full read finds first."""
 
     def _check_every_id(self, path, docs):
-        """Each id, and one that is absent, gives the first such document of a full read."""
+        """Each id, and two that are absent, give the first such document of a full read.
+        Python decodes a --doc-id argument holding a byte that is not UTF-8 to a lone
+        surrogate."""
         everything = read_jsonl(path)
-        for doc_id in [doc.doc_id for doc in docs] + ["doc-missing"]:
+        for doc_id in [doc.doc_id for doc in docs] + ["doc-missing", "\udcff"]:
             assert read_jsonl(path, doc_id) == [d for d in everything if d.doc_id == doc_id][:1]
 
     def test_other_key_order_and_spaces(self, tmp_path):
