@@ -24,7 +24,16 @@ from .harness.train import evaluate_checkpoint, train
 from .model import encode_sample
 
 
+def _check_out(path: str) -> None:
+    """Refuse an --out the atomic write beside it cannot replace, before any work is done."""
+    if os.path.isdir(path):
+        raise ContractError(f"--out {path!r} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise ContractError(f"--out {path!r}: its directory does not exist")
+
+
 def _cmd_gen_data(args: argparse.Namespace) -> int:
+    _check_out(args.out)
     cfg = GenConfig(
         n_pages=args.pages,
         elements_per_page=(args.min_elements, args.max_elements),
@@ -43,11 +52,7 @@ def _load_train_config(args: argparse.Namespace) -> TrainConfig:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    # save_checkpoint writes beside --out, so a path it cannot replace fails before training.
-    if os.path.isdir(args.out):
-        raise ContractError(f"--out {args.out!r} is a directory")
-    if not os.path.isdir(os.path.dirname(args.out) or "."):
-        raise ContractError(f"--out {args.out!r}: its directory does not exist")
+    _check_out(args.out)
     cfg = _load_train_config(args)
     corpus = read_jsonl(args.data)
     result = train(cfg, corpus)

@@ -8,6 +8,7 @@ order, so reruns produce bit-identical checkpoints and metrics.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,10 +17,10 @@ from ..config import TrainConfig
 from ..data import Document, split_corpus
 from ..errors import ContractError, TrainingDiverged
 from ..fusion import predict_answer_set
-from ..model import EncodedSample, JaegerModel, encode_candidates, encode_sample
+from ..model import EncodedSample, JaegerModel, _encode_documents, encode_sample
 from ..numerics import Tape, bce_with_logits, sgd_step
 from ..rng import Xoshiro256
-from ..text import Vocabulary, build_vocab
+from ..text import Vocabulary, _count_vocab
 from .metrics import ema
 
 
@@ -53,9 +54,14 @@ class TrainResult:
 def encode_split(docs: list[Document], vocab: Vocabulary,
                  cfg: TrainConfig) -> list[EncodedSample]:
     """One sample per question; a document's questions share one EncodedCandidates."""
+    return _encode_split(docs, vocab, cfg, {})
+
+
+def _encode_split(docs: list[Document], vocab: Vocabulary, cfg: TrainConfig,
+                  tokenized: dict[str, list[str]]) -> list[EncodedSample]:
+    """encode_split, taking element tokens from tokenized and adding the texts it lacks."""
     samples = []
-    for doc in docs:
-        cands = encode_candidates(doc, vocab, cfg)
+    for doc, cands in zip(docs, _encode_documents(docs, vocab, cfg, tokenized)):
         samples.extend(encode_sample(doc, q, vocab, cfg, cands) for q in doc.questions)
     return samples
 
@@ -128,12 +134,13 @@ def train(cfg: TrainConfig, corpus: list[Document]) -> TrainResult:
     train_docs, val_docs, _ = three_way_split(corpus, cfg)
     if not train_docs:
         raise ContractError("the training split is empty")
-    vocab = build_vocab(corpus_texts(train_docs), cfg.min_count)
+    tokenized: dict[str, list[str]] = {}  # each distinct text is tokenized once for both splits
+    vocab = _count_vocab(Counter(corpus_texts(train_docs)), tokenized, cfg.min_count)
     model = JaegerModel(cfg, vocab)
-    samples = encode_split(train_docs, vocab, cfg)
+    samples = _encode_split(train_docs, vocab, cfg, tokenized)
     if not samples:
         raise ContractError("the training split has no questions")
-    val_samples = encode_split(val_docs, vocab, cfg)
+    val_samples = _encode_split(val_docs, vocab, cfg, tokenized)
     order_rng = Xoshiro256(cfg.seed, "batch-order")
     result = TrainResult(model=model, vocab=vocab)
     step = 0

@@ -13,7 +13,7 @@ from .encoders import (EncoderConfig, encode_content, encode_question_bidir,
 from .errors import ContractError, ShapeError
 from .fusion import init_fusion, reduce_dim, score_candidates
 from .numerics import ParamSource, Tensor, active_tape, concat_last, seeded
-from .text import Vocabulary, encode_text
+from .text import Vocabulary, _encode_texts, encode_text
 
 
 @dataclass(eq=False)
@@ -59,21 +59,39 @@ class EncodedSample:
 
 def encode_candidates(doc, vocab: Vocabulary, cfg: TrainConfig) -> EncodedCandidates:
     """Tokenize every element of a document, in stored order, once."""
-    elements = doc.elements
+    return _encode_documents([doc], vocab, cfg, {})[0]
+
+
+def _encode_documents(docs, vocab: Vocabulary, cfg: TrainConfig,
+                      tokenized: dict[str, list[str]]) -> list[EncodedCandidates]:
+    """encode_candidates of each document, cut from arrays built once for all of them.
+
+    One id/mask table holds each distinct element text once; every
+    element's row is gathered from it.
+    """
+    for doc in docs:
+        for el in doc.elements:
+            if len(el.vis) != cfg.d_vis_in:
+                raise ShapeError(f"element {el.id} of {doc.doc_id} has a visual descriptor of "
+                                 f"width {len(el.vis)}, the model expects {cfg.d_vis_in}")
+    elements = [el for doc in docs for el in doc.elements]
+    table_row: dict[str, int] = {}
+    rows = np.array([table_row.setdefault(el.text, len(table_row)) for el in elements],
+                    dtype=np.intp)
+    ids, masks = _encode_texts(list(table_row), vocab, cfg.max_content_len, tokenized)
     n = len(elements)
-    for el in elements:
-        if len(el.vis) != cfg.d_vis_in:
-            raise ShapeError(f"element {el.id} of {doc.doc_id} has a visual descriptor of "
-                             f"width {len(el.vis)}, the model expects {cfg.d_vis_in}")
-    texts = [encode_text(el.text, vocab, cfg.max_content_len) for el in elements]
-    shape = (n, cfg.max_content_len)
-    return EncodedCandidates(
-        content_ids=np.array([ids for ids, _ in texts], dtype=np.int64).reshape(shape),
-        content_masks=np.array([mask for _, mask in texts], dtype=bool).reshape(shape),
-        bboxes=np.array([el.bbox for el in elements], dtype=np.float64).reshape(n, 4),
-        visuals=np.array([el.vis for el in elements], dtype=np.float64).reshape(n, cfg.d_vis_in),
-        candidate_ids=[el.id for el in elements],
-    )
+    bboxes = np.array([el.bbox for el in elements], dtype=np.float64).reshape(n, 4)
+    visuals = np.array([el.vis for el in elements], dtype=np.float64).reshape(n, cfg.d_vis_in)
+    # Each document owns its arrays. Views would keep the split-wide buffers alive
+    # through training, and benchmark pairs then measured slower train steps.
+    out, start = [], 0
+    for doc in docs:
+        part = slice(start, start + len(doc.elements))
+        out.append(EncodedCandidates(ids[rows[part]], masks[rows[part]], bboxes[part].copy(),
+                                     visuals[part].copy(),
+                                     candidate_ids=[el.id for el in doc.elements]))
+        start = part.stop
+    return out
 
 
 def encode_sample(doc, question, vocab: Vocabulary, cfg: TrainConfig,

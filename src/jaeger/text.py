@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -23,6 +24,8 @@ SEP_TOKEN = "<sep>"
 RESERVED = (PAD_TOKEN, UNK_TOKEN, CLS_TOKEN, SEP_TOKEN)
 PAD_ID, UNK_ID, CLS_ID, SEP_ID = 0, 1, 2, 3
 
+_TOKEN = re.compile(r"[^\W_]+|\S")
+
 
 def tokenize(text: str) -> list[str]:
     """Lowercased word tokens with punctuation split off.
@@ -30,7 +33,13 @@ def tokenize(text: str) -> list[str]:
     A word is a run of alphanumeric characters; every other character that
     is not whitespace is a token of its own.
     """
-    return re.findall(r"[^\W_]+|\S", text.lower())
+    return _TOKEN.findall(text.lower())
+
+
+def _tokenize_new(texts: Iterable[str], tokenized: dict[str, list[str]]) -> None:
+    """Add each text that tokenized lacks, with its tokens, so a text is tokenized once."""
+    new = [text for text in texts if text not in tokenized]
+    tokenized.update(zip(new, map(tokenize, new)))
 
 
 class Vocabulary:
@@ -84,14 +93,31 @@ def build_vocab(corpus: Iterable[str], min_count: int = 1) -> Vocabulary:
     Ordered by descending count, then lexicographically, so the id
     assignment is deterministic for a given corpus.
     """
+    return _count_vocab(Counter(corpus), {}, min_count)
+
+
+def _count_vocab(texts: Counter[str], tokenized: dict[str, list[str]],
+                 min_count: int) -> Vocabulary:
+    """build_vocab over each distinct text's tokens, counted as often as the text occurs."""
     if min_count < 1:
         raise ContractError(f"min_count must be at least 1, got {min_count}")
-    counts: Counter[str] = Counter()
-    for text in corpus:
-        counts.update(tokenize(text))
+    _tokenize_new(texts, tokenized)
+    counts = Counter(chain.from_iterable(
+        tokenized[text] * n if n > 1 else tokenized[text] for text, n in texts.items()))
     kept = [t for t, c in counts.items() if c >= min_count]
     kept.sort(key=lambda t: (-counts[t], t))
     return Vocabulary(kept)
+
+
+def _unpadded_ids(tokens: list[str], vocab: Vocabulary, max_len: int) -> list[int]:
+    """[CLS] ids... [SEP] for one token list, truncated so the SEP always fits max_len.
+
+    Both encoders pad the result with PAD to max_len and mask what this returns.
+    """
+    if max_len < 2:
+        raise ContractError(f"max_len must fit CLS and SEP, got {max_len}")
+    get = vocab._index.get
+    return [CLS_ID, *[get(t, UNK_ID) for t in tokens[:max_len - 2]], SEP_ID]
 
 
 def encode_text(text: str, vocab: Vocabulary, max_len: int) -> tuple[np.ndarray, np.ndarray]:
@@ -100,15 +126,26 @@ def encode_text(text: str, vocab: Vocabulary, max_len: int) -> tuple[np.ndarray,
     Token lists longer than max_len - 2 are truncated so the SEP always
     survives. Pure: identical inputs give identical arrays.
     """
-    if max_len < 2:
-        raise ContractError(f"max_len must fit CLS and SEP, got {max_len}")
-    toks = tokenize(text)[: max_len - 2]
-    ids = [CLS_ID] + [vocab.lookup(t) for t in toks] + [SEP_ID]
+    ids = _unpadded_ids(tokenize(text), vocab, max_len)
     n = len(ids)
-    ids.extend([PAD_ID] * (max_len - n))
     mask = np.zeros(max_len, dtype=bool)
     mask[:n] = True
-    return np.asarray(ids, dtype=np.int64), mask
+    return np.asarray(ids + [PAD_ID] * (max_len - n), dtype=np.int64), mask
+
+
+def _encode_texts(texts: Sequence[str], vocab: Vocabulary, max_len: int,
+                  tokenized: dict[str, list[str]]) -> tuple[np.ndarray, np.ndarray]:
+    """(len(texts), max_len) ids and masks; row i is encode_text(texts[i], vocab, max_len).
+
+    Texts that tokenized lacks are tokenized and added to it.
+    """
+    _tokenize_new(texts, tokenized)
+    rows = [_unpadded_ids(tokenized[text], vocab, max_len) for text in texts]
+    lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    mask = np.arange(max_len) < lengths[:, None]
+    ids = np.full((len(rows), max_len), PAD_ID, dtype=np.int64)
+    ids[mask] = np.fromiter(chain.from_iterable(rows), dtype=np.int64, count=int(lengths.sum()))
+    return ids, mask
 
 
 def embed_sequence(ids, token_table: Tensor, pos_table: Tensor) -> Tensor:

@@ -73,6 +73,19 @@ class TestGenData:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("out", ["absent/x.jsonl", "."], ids=["missing-dir", "a-dir"])
+    def test_unwritable_out_fails_before_generating(self, tmp_path, capsys, monkeypatch, out):
+        """A corpus path that cannot be written is refused before any document is
+        generated, and the error names --out, not a temporary file beside it."""
+        out = str(tmp_path / out)
+        monkeypatch.setattr("jaeger.cli.generate_corpus",
+                            lambda *a, **k: pytest.fail("generate_corpus ran"))
+        code = main(["gen-data", "--seed", "7", "--docs", "5", "--out", out])
+        [line] = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert line.startswith("error:") and "--out" in line and repr(out) in line
+        assert ".tmp-" not in line
+
 
 class TestTrainEvalPredict:
     def test_full_flow(self, tmp_path, tiny_config, capsys):

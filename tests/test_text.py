@@ -1,10 +1,17 @@
 """Tokenizer, vocabulary construction, and sequence encoding."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from jaeger.errors import ContractError, IndexOutOfRange
+import jaeger.harness.train
+from jaeger.config import TrainConfig
+from jaeger.data import Document, DocumentElement, GenConfig, QASample, generate_corpus
+from jaeger.errors import ContractError, IndexOutOfRange, ShapeError
+from jaeger.harness.train import corpus_texts, encode_split, three_way_split, train
+from jaeger.model import encode_candidates, encode_sample
 from jaeger.numerics import Tensor
 from jaeger.text import (CLS_ID, PAD_ID, RESERVED, SEP_ID, UNK_ID, Vocabulary,
                          build_vocab, embed_sequence, encode_text, tokenize)
@@ -49,6 +56,25 @@ def loop_tokenize(text: str) -> list[str]:
     if cur:
         out.append("".join(cur))
     return out
+
+
+def loop_encode_text(text: str, vocab: Vocabulary, max_len: int):
+    """Reference encoder, one text at a time: [CLS] ids[:max_len - 2] [SEP] PAD... and its mask."""
+    ids = [CLS_ID] + [vocab.lookup(t) for t in loop_tokenize(text)[:max_len - 2]] + [SEP_ID]
+    n = len(ids)
+    ids.extend([PAD_ID] * (max_len - n))
+    mask = np.zeros(max_len, dtype=bool)
+    mask[:n] = True
+    return np.asarray(ids, dtype=np.int64), mask
+
+
+def loop_vocab_tokens(texts, min_count: int = 1) -> tuple[str, ...]:
+    """Reference vocabulary: one Counter update per text, then count-descending, token-ascending."""
+    counts = Counter()
+    for text in texts:
+        counts.update(loop_tokenize(text))
+    kept = sorted((t for t, c in counts.items() if c >= min_count), key=lambda t: (-counts[t], t))
+    return RESERVED + tuple(kept)
 
 
 class TestVocabulary:
@@ -158,3 +184,168 @@ class TestEmbedSequence:
         pos = Tensor(np.zeros((2, 2)))
         with pytest.raises(IndexOutOfRange):
             embed_sequence([0, 1, 2], tok, pos)
+
+
+def assert_same_array(got, want):
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes()
+
+
+def loop_candidate_arrays(doc, vocab, cfg):
+    """content_ids, content_masks, bboxes and visuals of a document, element by element."""
+    n = len(doc.elements)
+    texts = [loop_encode_text(el.text, vocab, cfg.max_content_len) for el in doc.elements]
+    shape = (n, cfg.max_content_len)
+    return (np.array([ids for ids, _ in texts], dtype=np.int64).reshape(shape),
+            np.array([mask for _, mask in texts], dtype=bool).reshape(shape),
+            np.array([el.bbox for el in doc.elements], dtype=np.float64).reshape(n, 4),
+            np.array([el.vis for el in doc.elements], dtype=np.float64).reshape(n, cfg.d_vis_in))
+
+
+def assert_sample_matches_loop(sample, doc, question, vocab, cfg):
+    for got, want in zip((sample.candidates.content_ids, sample.candidates.content_masks,
+                          sample.candidates.bboxes, sample.candidates.visuals),
+                         loop_candidate_arrays(doc, vocab, cfg)):
+        assert_same_array(got, want)
+    q_ids, q_mask = loop_encode_text(question.question, vocab, cfg.max_question_len)
+    assert_same_array(sample.question_ids, q_ids)
+    assert_same_array(sample.question_mask, q_mask)
+    gold = frozenset(question.answers)
+    assert_same_array(sample.targets, np.array([el.id in gold for el in doc.elements],
+                                               dtype=np.float64))
+    assert (sample.qid, sample.doc_id, sample.gold) == (question.qid, doc.doc_id, gold)
+    assert sample.candidate_ids == [el.id for el in doc.elements]
+
+
+def assert_split_matches_loop(samples, docs, vocab, cfg):
+    pairs = [(doc, q) for doc in docs for q in doc.questions]
+    assert len(samples) == len(pairs)
+    for sample, (doc, q) in zip(samples, pairs):
+        assert_sample_matches_loop(sample, doc, q, vocab, cfg)
+
+
+CFG = TrainConfig(max_question_len=8, max_content_len=6, d_vis_in=3, learning_rate=0.01,
+                  epochs=1, batch_size=2, seed=2, d_bidir=8, d_causal=8, d_content=8,
+                  d_visual=8, d_reduced=8, scorer_hidden=8, n_heads=2, n_layers=1,
+                  split_ratios=(1.0,))
+
+
+def element(i, text, vis=(0.5, 0.25, 0.125)):
+    return DocumentElement(id=i, category="paragraph", page=0,
+                           bbox=(0.1, 0.05 * i, 0.9, 0.05 * i + 0.04), text=text,
+                           parent=None, vis=list(vis))
+
+
+def question(qid, text, answers):
+    return QASample(qid=qid, qtype="children", target=-1, question=text,
+                    answers=frozenset(answers))
+
+
+# Repeated texts within and across documents, truncation past max_len - 2,
+# empty, whitespace-only and punctuation-only texts, a zero-element document,
+# a dotted capital I and a final sigma.
+EDGE_DOCS = [
+    Document("d0", [element(0, "Soil and rain"), element(1, "soil and rain"),
+                    element(2, "one two three four five six seven"), element(3, "")],
+             [question("q0", "which elements hold soil?", {0, 1}),
+              question("q1", "", set())]),
+    Document("d1", [element(0, "Soil and rain"), element(1, "   \t"), element(2, "?!.,;"),
+                    element(3, "İstanbul ΟΔΟΣ odos")],
+             [question("q2", "what is under İstanbul ΟΔΟΣ, and where is the river?", {3})]),
+    Document("d2", [], [question("q3", "children of nothing?", set())]),
+    Document("d3", [element(7, "hail, rain. soil"), element(4, "one two three four five six")],
+             [question("q4", "which elements mention hail?", {7}),
+              question("q5", "soil soil soil soil soil soil soil soil soil", {4, 7})]),
+]
+
+
+class TestTextToArraysMatchesTheLoop:
+    """The split's one id table and the shared tokenization give the per-text loop's bytes."""
+
+    @pytest.mark.parametrize("min_count", [1, 2])
+    def test_build_vocab_matches_a_counter_per_text(self, min_count):
+        texts = corpus_texts(EDGE_DOCS) * 2 + ["soil", "İ", "ΟΔΟΣ", ""]
+        assert build_vocab(texts, min_count).tokens == loop_vocab_tokens(texts, min_count)
+
+    @given(st.lists(st.text(alphabet=st.sampled_from("ab cİΣς.,?\t"), max_size=12), max_size=12),
+           st.integers(1, 3))
+    def test_build_vocab_matches_the_loop_on_any_texts(self, texts, min_count):
+        assert build_vocab(texts, min_count).tokens == loop_vocab_tokens(texts, min_count)
+
+    @pytest.mark.parametrize("min_count", [1, 2])
+    def test_edge_documents(self, min_count):
+        # Tokens seen in d0 and d1 only; d3's unseen words and min_count 2 give UNK ids.
+        vocab = build_vocab(corpus_texts(EDGE_DOCS[:2]), min_count)
+        assert UNK_ID in np.concatenate(
+            [s.candidates.content_ids.ravel() for s in encode_split(EDGE_DOCS, vocab, CFG)])
+        assert_split_matches_loop(encode_split(EDGE_DOCS, vocab, CFG), EDGE_DOCS, vocab, CFG)
+
+    def test_encode_candidates_and_encode_sample(self):
+        vocab = build_vocab(corpus_texts(EDGE_DOCS[1:]), 1)
+        for doc in EDGE_DOCS:
+            cands = encode_candidates(doc, vocab, CFG)
+            for got, want in zip((cands.content_ids, cands.content_masks, cands.bboxes,
+                                  cands.visuals), loop_candidate_arrays(doc, vocab, CFG)):
+                assert_same_array(got, want)
+            for q in doc.questions:
+                assert_sample_matches_loop(encode_sample(doc, q, vocab, CFG), doc, q, vocab, CFG)
+
+    @pytest.mark.parametrize("pages", [1, 3])
+    def test_generated_split(self, pages):
+        docs = generate_corpus(3, 12, GenConfig(n_pages=pages, elements_per_page=(4, 8)),
+                               questions_per_doc=3)
+        cfg = TrainConfig(max_question_len=24, max_content_len=16, d_vis_in=8)
+        vocab = build_vocab(corpus_texts(docs[:8]), 2)
+        assert build_vocab(corpus_texts(docs[:8]), 2).tokens == loop_vocab_tokens(
+            corpus_texts(docs[:8]), 2)
+        assert_split_matches_loop(encode_split(docs, vocab, cfg), docs, vocab, cfg)
+
+    @given(st.lists(st.lists(st.text(alphabet=st.sampled_from("ab cİΣ.?"), max_size=14),
+                             max_size=4), min_size=1, max_size=4),
+           st.integers(2, 7))
+    def test_any_element_texts(self, doc_texts, max_len):
+        docs = [Document(f"d{k}", [element(i, t) for i, t in enumerate(texts)],
+                         [question(f"q{k}", "a b?", {0})])
+                for k, texts in enumerate(doc_texts)]
+        cfg = TrainConfig(max_question_len=8, max_content_len=max_len, d_vis_in=3)
+        vocab = build_vocab([t for texts in doc_texts[1:] for t in texts])
+        assert_split_matches_loop(encode_split(docs, vocab, cfg), docs, vocab, cfg)
+
+    def test_train_shares_one_tokenization_with_the_same_bytes(self, monkeypatch):
+        """train() counts its vocabulary and encodes both splits from one tokenization;
+        the vocabulary and every sample still match the loop, one encode_sample per question."""
+        docs = generate_corpus(4, 10, GenConfig(n_pages=1, elements_per_page=(4, 6)),
+                               questions_per_doc=2) + EDGE_DOCS
+        cfg = TrainConfig(learning_rate=0.01, epochs=1, batch_size=4, seed=5, max_steps=1,
+                          max_question_len=16, max_content_len=10, d_vis_in=3,
+                          d_bidir=8, d_causal=8, d_content=8, d_visual=8, d_reduced=8,
+                          scorer_hidden=8, n_heads=2, n_layers=1, min_count=2,
+                          split_ratios=(0.7, 0.3))
+        docs = [Document(d.doc_id, [element(el.id, el.text) for el in d.elements], d.questions)
+                for d in docs]
+        calls = []
+        real = jaeger.harness.train.encode_sample
+
+        def spy(doc, q, *args):
+            calls.append((doc, q, real(doc, q, *args)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(jaeger.harness.train, "encode_sample", spy)
+        result = train(cfg, docs)
+        train_docs, val_docs, _ = three_way_split(docs, cfg)
+        assert result.vocab.tokens == loop_vocab_tokens(corpus_texts(train_docs), 2)
+        split_questions = [(d, q) for d in train_docs + val_docs for q in d.questions]
+        assert [(d, q) for d, q, _ in calls] == split_questions
+        for doc, q, sample in calls:
+            assert_sample_matches_loop(sample, doc, q, result.vocab, cfg)
+
+
+def test_visual_width_error_names_the_element_in_a_later_document():
+    """The split's visual array is built in one call, after each width is checked:
+    a ragged descriptor in the third document is still a ShapeError naming it."""
+    docs = [Document(f"d{k}", [element(0, "a"), element(1, "b")], [question(f"q{k}", "a?", {0})])
+            for k in range(4)]
+    docs[2].elements[1].vis = [0.0] * 9
+    with pytest.raises(ShapeError, match=r"^element 1 of d2 has a visual descriptor of width 9, "
+                                         r"the model expects 3$"):
+        encode_split(docs, build_vocab(["a b"]), CFG)
