@@ -155,6 +155,23 @@ class TestSoftmax:
         assert got[1] == 0.0 and got[3] == 0.0
         np.testing.assert_allclose(got.sum(), 1.0, rtol=1e-12)
 
+    @pytest.mark.parametrize("n_keys", [1, 5, 8, 24])
+    def test_a_nan_makes_its_row_nan(self, n_keys):
+        """Wherever the NaN sits among a row's keys, masked ones included, that row
+        comes out all NaN and the other rows as they would alone."""
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(n_keys, 3, n_keys)).astype(np.float32)
+        x[:, 1, n_keys // 2:] = -np.inf
+        x[:, 1, 0] = 0.0
+        alone = softmax_in_place(x.copy())
+        for i in range(n_keys):
+            x[i, i % 3, i] = np.nan
+        got = softmax_in_place(x)
+        nan_rows = np.zeros((n_keys, 3), dtype=bool)
+        nan_rows[np.arange(n_keys), np.arange(n_keys) % 3] = True
+        assert np.isnan(got[nan_rows]).all()
+        np.testing.assert_array_equal(got[~nan_rows], alone[~nan_rows])
+
     def test_gradients(self):
         """The closed-form softmax gradient, which self_attention's backward applies to
         its scores, reaching x through q and k."""
@@ -260,13 +277,16 @@ class TestAttention:
     @pytest.mark.parametrize("causal", [False, True], ids=["bidirectional", "causal"])
     def test_bit_identical_to_the_composed_steps(self, dtype, causal):
         """Stacked and row-wise (2-D) inputs, PAD keys, 2 and 3 heads (d_head 6 and 4,
-        so the 1/√d_head scale rounds)."""
+        so the 1/√d_head scale rounds), at the key counts the encoders run (8, 16 and
+        24), one key and the odd counts 5 and 13."""
         rng = np.random.default_rng(30)
-        for shape in ((2, 3, 6, 12), (6, 12)):
+        for shape in (s for n in (1, 5, 6, 8, 13, 16, 24)
+                      for s in ((2, 3, n, 12), (4, n, 12), (n, 12))):
+            n_keys = shape[-2]
             keys = np.ones(shape[:-1], dtype=bool)
-            keys[..., 4:] = False  # PAD keys; every query still sees key 0
+            keys[..., n_keys - n_keys // 3:] = False  # PAD keys; every query still sees key 0
             if len(shape) > 2:
-                keys[1, 2, 5] = True
+                keys.reshape(-1, n_keys)[-1, -1] = True
             bias = attention_mask_bias(keys, causal, dtype)
             x, g = (rng.normal(size=shape).astype(dtype) for _ in range(2))
             p = attention_weights(rng, shape[-1], dtype)
@@ -563,6 +583,27 @@ class TestEmbedding:
             loss = sum_all(embedding_lookup(table, [1, 1, 2]))
             tape.backward(loss, [table])
         np.testing.assert_array_equal(table.grad, [[0, 0], [2, 2], [1, 1]])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("id_shape", [(0,), (9,), (4, 6), (2, 3, 5)],
+                             ids=["empty", "rank-1", "rank-2", "rank-3"])
+    def test_backward_bytes_match_add_at_on_the_table(self, dtype, id_shape):
+        """Repeated ids, and upstream gradients holding -0.0: a row that gets only
+        -0.0 comes out +0.0 from np.add.at into zeros, so signs are compared too."""
+        rng = np.random.default_rng(13)
+        table = Tensor(rng.normal(size=(5, 4)).astype(dtype))
+        ids = rng.integers(0, 4, size=id_shape)  # row 4 is never looked up
+        g = rng.normal(size=(*id_shape, 4)).astype(dtype)
+        g[ids == 0] = -0.0
+        g[rng.random(g.shape) < 0.2] = -0.0
+        with Tape() as tape:
+            embedding_lookup(table, ids)
+        (got,) = tape.records[0].backward_fn(g)
+        want = np.zeros_like(table.data)
+        np.add.at(want, ids.reshape(-1), g.reshape(-1, 4))
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
     def test_gradients(self):
         rng = np.random.default_rng(12)
