@@ -163,8 +163,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (JaegerError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
+    except (JaegerError, OSError, MemoryError) as e:
+        # A config too large to allocate ends in a MemoryError, which may have no text.
+        print(f"error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -62,9 +62,14 @@ class TrainConfig:
         if not 0 < self.learning_rate <= sys.float_info.max:
             raise ContractError(f"learning_rate must be a positive finite float, "
                                 f"got {self.learning_rate}")
-        if not all(abs(r) <= sys.float_info.max for r in self.split_ratios):
-            raise ContractError(f"split_ratios must be finite floats, "
+        # split_corpus checks the ratios too, but only after the corpus is read,
+        # and its error does not name the config's file.
+        if not self.split_ratios or \
+                not all(0 < r <= sys.float_info.max for r in self.split_ratios):
+            raise ContractError(f"split_ratios must be positive finite floats, "
                                 f"got {list(self.split_ratios)}")
+        if sum(self.split_ratios) > 1.0 + 1e-9:
+            raise ContractError(f"split_ratios sum to {sum(self.split_ratios)}, more than 1")
         if self.epochs < 1:
             raise ContractError(f"epochs must be at least 1, got {self.epochs}")
         if not 0 < self.threshold < 1:
@@ -130,8 +135,3 @@ class TrainConfig:
             except ValueError as e:
                 raise SchemaError(f"{path} is not valid JSON ({e})") from None
         return cls.from_dict(raw, where=path)
-
-    def to_json(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(self.to_dict(), f, indent=2, sort_keys=True)
-            f.write("\n")

@@ -49,7 +49,7 @@ def init_block(cfg: EncoderConfig, make: ParamSource, prefix: str) -> SimpleName
     x, z, o = "xavier_uniform", "zeros", "ones"
     return make_params(make, prefix, {
         "wq": ((d, d), x), "bq": ((d,), z),
-        "wk": ((d, d), x), "bk": ((d,), z),
+        "wk": ((d, d), x),
         "wv": ((d, d), x), "bv": ((d,), z),
         "wo": ((d, d), x), "bo": ((d,), z),
         "ln1_g": ((d,), o), "ln1_b": ((d,), z),
@@ -90,7 +90,7 @@ def transformer_block(x: Tensor, bias: np.ndarray, params: SimpleNamespace,
     if x.data.shape[-2] > cfg.max_seq:
         raise ContractError(f"sequence of {x.data.shape[-2]} exceeds max_seq {cfg.max_seq}")
     p = params
-    attn = self_attention(x, p.wq, p.bq, p.wk, p.bk, p.wv, p.bv, p.wo, p.bo, bias, cfg.n_heads)
+    attn = self_attention(x, p.wq, p.bq, p.wk, p.wv, p.bv, p.wo, p.bo, bias, cfg.n_heads)
     h = residual_norm(x, attn, p.ln1_g, p.ln1_b)
     return residual_norm(h, feed_forward(h, p.w1, p.b1, p.w2, p.b2), p.ln2_g, p.ln2_b)
 

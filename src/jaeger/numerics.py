@@ -177,37 +177,19 @@ def _sum_to(g: Array, shape: tuple[int, ...]) -> Array:
     return g.sum(axis=axes, keepdims=True) if axes else g
 
 
-def _broadcast(op: str, ufunc, a: Array, b: Array) -> Array:
-    """ufunc(a, b) with numpy broadcasting; incompatible shapes raise ShapeError."""
-    try:
-        return ufunc(a, b)
-    except ValueError:
-        raise ShapeError(f"{op} shapes {a.shape} and {b.shape} are incompatible") from None
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     """a + b with numpy broadcasting, e.g. a bias over the last axis or a scalar."""
     _check_dtypes("add", a, b)
-    ad, bd = a.data, b.data
-    out = _broadcast("add", np.add, ad, bd)
-    sa, sb = ad.shape, bd.shape
+    sa, sb = a.data.shape, b.data.shape
+    try:
+        out = np.add(a.data, b.data)
+    except ValueError:
+        raise ShapeError(f"add shapes {sa} and {sb} are incompatible") from None
 
     def bwd(g: Array):
         return _sum_to(g, sa), _sum_to(g, sb)
 
     return _emit("add", (a, b), out, bwd)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product with numpy broadcasting."""
-    _check_dtypes("mul", a, b)
-    ad, bd = a.data, b.data
-    out = _broadcast("mul", np.multiply, ad, bd)
-
-    def bwd(g: Array):
-        return _sum_to(g * bd, ad.shape), _sum_to(g * ad, bd.shape)
-
-    return _emit("mul", (a, b), out, bwd)
 
 
 def concat_last(a: Tensor, b: Tensor) -> Tensor:
@@ -273,17 +255,6 @@ def masked_mean_rows(x: Tensor, mask: Array) -> Tensor:
         return (w[..., :, None] * g[..., None, :],)
 
     return _emit("masked_mean_rows", (x,), np.matmul(w[..., None, :], x.data)[..., 0, :], bwd)
-
-
-def sum_all(x: Tensor) -> Tensor:
-    """Sum every entry into a scalar."""
-
-    shape, dtype = x.data.shape, x.data.dtype
-
-    def bwd(g: Array):
-        return (np.full(shape, g, dtype=dtype),)
-
-    return _emit("sum_all", (x,), np.asarray(x.data.sum(), dtype=x.data.dtype), bwd)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -464,8 +435,8 @@ def softmax_in_place(s: Array) -> Array:
     return s
 
 
-def self_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor, wv: Tensor,
-                   bv: Tensor, wo: Tensor, bo: Tensor, bias: Array, n_heads: int) -> Tensor:
+def self_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv: Tensor,
+                   wo: Tensor, bo: Tensor, bias: Array, n_heads: int) -> Tensor:
     """Multi-head self-attention over (..., L, d) rows, with its output projection,
     as one record.
 
@@ -474,17 +445,22 @@ def self_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor, wv
     are one product each. Per head of width d_head the weights are
     softmax(q·kᵀ / √d_head + bias), 0 for a visible key and -inf for a masked
     one, broadcast against the (..., n_heads, L, L) scores.
+
+    Keys carry no bias: one would add the same q·b_k to every score in a
+    query's row, which the softmax cancels. The k third of the concatenated
+    bias is zeros.
     """
-    params = (wq, bq, wk, bk, wv, bv, wo, bo)
+    params = (wq, bq, wk, wv, bv, wo, bo)
     _check_dtypes("self_attention", x, *params)
     shape = x.data.shape
     d = shape[-1] if shape else 0
-    if len(shape) < 2 or d % n_heads or [p.data.shape for p in params] != [(d, d), (d,)] * 4:
+    if len(shape) < 2 or d % n_heads or [p.data.shape for p in params] != \
+            [(d, d), (d,), (d, d), (d, d), (d,), (d, d), (d,)]:
         raise ShapeError(f"self_attention needs (..., L, d) rows, d divisible by {n_heads} heads, "
                          f"(d, d) weights and (d,) biases, got {shape} and "
                          f"{[p.data.shape for p in params]}")
     wqkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
-    qkv = _affine(x.data, wqkv, np.concatenate([bq.data, bk.data, bv.data]))
+    qkv = _affine(x.data, wqkv, np.concatenate([bq.data, np.zeros_like(bq.data), bv.data]))
     split = (*shape[:-1], 3, n_heads, d // n_heads)
 
     def heads(a: Array) -> list[Array]:  # (..., L, 3d) to q, k and v (..., n_heads, L, d_head)
@@ -514,8 +490,8 @@ def self_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor, wv
         gk[...] = np.matmul(qh.swapaxes(-1, -2), gs).swapaxes(-2, -1)
         gq[...] = np.matmul(gs, kh)
         gx, gw, gb = _affine_grads(gqkv, x.data, wqkv)
-        thirds = (slice(0, d), slice(d, 2 * d), slice(2 * d, None))  # q, k and v
-        return (gx, *(a for t in thirds for a in (gw[:, t], gb[t])), gwo, gbo)
+        q, k, v = slice(0, d), slice(d, 2 * d), slice(2 * d, None)
+        return gx, gw[:, q], gb[q], gw[:, k], gw[:, v], gb[v], gwo, gbo
 
     return _emit("self_attention", (x, *params), _affine(ctx, wo.data, bo.data), bwd)
 

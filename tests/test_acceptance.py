@@ -145,7 +145,8 @@ def test_c06_determinism(tmp_path, capsys):
     assert Path(a).read_bytes() == Path(b).read_bytes()
 
     cfg_file = tmp_path / "config.json"
-    _toy_train_config(epochs=1).to_json(cfg_file)
+    with open(cfg_file, "w", encoding="utf-8") as f:
+        json.dump(_toy_train_config(epochs=1).to_dict(), f)
     logs = []
     for name in ("m1.ckpt", "m2.ckpt"):
         capsys.readouterr()
@@ -254,7 +255,8 @@ def test_c08_structural_invariants():
 def test_c09_ablation_report(tmp_path, capsys):
     corpus = _toy_corpus(tmp_path)
     cfg_file = tmp_path / "config.json"
-    _toy_train_config(epochs=1).to_json(cfg_file)
+    with open(cfg_file, "w", encoding="utf-8") as f:
+        json.dump(_toy_train_config(epochs=1).to_dict(), f)
 
     started = time.monotonic()
     outputs = []

@@ -191,6 +191,27 @@ class TestTrainEvalPredict:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("error,line", [
+        (MemoryError("Unable to allocate 596. GiB"), "error: Unable to allocate 596. GiB"),
+        (MemoryError(), "error: out of memory"),
+    ], ids=["numpy-message", "bare"])
+    def test_running_out_of_memory_prints_one_error_line(self, tmp_path, tiny_config, capsys,
+                                                         monkeypatch, error, line):
+        """A config too large to allocate, such as max_question_len 100000, ends in
+        a MemoryError from numpy or from Python itself. Training is replaced by one
+        that raises it, since a real allocation of that size could exhaust memory."""
+        corpus = gen_corpus(tmp_path)
+        capsys.readouterr()
+
+        def too_large(*args):
+            raise error
+
+        monkeypatch.setattr("jaeger.cli.train", too_large)
+        code = main(["train", "--config", tiny_config, "--data", corpus,
+                     "--out", str(tmp_path / "m.ckpt")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [line]
+
     @pytest.mark.parametrize("out", ["absent/m.ckpt", "."], ids=["missing-dir", "a-dir"])
     def test_unwritable_out_fails_before_training(self, tmp_path, tiny_config, capsys,
                                                   monkeypatch, out):
@@ -388,11 +409,15 @@ class TestBadJsonAtTheBoundary:
     @pytest.mark.parametrize("raw,message", [
         ({"n_heads": 3}, "d_bidir 32 is not divisible by n_heads 3"),
         ({"max_content_len": 1}, "max_content_len must be at least 2"),
-    ], ids=["heads-do-not-divide-width", "content-len-below-cls-sep"])
+        ({"split_ratios": [0.0, 1.0]}, "split_ratios must be positive finite floats"),
+        ({"split_ratios": [-0.5, 1.0]}, "split_ratios must be positive finite floats"),
+        ({"split_ratios": [0.8, 0.3]}, "split_ratios sum to 1.1"),
+    ], ids=["heads-do-not-divide-width", "content-len-below-cls-sep", "zero-ratio",
+            "negative-ratio", "ratios-over-1"])
     def test_range_fault_found_at_model_build_names_the_file(self, tmp_path, capsys,
                                                              raw, message):
-        """Faults that only the model's encoders or the text encoder would
-        catch are refused with the config, so the error names its file."""
+        """Faults that only the model's encoders, the text encoder or the corpus
+        split would catch are refused with the config, so the error names its file."""
         corpus = gen_corpus(tmp_path)
         config = tmp_path / "cfg.json"
         config.write_text(json.dumps(raw))

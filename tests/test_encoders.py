@@ -8,10 +8,10 @@ from jaeger.encoders import (WIDTH_STEP, EncoderConfig, attention_bias, encode_c
                              init_block, init_content, init_encoder, init_visual, run_blocks,
                              transformer_block)
 from jaeger.errors import ContractError, ShapeError
-from jaeger.numerics import (Tape, Tensor, linear, masked_mean_rows, mul, reshape, seeded,
-                             self_attention, sum_all)
+from jaeger.numerics import Tape, Tensor, linear, masked_mean_rows, reshape, seeded, self_attention
 from jaeger.text import build_vocab, encode_text
 
+from conftest import project
 from fdcheck import assert_grads_match
 
 CFG = EncoderConfig(d_model=8, n_heads=2, n_layers=2, d_ff=16, max_seq=16)
@@ -26,8 +26,8 @@ def block_bias(mask, causal=False, dtype=np.float32) -> np.ndarray:
 
 def block_attention(x, bias, blk, cfg):
     """A block's self_attention sublayer."""
-    return self_attention(x, blk.wq, blk.bq, blk.wk, blk.bk, blk.wv, blk.bv, blk.wo, blk.bo,
-                          bias, cfg.n_heads)
+    return self_attention(x, blk.wq, blk.bq, blk.wk, blk.wv, blk.bv, blk.wo, blk.bo, bias,
+                          cfg.n_heads)
 
 
 class TestEncoderConfig:
@@ -78,7 +78,7 @@ class TestAttention:
         with Tape() as tape:
             transformer_block(x, block_bias(np.ones((2, 5), dtype=bool)), blk, CFG)
         assert [(r.op, len(r.input_ids)) for r in tape.records] == \
-            [("self_attention", 9), ("residual_norm", 4), ("feed_forward", 5),
+            [("self_attention", 8), ("residual_norm", 4), ("feed_forward", 5),
              ("residual_norm", 4)]
 
     def test_output_shape(self):
@@ -96,7 +96,7 @@ class TestAttention:
         w = Tensor(rng.normal(size=(3, 4)), dtype=np.float64)
         params = [x] + list(vars(blk).values())
         assert_grads_match(params,
-                           lambda: sum_all(mul(transformer_block(x, bias, blk, cfg), w)),
+                           lambda: project(transformer_block(x, bias, blk, cfg), w),
                            tol=1e-4)
 
 
@@ -327,7 +327,7 @@ class TestContentWidths:
         checked = [params.tok, params.pos, params.bbox_w, params.bbox_b,
                    *vars(params.blocks[0]).values()]
         assert_grads_match(checked,
-                           lambda: sum_all(mul(encode_content(ids, mask, boxes, params, small), w)),
+                           lambda: project(encode_content(ids, mask, boxes, params, small), w),
                            tol=1e-4)
 
     def test_mask_must_match_ids(self, cfg):
@@ -391,7 +391,7 @@ class TestInit:
         init_encoder(CFG, len(VOCAB), recording(0, built), prefix="q")
         names = [n for n, _ in built]
         assert names[0] == "q.tok" and names[1] == "q.pos"
-        assert len(names) == 2 + 16 * CFG.n_layers
+        assert len(names) == 2 + 15 * CFG.n_layers
         assert len(set(names)) == len(names)
 
     def test_content_named_includes_bbox(self):

@@ -6,6 +6,7 @@ import hashlib
 import inspect
 import json
 import os
+import re
 import struct
 import warnings
 import weakref
@@ -90,7 +91,7 @@ class TestTrainConfig:
     def test_json_roundtrip(self, tmp_path):
         cfg = small_config(variant="causal_only")
         path = tmp_path / "cfg.json"
-        cfg.to_json(path)
+        path.write_text(json.dumps(cfg.to_dict()))
         assert TrainConfig.from_json(path) == cfg
 
     def test_unknown_field_rejected(self):
@@ -109,9 +110,9 @@ class TestTrainConfig:
     def test_json_types_that_fit_are_accepted(self):
         """An int is a valid float, max_steps may be null, ratios may be a list."""
         cfg = TrainConfig.from_dict({"learning_rate": 1, "max_steps": None,
-                                     "split_ratios": [1, 0.0]})
+                                     "split_ratios": [1]})
         assert cfg.learning_rate == 1 and cfg.max_steps is None
-        assert cfg.split_ratios == (1, 0.0)
+        assert cfg.split_ratios == (1,)
 
     @pytest.mark.parametrize("field,value", [("n_heads", 2.0), ("variant", 1),
                                              ("split_ratios", [0.5, "0.5"]),
@@ -383,6 +384,15 @@ class TestBatchedTrainStep:
         cfg, ops = self._default_step_ops(monkeypatch, corpus, widths=2)
         n_layers = cfg.n_layers
         assert len(ops) == 51 + content_records(2, n_layers) - content_records(1, n_layers) == 66
+
+    def test_every_op_numerics_can_record_is_recorded_by_a_step(self, monkeypatch):
+        """Each op name numerics passes to _emit appears on one dual step's tape over
+        3-page documents, so an op that nothing in the model calls fails here."""
+        corpus = generate_corpus(5, 2, GenConfig(n_pages=3, elements_per_page=(8, 12)),
+                                 questions_per_doc=2)
+        _, ops = self._default_step_ops(monkeypatch, corpus, widths=2)
+        emitted = set(re.findall(r'_emit\("(\w+)"', inspect.getsource(numerics)))
+        assert len(emitted) > 1 and set(ops) == emitted
 
     def test_each_question_gets_its_own_logits_bit_for_bit(self):
         model, batch = self._model_and_batch()
@@ -775,11 +785,14 @@ class TestCheckpoint:
         with pytest.raises(CompatibilityError, match="content.blk0.w1"):
             load_model(path)
 
-    def test_extra_tensor_rejected(self, tmp_path):
+    # content.blk0.bk is a key bias, which checkpoints written before its removal hold.
+    @pytest.mark.parametrize("name,shape", [("fusion.spare", (3,)), ("content.blk0.bk", (8,))],
+                             ids=["spare", "key-bias"])
+    def test_extra_tensor_rejected(self, tmp_path, name, shape):
         _, _, _, path = self._trained(tmp_path)
         self._rewrite_tensors(
-            path, lambda arrays: arrays.__setitem__("fusion.spare", np.zeros(3, np.float32)))
-        with pytest.raises(CompatibilityError, match="fusion.spare"):
+            path, lambda arrays: arrays.__setitem__(name, np.zeros(shape, np.float32)))
+        with pytest.raises(CompatibilityError, match=f"unexpected parameter '{re.escape(name)}'"):
             load_model(path)
 
     def test_loading_draws_no_initial_values(self, tmp_path, monkeypatch):
@@ -846,10 +859,10 @@ class TestFreshInit:
     # values. Fresh values are xoshiro draws cast to float32, so the digests
     # hold on any platform.
     @pytest.mark.parametrize("variant, digest", [
-        ("dual", "557553b92b37cb6cfeb3ebfa84cc92abea9b83411091cb3d29b6d2c3300cd508"),
-        ("bidir_only", "414114ed3114c25e42986a82edd5e71f87081eef991bb09b4fea120b1b1d5e2d"),
-        ("causal_only", "d84d43ab0fe6e43a8fc2b921a77a8016e2d89df772e5502e3ef1e3003597d366"),
-    ])
+        ("dual", "53b021b48cd79fc2e71b0d3fbf317a39ba46c8db82efe42856adb53dc62af0f8"),
+        ("bidir_only", "47b3fd0a639cf3cb20c788ddb1461aec87145f67b30d3b0864d75d0f63d9a669"),
+        ("causal_only", "5fa54bfdfd6c5d2c46b2a179737372646a5dc7199fcf940521e7716d67b0d35a"),
+    ], ids=["dual", "bidir_only", "causal_only"])  # a re-pin keeps the test ids
     def test_fresh_tensor_file_is_pinned(self, tmp_path, variant, digest):
         path = str(tmp_path / "fresh.ckpt")
         save_checkpoint(path, JaegerModel(small_config(variant=variant),
@@ -867,7 +880,7 @@ class TestFreshInit:
         for p in model.named_parameters().values():
             assert p.data.dtype == np.float64
             h.update(p.data.tobytes())
-        assert h.hexdigest() == "7010d0bb0557f3b2b836809eab1ab0dd5c037c5d0b8b074780210fc66cfed924"
+        assert h.hexdigest() == "01120747fa40f413918247199ab5ce1021566d869e55fd80165a27ed811f0949"
 
 
 class TestGradcheck:
