@@ -338,14 +338,32 @@ def _affine(xd: Array, wd: Array, bd: Array) -> Array:
     return out
 
 
+def _sum_rows(a: Array) -> Array:
+    """The (k,) sum of a (..., k) gradient over its leading axes, as ones(R) @ a.
+
+    Backward sums are ones-vector products: BLAS takes one call where numpy
+    reduces a short row at a time or adds rows one by one. A product's
+    rounding depends on how many rows share the call, so forward passes
+    keep numpy's reductions.
+    """
+    a2 = a.reshape(-1, a.shape[-1])
+    return np.ones(len(a2), dtype=a.dtype) @ a2
+
+
+def _sum_last(a: Array) -> Array:
+    """a.sum(axis=-1, keepdims=True) for a gradient, as a @ ones(k); see _sum_rows."""
+    k = a.shape[-1]
+    return (a.reshape(-1, k) @ np.ones(k, dtype=a.dtype)).reshape(*a.shape[:-1], 1)
+
+
 def _affine_grads(g: Array, xd: Array, wd: Array, need_x: bool = True):
-    """_affine's x (None unless need_x), w and b gradients, each one product or one
-    sum over all rows: the leading axes flatten into rows."""
+    """_affine's x (None unless need_x), w and b gradients, each one product over all
+    rows: the leading axes flatten into rows."""
     w2 = wd.reshape(len(wd), -1)  # a (d,) weight as a (d, 1) matrix
     g2 = g.reshape(-1, w2.shape[1])
     gx = (g2 @ w2.T).reshape(xd.shape) if need_x else None
     return (gx, (xd.reshape(-1, len(wd)).T @ g2).reshape(wd.shape),
-            g2.sum(axis=0).reshape(wd.shape[1:]))
+            _sum_rows(g2).reshape(wd.shape[1:]))
 
 
 def linear(x: Tensor | Array, w: Tensor, b: Tensor) -> Tensor:
@@ -412,11 +430,13 @@ def residual_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor,
     def bwd(g: Array):
         dxhat = g * gamma.data
         t = dxhat * xhat
-        m1, m2 = _mean_last(dxhat), _mean_last(t)
+        m1, m2 = _sum_last(dxhat), _sum_last(t)
+        m1 /= d
+        m2 /= d
         dxhat -= m1
         dxhat -= np.multiply(xhat, m2, out=t)
         dxhat *= inv
-        return dxhat, dxhat, _sum_to(g * xhat, gamma.data.shape), _sum_to(g, beta.data.shape)
+        return dxhat, dxhat, _sum_rows(g * xhat), _sum_rows(g)
 
     return _emit("residual_norm", (x, y, gamma, beta), out, bwd)
 
@@ -484,7 +504,7 @@ def self_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv
         gq, gk, gv = heads(gqkv)
         gv[...] = np.matmul(y.swapaxes(-1, -2), gh)
         gs = np.matmul(gh, vh.swapaxes(-1, -2))
-        gs -= (gs * y).sum(axis=-1, keepdims=True)
+        gs -= _sum_last(gs * y)
         gs *= y
         gs *= c
         gk[...] = np.matmul(qh.swapaxes(-1, -2), gs).swapaxes(-2, -1)

@@ -26,6 +26,7 @@ from jaeger.encoders import WIDTH_STEP
 from jaeger.errors import (CheckpointFormatError, CompatibilityError, ContractError,
                            SchemaError, TrainingDiverged)
 from jaeger.fusion import predict_answer_set
+from jaeger.harness import gradcheck
 from jaeger.harness.ablate import ablate, format_ablation_table
 from jaeger.harness.checkpoint import (config_path, load_checkpoint, load_model,
                                        save_checkpoint, vocab_path)
@@ -36,6 +37,8 @@ from jaeger.harness.train import (_batch_loss, corpus_texts, encode_split, evalu
 from jaeger.model import EncodedCandidates, JaegerModel, encode_sample
 from jaeger.numerics import Tape, bce_with_logits, seeded, seeded_init
 from jaeger.text import Vocabulary, build_vocab
+
+from fdcheck import assert_grads_match
 
 
 def small_config(**overrides) -> TrainConfig:
@@ -438,11 +441,30 @@ class TestBatchedTrainStep:
             tape.backward(loss, params)
         np.testing.assert_allclose(loss.item(), np.mean(losses), rtol=1e-6)
         expect = [np.mean([g[i] for g in grads], axis=0) for i in range(len(params))]
-        # Some true gradients are zero (a key bias cannot move a softmax), so
-        # their entries are rounding noise; the scale is the largest entry.
+        # The two sides sum in different orders in float32. An entry far below
+        # the largest is a near-cancelling sum (a token-table entry reads
+        # 2.3e-6), so its rounding is large on its own scale; the scale is the
+        # largest entry.
         scale = max(np.abs(e).max() for e in expect)
         for p, e in zip(params, expect):
             np.testing.assert_allclose(p.grad, e, rtol=1e-5, atol=1e-5 * scale)
+
+    def test_batch_loss_matches_finite_differences(self):
+        """_batch_loss in float64 against central differences at c02's step and
+        tolerance, on what c02's one question cannot reach: four questions of two
+        documents whose elements take both content widths (8 and 16), so bias
+        gradients sum over many rows, two passes merge, and the scorer gathers each
+        question's features through owner. Three entries per parameter."""
+        cfg = dataclasses.replace(tiny_gradcheck_config(), max_content_len=16)
+        gen = GenConfig(n_pages=1, elements_per_page=(3, 4), max_depth=4, d_vis=cfg.d_vis_in)
+        docs = generate_corpus(1, 2, gen, questions_per_doc=2)
+        model = JaegerModel(cfg, build_vocab(corpus_texts(docs), cfg.min_count),
+                            seeded(cfg.seed, np.float64))
+        batch = encode_split(docs, model.vocab, cfg)
+        assert len(batch) == 4 and len({s.doc_id for s in batch}) == 2
+        assert content_widths(EncodedCandidates.concat([s.candidates for s in batch])) == 2
+        assert_grads_match(model.parameters(), lambda: _batch_loss(model, batch),
+                           tol=gradcheck.TOLERANCE, h=gradcheck.H, per_param=3)
 
     def test_a_question_without_candidates_is_refused(self):
         model, batch = self._model_and_batch()
