@@ -163,7 +163,8 @@ def encode_content(ids, mask: np.ndarray, bbox, params: SimpleNamespace,
     leading index; the result has shape (..., d_model). The bbox is mapped
     through a learned affine layer and the result is added to every token
     embedding of its element before the block stack. Each width (see
-    WIDTH_STEP) is one pass of the stack; a merge restores element order.
+    WIDTH_STEP) is one pass, which projects its own elements' boxes as one
+    (r, 1, 4) constant; a merge restores element order.
     """
     ids = np.asarray(ids)
     box = np.asarray(bbox, dtype=np.float64)
@@ -174,8 +175,7 @@ def encode_content(ids, mask: np.ndarray, bbox, params: SimpleNamespace,
     degenerate = ~((x1 < x2) & (y1 < y2))
     if degenerate.any():
         raise ContractError(f"degenerate bbox {tuple(box[degenerate][0].tolist())}")
-    dtype = params.bbox_w.data.dtype
-    proj = linear(box.reshape(-1, 4).astype(dtype), params.bbox_w, params.bbox_b)
+    box = box.reshape(-1, 1, 4).astype(params.bbox_w.data.dtype)
     mask = np.asarray(mask)
     if mask.shape != ids.shape:
         raise ShapeError(f"mask shape {mask.shape} does not match ids shape {ids.shape}")
@@ -187,7 +187,7 @@ def encode_content(ids, mask: np.ndarray, bbox, params: SimpleNamespace,
 
     def pooled(r, w):
         hidden = run_blocks(ids[r, :w], mask[r, :w], params, cfg,
-                            extra=reshape(embedding_lookup(proj, r), (len(r), 1, d)))
+                            extra=linear(box[r], params.bbox_w, params.bbox_b))
         return masked_mean_rows(hidden, mask[r, :w])
 
     feats = merge_rows([pooled(r, w) for r, w in zip(rows, widths)], np.concatenate(rows))

@@ -2,7 +2,7 @@
 
 The two question features, concatenated by the model, are reduced to a
 narrower width by a learned affine map and paired with each candidate
-element's content and visual features. Every candidate is scored
+element's [content | visual] feature row. Every candidate is scored
 independently by the same small perceptron, so logits never mix
 information across candidates and the answer set is read off per
 candidate.
@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ContractError, ShapeError
 from .numerics import (ParamSource, Tensor, concat_last, embedding_lookup, feed_forward, linear,
-                       make_params, reshape, _sigmoid)
+                       make_params, _sigmoid)
 
 
 def init_fusion(q_width: int, d_reduced: int, d_content: int, d_visual: int,
@@ -40,27 +40,20 @@ def reduce_dim(qfeat: Tensor, params: SimpleNamespace) -> Tensor:
     return linear(qfeat, params.reduce_w, params.reduce_b)
 
 
-def score_candidates(qreduced: Tensor, content_feats: Tensor, visual_feats: Tensor,
-                     params: SimpleNamespace, owner=None) -> Tensor:
-    """One logit per candidate; no cross-candidate terms.
+def score_candidates(qreduced: Tensor, cand_feats: Tensor, owner, rows,
+                     params: SimpleNamespace) -> Tensor:
+    """One logit per pair i: question owner[i] against candidate rows[i]; no
+    cross-candidate terms.
 
-    qreduced holds one reduced question per row, or is a single question's
-    vector; candidate i is paired with question owner[i] (question 0 when
-    owner is None). All candidates are scored at once, yet a candidate's
-    logit is bit-identical no matter which other candidates or questions
-    are present or in what order.
+    qreduced holds one reduced question per row and cand_feats one
+    [content | visual] row per candidate. Both sides are gathered, then
+    concatenated once. All pairs are scored at once, yet a pair's logit is
+    bit-identical no matter which other pairs are present or in what order.
     """
-    if content_feats.data.ndim != 2 or visual_feats.data.ndim != 2:
-        raise ShapeError("candidate features must be matrices")
-    n = content_feats.data.shape[0]
-    if visual_feats.data.shape[0] != n:
-        raise ShapeError(f"{n} content rows but {visual_feats.data.shape[0]} visual rows")
-    rows = np.zeros(n, dtype=np.int64) if owner is None else np.asarray(owner)
-    if rows.shape != (n,):
-        raise ShapeError(f"{n} candidates but owner has shape {rows.shape}")
-    width = qreduced.data.shape[-1]
-    questions = reshape(qreduced, (qreduced.data.size // width, width))
-    f = concat_last(concat_last(embedding_lookup(questions, rows), content_feats), visual_feats)
+    owner, rows = np.asarray(owner), np.asarray(rows)
+    if owner.ndim != 1 or owner.shape != rows.shape:
+        raise ShapeError(f"owner {owner.shape} and rows {rows.shape} must be equal-length vectors")
+    f = concat_last(embedding_lookup(qreduced, owner), embedding_lookup(cand_feats, rows))
     return feed_forward(f, params.score_w1, params.score_b1, params.score_w2, params.score_b2)
 
 

@@ -12,7 +12,7 @@ from .encoders import (EncoderConfig, encode_content, encode_question_bidir,
                        init_visual)
 from .errors import ContractError, ShapeError
 from .fusion import init_fusion, reduce_dim, score_candidates
-from .numerics import ParamSource, Tensor, active_tape, concat_last, seeded
+from .numerics import ParamSource, Tensor, concat_last, seeded
 from .text import Vocabulary, _encode_texts, encode_text
 
 
@@ -23,7 +23,7 @@ class EncodedCandidates:
     The arrays are stacked along a leading candidate axis: content_ids
     and content_masks are (n, max_content_len), bboxes (n, 4) and
     visuals (n, d_vis_in). All questions of the document share one
-    instance, so eval can compute its candidate features once.
+    instance, so a train batch or an eval chunk encodes them once.
     """
 
     content_ids: np.ndarray
@@ -179,44 +179,47 @@ class JaegerModel:
             feats.append(encode_question_causal(ids, mask, self.causal, self.causal_cfg))
         return concat_last(*feats) if len(feats) == 2 else feats[0]
 
-    def candidate_features(self, cands: EncodedCandidates) -> tuple[Tensor, Tensor]:
-        """(content, visual) feature rows, one per candidate; no question enters them."""
+    def candidate_features(self, cands: EncodedCandidates) -> Tensor:
+        """(n, d_content + d_visual) [content | visual] rows, one per candidate; no
+        question enters them."""
         content = encode_content(cands.content_ids, cands.content_masks, cands.bboxes,
                                  self.content, self.content_cfg)
-        return content, encode_visual(cands.visuals, self.visual)
+        return concat_last(content, encode_visual(cands.visuals, self.visual))
+
+    def _features(self, samples: list[EncodedSample]) -> tuple[Tensor, Tensor, list]:
+        """The reduced questions, one candidate_features matrix and each sample's rows in it.
+
+        Each distinct EncodedCandidates, by identity, is encoded once, however
+        many of the samples share it. Every row is computed alone, so no row
+        depends on what else shares the pass.
+        """
+        qreduced = reduce_dim(self.question_features(samples), self.fusion)
+        distinct = list(dict.fromkeys(s.candidates for s in samples))
+        start = dict(zip(distinct, np.cumsum([0, *(len(c.candidate_ids) for c in distinct)])))
+        feats = self.candidate_features(EncodedCandidates.concat(distinct))
+        rows = [start[s.candidates] + np.arange(len(s.candidate_ids)) for s in samples]
+        return qreduced, feats, rows
 
     def batch_logits(self, samples: list[EncodedSample]) -> Tensor:
         """Logits over every sample's candidates, sample after sample, in one pass.
 
-        Questions are a leading axis and all candidates one stacked axis.
-        Stacked products, the per-question reduction and the scorer's one-row
-        products compute each row alone, so a question's logits are
-        bit-identical to forward(sample) whatever else shares the batch.
+        Questions are one leading axis and the distinct candidates another; the
+        scorer gathers each question's row and its candidates' rows. Stacked
+        products, the per-question reduction and the scorer's one-row products
+        compute each row alone, so a question's logits are bit-identical to
+        forward(sample) whatever else shares the batch.
         """
-        qreduced = reduce_dim(self.question_features(samples), self.fusion)
-        content, visual = self.candidate_features(
-            EncodedCandidates.concat([s.candidates for s in samples]))
-        owner = np.repeat(np.arange(len(samples)), [len(s.candidate_ids) for s in samples])
-        return score_candidates(qreduced, content, visual, self.fusion, owner)
+        qreduced, feats, rows = self._features(samples)
+        owner = np.repeat(np.arange(len(samples)), [len(r) for r in rows])
+        return score_candidates(qreduced, feats, owner, np.concatenate(rows), self.fusion)
 
-    def sample_features(self, samples: list[EncodedSample]) -> list[tuple[Tensor, ...]]:
-        """Each sample's (reduced question, content rows, visual rows) for forward.
+    def sample_features(self, samples: list[EncodedSample]) -> list[tuple]:
+        """Each sample's scorer inputs for forward: (reduced questions, candidate
+        features, owner, rows), all from one _features pass over the samples."""
+        qreduced, feats, rows = self._features(samples)
+        return [(qreduced, feats, np.full(len(r), i), r) for i, r in enumerate(rows)]
 
-        One pass of each encoder covers the questions, one more their distinct
-        EncodedCandidates; each row is computed alone, as in batch_logits. The
-        sliced rows are detached from any tape, so a tape is refused.
-        """
-        if active_tape() is not None:
-            raise ContractError("sample_features returns detached rows; it cannot run on a tape")
-        qreduced = reduce_dim(self.question_features(samples), self.fusion).data
-        distinct = list(dict.fromkeys(s.candidates for s in samples))
-        content, visual = self.candidate_features(EncodedCandidates.concat(distinct))
-        cuts = np.cumsum([len(c.candidate_ids) for c in distinct])[:-1]
-        rows = dict(zip(distinct, zip(np.split(content.data, cuts), np.split(visual.data, cuts))))
-        return [(Tensor(q), *map(Tensor, rows[s.candidates])) for q, s in zip(qreduced, samples)]
-
-    def forward(self, sample: EncodedSample,
-                features: tuple[Tensor, Tensor, Tensor] | None = None) -> Tensor:
+    def forward(self, sample: EncodedSample, features: tuple | None = None) -> Tensor:
         """Logits over the sample's candidates, in candidate order.
 
         Without features this is batch_logits([sample]); given the sample's

@@ -195,8 +195,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 def concat_last(a: Tensor, b: Tensor) -> Tensor:
     """Concatenate along the last axis; leading dimensions must match."""
     _check_dtypes("concat_last", a, b)
-    if a.data.ndim != b.data.ndim or a.data.shape[:-1] != b.data.shape[:-1]:
-        raise ShapeError(f"concat_last leading shapes differ: {a.data.shape} and {b.data.shape}")
+    if not a.data.ndim or a.data.ndim != b.data.ndim or a.data.shape[:-1] != b.data.shape[:-1]:
+        raise ShapeError(f"concat_last needs (..., m) and (..., n) operands, got {a.data.shape} "
+                         f"and {b.data.shape}")
     d1 = a.data.shape[-1]
     out = np.concatenate([a.data, b.data], axis=-1)
 
@@ -224,6 +225,8 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 def merge_rows(parts: Sequence[Tensor], index) -> Tensor:
     """Stack (n_i, ...) parts and put stacked row j at row index[j]; index is a permutation."""
+    if not parts:
+        raise ShapeError("merge_rows needs at least one part")
     _check_dtypes("merge_rows", *parts)
     stacked = np.concatenate([p.data for p in parts])
     idx = np.asarray(index, dtype=np.int64)
@@ -259,9 +262,11 @@ def masked_mean_rows(x: Tensor, mask: Array) -> Tensor:
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
     """Gather rows of an embedding table for ids of any shape; backward scatter-adds."""
-    idx = np.asarray(ids, dtype=np.int64)
-    if idx.ndim == 0:
-        raise ShapeError("ids must be a sequence, got a scalar")
+    idx = np.asarray(ids)
+    if idx.ndim == 0 or idx.size and idx.dtype.kind not in "iu":
+        raise ShapeError(f"embedding_lookup needs a sequence of integer ids, got {idx.dtype} "
+                         f"of shape {idx.shape}")
+    idx = idx.astype(np.int64, copy=False)
     if table.data.ndim != 2:
         raise ShapeError(f"embedding table must be a matrix, got shape {table.data.shape}")
     rows = table.data.shape[0]
@@ -415,7 +420,7 @@ def residual_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor,
     x and y get the same gradient array, which nothing writes into.
     """
     _check_dtypes("residual_norm", x, y, gamma, beta)
-    d = x.data.shape[-1] if x.data.ndim else 0
+    d = x.data.shape[-1] if x.data.ndim else -1  # a 0-d x matches no gamma
     if y.data.shape != x.data.shape or gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ShapeError(f"residual_norm needs equal (..., d) x and y and (d,) gamma and beta, "
                          f"got {x.data.shape}, {y.data.shape}, {gamma.data.shape} and "
@@ -474,10 +479,10 @@ def self_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv
     _check_dtypes("self_attention", x, *params)
     shape = x.data.shape
     d = shape[-1] if shape else 0
-    if len(shape) < 2 or d % n_heads or [p.data.shape for p in params] != \
+    if len(shape) < 2 or n_heads < 1 or d % n_heads or [p.data.shape for p in params] != \
             [(d, d), (d,), (d, d), (d, d), (d,), (d, d), (d,)]:
-        raise ShapeError(f"self_attention needs (..., L, d) rows, d divisible by {n_heads} heads, "
-                         f"(d, d) weights and (d,) biases, got {shape} and "
+        raise ShapeError(f"self_attention needs (..., L, d) rows, d divisible by {n_heads} >= 1 "
+                         f"heads, (d, d) weights and (d,) biases, got {shape} and "
                          f"{[p.data.shape for p in params]}")
     wqkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
     qkv = _affine(x.data, wqkv, np.concatenate([bq.data, np.zeros_like(bq.data), bv.data]))

@@ -236,14 +236,13 @@ def test_c08_structural_invariants():
     assert worst <= 1e-6
 
     fparams = init_fusion(6, 6, 5, 3, 8, seeded(5))
-    q = Tensor(rng.normal(size=6).astype(np.float32))
-    content = Tensor(rng.normal(size=(7, 5)).astype(np.float32))
-    visual = Tensor(rng.normal(size=(7, 3)).astype(np.float32))
-    logits = score_candidates(q, content, visual, fparams).data
+    q = Tensor(rng.normal(size=(2, 6)).astype(np.float32))
+    feats = Tensor(rng.normal(size=(7, 8)).astype(np.float32))
+    owner, rows = rng.integers(0, 2, size=7), np.arange(7)
+    logits = score_candidates(q, feats, owner, rows, fparams).data
     order = list(range(7))
     Xoshiro256(1, "perm").shuffle(order)
-    shuffled = score_candidates(q, Tensor(content.data[order]),
-                                Tensor(visual.data[order]), fparams).data
+    shuffled = score_candidates(q, feats, owner[order], rows[order], fparams).data
     np.testing.assert_array_equal(shuffled, logits[order])
 
     _passed(f"c08 structural invariants: concat additivity and recovery are "

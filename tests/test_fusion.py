@@ -10,12 +10,13 @@ from jaeger.numerics import Tensor, seeded
 from jaeger.rng import Xoshiro256
 
 
-def random_features(seed: int, n: int, d_q=6, d_c=5, d_v=3):
+def random_features(seed: int, n: int, b=2, d_q=6, d_c=5, d_v=3):
+    """b reduced questions, n candidate rows of width d_c + d_v, and each candidate's
+    question (owner) and row (rows)."""
     rng = np.random.default_rng(seed)
-    q = Tensor(rng.normal(size=d_q).astype(np.float32))
-    content = Tensor(rng.normal(size=(n, d_c)).astype(np.float32))
-    visual = Tensor(rng.normal(size=(n, d_v)).astype(np.float32))
-    return q, content, visual
+    q = Tensor(rng.normal(size=(b, d_q)).astype(np.float32))
+    feats = Tensor(rng.normal(size=(n, d_c + d_v)).astype(np.float32))
+    return q, feats, rng.integers(0, b, size=n), np.arange(n)
 
 
 class TestReduce:
@@ -48,49 +49,63 @@ class TestReduce:
 class TestScoreCandidates:
     def test_one_logit_per_candidate(self):
         params = init_fusion(6, 6, 5, 3, 8, seeded(1))
-        q, content, visual = random_features(1, n=4)
-        logits = score_candidates(q, content, visual, params)
+        q, feats, owner, rows = random_features(1, n=4)
+        logits = score_candidates(q, feats, owner, rows, params)
         assert logits.shape == (4,)
         assert np.isfinite(logits.data).all()
 
     def test_no_candidates(self):
         params = init_fusion(6, 6, 5, 3, 8, seeded(1))
-        q, content, visual = random_features(1, n=0)
-        logits = score_candidates(q, content, visual, params)
+        q, feats, owner, rows = random_features(1, n=0)
+        logits = score_candidates(q, feats, owner, rows, params)
         assert logits.shape == (0,)
 
     def test_permutation_equivariance_is_bit_exact(self):
-        """Shuffling candidate rows shuffles the logits, nothing else."""
+        """Shuffling the pairs (owner and rows together) shuffles the logits, nothing
+        else; so does shuffling the candidate rows themselves."""
         params = init_fusion(6, 6, 5, 3, 8, seeded(2))
         for n in (6, 30):
-            q, content, visual = random_features(2, n=n)
-            base = score_candidates(q, content, visual, params).data
+            q, feats, owner, rows = random_features(2, n=n)
+            base = score_candidates(q, feats, owner, rows, params).data
             perm = Xoshiro256(9, "perm")
             order = list(range(n))
             perm.shuffle(order)
-            shuffled = score_candidates(q, Tensor(content.data[order]),
-                                        Tensor(visual.data[order]), params).data
+            shuffled = score_candidates(q, feats, owner[order], rows[order], params).data
             np.testing.assert_array_equal(shuffled, base[order])
+            moved = score_candidates(q, Tensor(feats.data[order]), owner[order], rows,
+                                     params).data
+            np.testing.assert_array_equal(moved, base[order])
 
     def test_appending_candidates_never_moves_existing_logits(self):
         params = init_fusion(6, 6, 5, 3, 8, seeded(3))
         for n in (4, 1):
-            q, content, visual = random_features(3, n=n)
-            base = score_candidates(q, content, visual, params).data
-            _, extra_c, extra_v = random_features(4, n=3)
-            grown = score_candidates(
-                q,
-                Tensor(np.concatenate([content.data, extra_c.data])),
-                Tensor(np.concatenate([visual.data, extra_v.data])),
-                params).data
+            q, feats, owner, rows = random_features(3, n=n)
+            base = score_candidates(q, feats, owner, rows, params).data
+            _, extra, extra_owner, extra_rows = random_features(4, n=3)
+            grown = score_candidates(q, Tensor(np.concatenate([feats.data, extra.data])),
+                                     np.concatenate([owner, extra_owner]),
+                                     np.concatenate([rows, n + extra_rows]), params).data
             np.testing.assert_array_equal(grown[:n], base)
+
+    def test_gathered_rows_score_like_their_own_stack(self):
+        """A pair's logit depends on its question row and candidate row alone: a row
+        gathered twice, or for two questions, scores as in its own one-pair call."""
+        params = init_fusion(6, 6, 5, 3, 8, seeded(5))
+        q, feats, _, _ = random_features(5, n=4, b=3)
+        owner, rows = np.array([2, 0, 2, 1, 0]), np.array([3, 3, 0, 1, 3])
+        logits = score_candidates(q, feats, owner, rows, params).data
+        for i, (o, r) in enumerate(zip(owner, rows)):
+            alone = score_candidates(Tensor(q.data[o:o + 1]), Tensor(feats.data[r:r + 1]),
+                                     [0], [0], params).data
+            np.testing.assert_array_equal(logits[i:i + 1], alone)
 
     def test_row_count_mismatch_rejected(self):
         params = init_fusion(6, 6, 5, 3, 8, seeded(1))
-        q, content, _ = random_features(1, n=4)
-        _, _, visual = random_features(1, n=3)
-        with pytest.raises(ShapeError):
-            score_candidates(q, content, visual, params)
+        q, feats, owner, rows = random_features(1, n=4)
+        for bad_owner, bad_rows in ((owner[:3], rows), (owner, rows[:3]),
+                                    (owner.reshape(2, 2), rows.reshape(2, 2))):
+            with pytest.raises(ShapeError):
+                score_candidates(q, feats, bad_owner, bad_rows, params)
 
 
 class TestPredictAnswerSet:

@@ -103,12 +103,13 @@ class TestTrainConfig:
         with pytest.raises(SchemaError, match="momentum"):
             TrainConfig.from_dict(raw)
 
-    def test_legacy_data_path_is_accepted(self):
-        """Sidecars written before data_path was dropped still load."""
+    def test_data_path_is_refused_as_unknown(self):
+        """No checkpoint load_model accepts was written with data_path: the tensor files
+        of that time hold the attention key bias, which loading refuses."""
         raw = small_config().to_dict()
-        assert "data_path" not in raw
         raw["data_path"] = "corpus.jsonl"
-        assert TrainConfig.from_dict(raw) == small_config()
+        with pytest.raises(SchemaError, match="unknown config field 'data_path'"):
+            TrainConfig.from_dict(raw)
 
     def test_json_types_that_fit_are_accepted(self):
         """An int is a valid float, max_steps may be null, ratios may be a list."""
@@ -256,13 +257,25 @@ def content_widths(cands) -> int:
 def content_records(widths: int, n_layers: int) -> int:
     """Records of one encode_content call whose elements span this many widths.
 
-    A pass is the token and position lookups and their add, the bbox add,
-    4 records per block (self_attention, residual_norm, feed_forward,
-    residual_norm) and the pooled mean. The
-    bbox projection comes first, each width gathers and reshapes its rows of
-    it, and a merge joins the passes.
+    A pass is its elements' bbox projection, the token and position lookups
+    and their add, the bbox add, 4 records per block (self_attention,
+    residual_norm, feed_forward, residual_norm) and the pooled mean. A merge
+    joins the passes.
     """
-    return 1 + widths * (2 + 4 + 4 * n_layers + 1) + 1
+    return widths * (1 + 4 + 4 * n_layers + 1) + 1
+
+
+def record_content_ids(monkeypatch) -> list:
+    """The content_ids of every encode_content call, in call order."""
+    calls = []
+    original = jaeger.model.encode_content
+
+    def recording(ids, *args, **kwargs):
+        calls.append(np.asarray(ids).copy())
+        return original(ids, *args, **kwargs)
+
+    monkeypatch.setattr(jaeger.model, "encode_content", recording)
+    return calls
 
 
 class TestForward:
@@ -347,7 +360,8 @@ class TestBatchedTrainStep:
         monkeypatch.setattr("jaeger.harness.train.Tape", LeafTape)
         train_step(model, batch, 0.01, 0)
         assert seen["leaves"] - {-1} <= seen["params"]
-        assert seen["constants"] == ["linear", "feed_forward"]  # the bbox, the descriptors
+        # The bbox of each content width's elements, then the descriptors.
+        assert seen["constants"] == ["linear", "linear", "feed_forward"]
 
     def _default_step_ops(self, monkeypatch, corpus, widths):
         """The ops a dual step records at the default widths, on a first batch whose
@@ -377,16 +391,17 @@ class TestBatchedTrainStep:
         # One per block, the visual MLP and the scorer.
         assert ops.count("feed_forward") == blocks + 2 == 8
         assert ops.count("linear") == 2  # the bbox injection and the reduction
-        assert len(ops) == 51
+        assert len(ops) == 50
 
     def test_a_second_content_width_adds_one_content_pass(self, monkeypatch):
         """3-page documents mix content widths 8 and 16: the content encoder runs
-        twice, each pass gathering its elements' rows, and one merge joins them."""
+        twice, each pass projecting its own elements' boxes, and one merge joins them."""
         corpus = generate_corpus(5, 2, GenConfig(n_pages=3, elements_per_page=(8, 12)),
                                  questions_per_doc=2)
         cfg, ops = self._default_step_ops(monkeypatch, corpus, widths=2)
         n_layers = cfg.n_layers
-        assert len(ops) == 51 + content_records(2, n_layers) - content_records(1, n_layers) == 66
+        assert len(ops) == 50 + content_records(2, n_layers) - content_records(1, n_layers) == 64
+        assert ops.count("linear") == 3
 
     def test_every_op_numerics_can_record_is_recorded_by_a_step(self, monkeypatch):
         """Each op name numerics passes to _emit appears on one dual step's tape over
@@ -396,6 +411,25 @@ class TestBatchedTrainStep:
         _, ops = self._default_step_ops(monkeypatch, corpus, widths=2)
         emitted = set(re.findall(r'_emit\("(\w+)"', inspect.getsource(numerics)))
         assert len(emitted) > 1 and set(ops) == emitted
+
+    def test_a_document_shared_by_two_questions_is_encoded_once(self, monkeypatch):
+        """Two documents each have two questions in the batch: the step's one
+        encode_content call holds their elements once, and each of those
+        questions' logits equals forward(sample) bit for bit."""
+        model, batch = self._model_and_batch()
+        calls = record_content_ids(monkeypatch)
+        train_step(model, batch, 0.01, 0)
+        distinct = list(dict.fromkeys(s.candidates for s in batch))
+        assert len(distinct) == len(batch) - 2 and len(calls) == 1
+        np.testing.assert_array_equal(calls[0],
+                                      np.concatenate([c.content_ids for c in distinct]))
+        logits = model.batch_logits(batch).data
+        at = np.cumsum([0] + [len(s.candidate_ids) for s in batch])
+        shared = [i for i, s in enumerate(batch)
+                  if sum(t.candidates is s.candidates for t in batch) == 2]
+        assert len(shared) == 4
+        for i in shared:
+            np.testing.assert_array_equal(logits[at[i]:at[i + 1]], model.forward(batch[i]).data)
 
     def test_each_question_gets_its_own_logits_bit_for_bit(self):
         model, batch = self._model_and_batch()
@@ -524,18 +558,6 @@ class TestSharedCandidateFeatures:
         cfg = small_config(**overrides)
         return JaegerModel(cfg, build_vocab(corpus_texts(corpus))), corpus
 
-    def _record_content_ids(self, monkeypatch) -> list:
-        """The content_ids of every encode_content call, in call order."""
-        calls = []
-        original = jaeger.model.encode_content
-
-        def recording(ids, *args, **kwargs):
-            calls.append(np.asarray(ids).copy())
-            return original(ids, *args, **kwargs)
-
-        monkeypatch.setattr(jaeger.model, "encode_content", recording)
-        return calls
-
     def _record_logits(self, model) -> dict:
         """qid -> logits of every forward evaluate makes on model."""
         seen = {}
@@ -559,7 +581,7 @@ class TestSharedCandidateFeatures:
         model, corpus = self._model_and_corpus()
         samples = encode_split(corpus, model.vocab, model.cfg)
         assert len(samples) == 20
-        calls = self._record_content_ids(monkeypatch)
+        calls = record_content_ids(monkeypatch)
         evaluate(model, samples, "val")
         assert len(calls) == 1
         np.testing.assert_array_equal(
@@ -567,7 +589,7 @@ class TestSharedCandidateFeatures:
 
     def test_evaluate_checkpoint_encodes_each_document_once(self, monkeypatch):
         model, corpus = self._model_and_corpus(split_ratios=(1.0,))
-        calls = self._record_content_ids(monkeypatch)
+        calls = record_content_ids(monkeypatch)
         report = evaluate_checkpoint(model, corpus, "train")
         assert report["n"] == 20
         assert len(calls) == 1
@@ -581,7 +603,7 @@ class TestSharedCandidateFeatures:
         samples = encode_split(corpus, model.vocab, model.cfg)
         chunk = jaeger.harness.train.EVAL_CHUNK
         assert len(samples) == 132 and samples[chunk - 1].candidates is samples[chunk].candidates
-        calls = self._record_content_ids(monkeypatch)
+        calls = record_content_ids(monkeypatch)
         evaluate(model, samples, "val")
         assert len(calls) == 3
         for got, at in zip(calls, range(0, len(samples), chunk)):
@@ -625,12 +647,6 @@ class TestSharedCandidateFeatures:
         for qid, logits in first.items():
             np.testing.assert_array_equal(seen[qid], logits)
         self._assert_each_alone(model, interleaved, seen)
-
-    def test_sample_features_refuse_a_tape(self):
-        model, corpus = self._model_and_corpus()
-        samples = encode_split(corpus, model.vocab, model.cfg)
-        with Tape(), pytest.raises(ContractError, match="tape"):
-            model.sample_features(samples)
 
     def test_questions_of_one_document_share_its_candidates(self):
         model, corpus = self._model_and_corpus()

@@ -116,6 +116,12 @@ class TestConcat:
             with pytest.raises(ShapeError):
                 concat_last(Tensor(np.zeros(a)), Tensor(np.zeros(b)))
 
+    def test_scalars_rejected(self):
+        """A 0-d operand has no last axis to join along."""
+        for a, b in (((), ()), ((), (3,)), ((3,), ())):
+            with pytest.raises(ShapeError, match="concat_last"):
+                concat_last(Tensor(np.zeros(a)), Tensor(np.zeros(b)))
+
     def test_gradients(self):
         rng = np.random.default_rng(5)
         a = random_param(rng, 2, 3)
@@ -379,6 +385,12 @@ class TestAttention:
         with pytest.raises(ShapeError):
             self_attention(*args, np.zeros((1, 4, 4)), 2)
 
+    @pytest.mark.parametrize("n_heads", [0, -2])
+    def test_head_count_below_one_rejected(self, n_heads):
+        args = attention_args(np.random.default_rng(36), (3, 8))
+        with pytest.raises(ShapeError, match="self_attention"):
+            self_attention(*args, np.zeros((1, 3, 3)), n_heads)
+
 
 def composed_residual_norm(x, y, gamma, beta, g, eps=1e-5, sums=ONES):
     """Output and x, y, gamma, beta gradients of residual_norm as separate steps:
@@ -424,6 +436,13 @@ class TestLayerNorm:
             residual_norm(x, x, Tensor(np.ones(4)), Tensor(np.zeros(4)))
         with pytest.raises(ShapeError):
             residual_norm(x, Tensor(np.zeros(3)), Tensor(np.ones(3)), Tensor(np.zeros(3)))
+
+    def test_scalars_rejected(self):
+        """0-d x and y have no last axis to normalize, even beside (0,) gamma and beta."""
+        x = Tensor(np.float32(1.0))
+        empty = Tensor(np.zeros(0, dtype=np.float32))
+        with pytest.raises(ShapeError, match="residual_norm"):
+            residual_norm(x, x, empty, empty)
 
     def test_gradients(self):
         rng = np.random.default_rng(10)
@@ -679,6 +698,14 @@ class TestEmbedding:
             embedding_lookup(table, [1, 9])
         assert "9" in str(err.value)
 
+    @pytest.mark.parametrize("ids", [[1.7, 2.2], [1.0, 2.0], [True, False]],
+                             ids=["fractional", "whole-floats", "bools"])
+    def test_non_integer_ids_rejected(self, ids):
+        """Float ids would be truncated to rows, and bools read as rows 0 and 1."""
+        table = Tensor(np.zeros((4, 3)))
+        with pytest.raises(ShapeError, match="embedding_lookup"):
+            embedding_lookup(table, ids)
+
     def test_duplicate_ids_accumulate_gradient(self):
         """A row looked up twice receives the sum of both upstream grads."""
         table = Tensor(np.zeros((3, 2)), dtype=np.float64)
@@ -865,6 +892,10 @@ class TestSmallOps:
         for index in ([0, 1], [0, 1, 1], [0, 1, 3]):
             with pytest.raises(ShapeError):
                 merge_rows(parts, index)
+
+    def test_merge_rows_needs_a_part(self):
+        with pytest.raises(ShapeError, match="merge_rows"):
+            merge_rows([], [])
 
     def test_linear_rejects_bad_shapes(self):
         for x, w, b in (((3, 4), (5, 2), (2,)), ((3, 4), (4,), (1,)), ((3, 4), (4, 2), (3,)),
