@@ -1,7 +1,9 @@
 """Toy transformer encoders for questions, element content and visuals.
 
 Blocks are post-norm: self-attention, residual add and layer norm,
-feed-forward, residual add and layer norm, as four tape records.
+feed-forward, residual add and layer norm, as four tape records. A
+question encoder keeps one row per question, so its last block runs
+that row alone as the query, over every position's keys and values.
 Attention masks PAD keys always and future keys when the encoder is
 causal; masked scores are set to -inf before the softmax so masked
 weights are exactly zero, which makes causal and PAD invariance hold
@@ -72,26 +74,25 @@ def attention_bias(mask: np.ndarray, causal: bool, dtype) -> np.ndarray:
     """(..., L, L) additive bias: 0 where key j is visible to query i, -inf otherwise."""
     m = np.asarray(mask, dtype=bool)
     length = m.shape[-1]
-    visible = np.broadcast_to(m[..., None, :], m.shape + (length,))
-    if causal:
-        visible = visible & np.tri(length, dtype=bool)
-    return np.where(visible, 0.0, -np.inf).astype(dtype)
+    rule = np.tri(length, dtype=bool) if causal else np.ones((length, 1), dtype=bool)
+    return np.where(m[..., None, :] & rule, 0.0, -np.inf).astype(dtype)
 
 
-def transformer_block(x: Tensor, bias: np.ndarray, params: SimpleNamespace,
+def transformer_block(xq: Tensor, xkv: Tensor, bias: np.ndarray, params: SimpleNamespace,
                       cfg: EncoderConfig) -> Tensor:
-    """One post-norm block; preserves the (..., L, d_model) shape.
+    """One post-norm block: the query rows xq attend to the (..., L, d_model) rows xkv.
 
-    bias is the attention bias of the block's keys, with a head axis of size
-    1: attention_bias(mask[..., None, :], cfg.causal, dtype).
+    A full block passes one tensor as both. A pooled block passes one row per
+    sequence, and only that row runs the residuals and the feed-forward. bias is
+    the keys' attention bias with a head axis of size 1 (see run_blocks).
     """
-    if x.data.ndim < 2 or x.data.shape[-1] != cfg.d_model:
-        raise ShapeError(f"block input {x.data.shape} does not match d_model {cfg.d_model}")
-    if x.data.shape[-2] > cfg.max_seq:
-        raise ContractError(f"sequence of {x.data.shape[-2]} exceeds max_seq {cfg.max_seq}")
+    if xkv.data.ndim < 2 or xkv.data.shape[-1] != cfg.d_model:
+        raise ShapeError(f"block input {xkv.data.shape} does not match d_model {cfg.d_model}")
+    if xkv.data.shape[-2] > cfg.max_seq:
+        raise ContractError(f"sequence of {xkv.data.shape[-2]} exceeds max_seq {cfg.max_seq}")
     p = params
-    attn = self_attention(x, p.wq, p.bq, p.wk, p.wv, p.bv, p.wo, p.bo, bias, cfg.n_heads)
-    h = residual_norm(x, attn, p.ln1_g, p.ln1_b)
+    attn = self_attention(xq, xkv, p.wq, p.bq, p.wk, p.wv, p.bv, p.wo, p.bo, bias, cfg.n_heads)
+    h = residual_norm(xq, attn, p.ln1_g, p.ln1_b)
     return residual_norm(h, feed_forward(h, p.w1, p.b1, p.w2, p.b2), p.ln2_g, p.ln2_b)
 
 
@@ -104,16 +105,27 @@ def run_blocks(ids, mask: np.ndarray, params: SimpleNamespace, cfg: EncoderConfi
     # The mask gains a head axis of size 1, so one bias serves every head and block.
     bias = attention_bias(np.asarray(mask)[..., None, :], cfg.causal, x.data.dtype)
     for blk in params.blocks:
-        x = transformer_block(x, bias, blk, cfg)
+        x = transformer_block(x, x, bias, blk, cfg)
     return x
 
 
-def _pool(hidden: Tensor, pos: np.ndarray) -> Tensor:
-    """hidden[..., pos, :] for each leading index: (..., L, d) and pos (...) -> (..., d)."""
-    *lead, length, d = hidden.data.shape
+def _pool(ids, mask: np.ndarray, pos: np.ndarray, params: SimpleNamespace,
+          cfg: EncoderConfig) -> Tensor:
+    """The last hidden state at pos[...], the first or the last non-PAD position of
+    each (..., L) sequence. That row sees every non-PAD key, causal or not, so the
+    last block's bias for it is the bias's last row: the PAD mask alone."""
+    m = np.asarray(mask, dtype=bool)
+    if not m.any(axis=-1).all():
+        raise ContractError("cannot pool an all-PAD sequence")
+    x = embed_sequence(ids, params.tok, params.pos)
+    bias = attention_bias(m[..., None, :], cfg.causal, x.data.dtype)
+    for blk in params.blocks[:-1]:
+        x = transformer_block(x, x, bias, blk, cfg)
+    *lead, length, d = x.data.shape
     flat = np.arange(pos.size) * length + pos.reshape(-1)
-    rows = embedding_lookup(reshape(hidden, (pos.size * length, d)), flat)
-    return reshape(rows, (*lead, d))
+    row = embedding_lookup(reshape(x, (pos.size * length, d)), flat.reshape(lead or 1))
+    return reshape(transformer_block(row, x, bias[..., -1:, :], params.blocks[-1], cfg),
+                   (*lead, d))
 
 
 def encode_question_bidir(ids, mask: np.ndarray, params: SimpleNamespace,
@@ -124,8 +136,7 @@ def encode_question_bidir(ids, mask: np.ndarray, params: SimpleNamespace,
     """
     if cfg.causal:
         raise ContractError("bidirectional encoder configured as causal")
-    hidden = run_blocks(ids, mask, params, cfg)
-    return _pool(hidden, np.zeros(np.shape(ids)[:-1], dtype=np.int64))
+    return _pool(ids, mask, np.zeros(np.shape(ids)[:-1], dtype=np.int64), params, cfg)
 
 
 def encode_question_causal(ids, mask: np.ndarray, params: SimpleNamespace,
@@ -134,10 +145,8 @@ def encode_question_causal(ids, mask: np.ndarray, params: SimpleNamespace,
     if not cfg.causal:
         raise ContractError("causal encoder configured as bidirectional")
     m = np.asarray(mask, dtype=bool)
-    if not m.any(axis=-1).all():
-        raise ContractError("cannot pool an all-PAD sequence")
     last = m.shape[-1] - 1 - np.argmax(m[..., ::-1], axis=-1)
-    return _pool(run_blocks(ids, mask, params, cfg), last)
+    return _pool(ids, m, last, params, cfg)
 
 
 def init_content(cfg: EncoderConfig, vocab_size: int, make: ParamSource,

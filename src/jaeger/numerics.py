@@ -225,8 +225,10 @@ def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
 
 def merge_rows(parts: Sequence[Tensor], index) -> Tensor:
     """Stack (n_i, ...) parts and put stacked row j at row index[j]; index is a permutation."""
-    if not parts:
-        raise ShapeError("merge_rows needs at least one part")
+    if not parts or any(not p.data.ndim or p.data.shape[1:] != parts[0].data.shape[1:]
+                        for p in parts):
+        raise ShapeError(f"merge_rows needs one or more (n_i, ...) parts with one row shape, "
+                         f"got {[p.data.shape for p in parts]}")
     _check_dtypes("merge_rows", *parts)
     stacked = np.concatenate([p.data for p in parts])
     idx = np.asarray(index, dtype=np.int64)
@@ -420,11 +422,11 @@ def residual_norm(x: Tensor, y: Tensor, gamma: Tensor, beta: Tensor,
     x and y get the same gradient array, which nothing writes into.
     """
     _check_dtypes("residual_norm", x, y, gamma, beta)
-    d = x.data.shape[-1] if x.data.ndim else -1  # a 0-d x matches no gamma
-    if y.data.shape != x.data.shape or gamma.data.shape != (d,) or beta.data.shape != (d,):
-        raise ShapeError(f"residual_norm needs equal (..., d) x and y and (d,) gamma and beta, "
-                         f"got {x.data.shape}, {y.data.shape}, {gamma.data.shape} and "
-                         f"{beta.data.shape}")
+    d = x.data.shape[-1] if x.data.ndim else 0  # a 0-d x, like a 0-wide one, is refused
+    if not d or y.data.shape != x.data.shape or gamma.data.shape != (d,) or beta.data.shape != (d,):
+        raise ShapeError(f"residual_norm needs equal (..., d) x and y with d >= 1 and (d,) "
+                         f"gamma and beta, got {x.data.shape}, {y.data.shape}, "
+                         f"{gamma.data.shape} and {beta.data.shape}")
     xhat = x.data + y.data
     xhat -= _mean_last(xhat)
     inv = 1.0 / np.sqrt(_mean_last(xhat * xhat) + x.data.dtype.type(eps))
@@ -460,39 +462,42 @@ def softmax_in_place(s: Array) -> Array:
     return s
 
 
-def self_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv: Tensor,
-                   wo: Tensor, bo: Tensor, bias: Array, n_heads: int) -> Tensor:
-    """Multi-head self-attention over (..., L, d) rows, with its output projection,
-    as one record.
+def self_attention(xq: Tensor, xkv: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor,
+                   bv: Tensor, wo: Tensor, bo: Tensor, bias: Array, n_heads: int) -> Tensor:
+    """Multi-head attention of the query rows xq over the key/value rows xkv, with
+    its output projection, as one record; a full block passes one tensor as both.
 
-    q, k and v come from one (d, 3d) product, the weights concatenated on each
-    call; their backward is one (..., L, 3d) gradient, so x's and the weights'
-    are one product each. Per head of width d_head the weights are
-    softmax(q·kᵀ / √d_head + bias), 0 for a visible key and -inf for a masked
-    one, broadcast against the (..., n_heads, L, L) scores.
+    xkv is (..., L, d) with L >= 1, and xq (..., Lq, d), or (..., d) for one query
+    per sequence, which is also the output's shape. q is one product of xq, and k and
+    v one (d, 2d) product of xkv, the weights concatenated on each call. Per head of
+    width d_head the weights are softmax(q·kᵀ / √d_head + bias), 0 for a visible key
+    and -inf for a masked one, broadcast against the (..., n_heads, Lq, L) scores.
 
     Keys carry no bias: one would add the same q·b_k to every score in a
-    query's row, which the softmax cancels. The k third of the concatenated
+    query's row, which the softmax cancels. The k half of the concatenated
     bias is zeros.
     """
     params = (wq, bq, wk, wv, bv, wo, bo)
-    _check_dtypes("self_attention", x, *params)
-    shape = x.data.shape
-    d = shape[-1] if shape else 0
-    if len(shape) < 2 or n_heads < 1 or d % n_heads or [p.data.shape for p in params] != \
-            [(d, d), (d,), (d, d), (d, d), (d,), (d, d), (d,)]:
-        raise ShapeError(f"self_attention needs (..., L, d) rows, d divisible by {n_heads} >= 1 "
-                         f"heads, (d, d) weights and (d,) biases, got {shape} and "
-                         f"{[p.data.shape for p in params]}")
-    wqkv = np.concatenate([wq.data, wk.data, wv.data], axis=1)
-    qkv = _affine(x.data, wqkv, np.concatenate([bq.data, np.zeros_like(bq.data), bv.data]))
-    split = (*shape[:-1], 3, n_heads, d // n_heads)
+    _check_dtypes("self_attention", xq, xkv, *params)
+    shape, kv_shape = xq.data.shape, xkv.data.shape
+    lead, d = kv_shape[:-2], kv_shape[-1] if kv_shape else 0
+    if len(kv_shape) < 2 or not kv_shape[-2] or not 1 <= n_heads <= d or d % n_heads or \
+            len(shape) - len(lead) not in (1, 2) or shape[:len(lead)] + shape[-1:] != (*lead, d) \
+            or [p.data.shape for p in params] != [(d, d), (d,), (d, d), (d, d), (d,), (d, d), (d,)]:
+        raise ShapeError(f"self_attention needs (..., [Lq,] d) and (..., L >= 1, d) rows, d "
+                         f"divisible by {n_heads} >= 1 heads, (d, d) weights and (d,) biases, "
+                         f"got {shape}, {kv_shape} and {[p.data.shape for p in params]}")
+    wkv = np.concatenate([wk.data, wv.data], axis=1)
+    q = _affine(xq.data, wq.data, bq.data)
+    kv = _affine(xkv.data, wkv, np.concatenate([np.zeros(d, dtype=bv.data.dtype), bv.data]))
+    lq, dh = math.prod(shape[len(lead):-1]), d // n_heads  # lq is 1 for (..., d) queries
 
-    def heads(a: Array) -> list[Array]:  # (..., L, 3d) to q, k and v (..., n_heads, L, d_head)
-        return [a.reshape(split)[..., i, :, :].swapaxes(-3, -2) for i in range(3)]
+    def heads(a: Array, rows: int, n: int) -> list[Array]:  # to n (..., n_heads, rows, dh)
+        return [a.reshape(*lead, rows, n, n_heads, dh)[..., i, :, :].swapaxes(-3, -2)
+                for i in range(n)]
 
-    qh, kh, vh = heads(qkv)
-    c = x.data.dtype.type(1.0 / math.sqrt(split[-1]))
+    (qh,), (kh, vh) = heads(q, lq, 1), heads(kv, kv_shape[-2], 2)
+    c = xq.data.dtype.type(1.0 / math.sqrt(dh))
     y = np.matmul(qh, kh.swapaxes(-2, -1))
     y *= c
     try:
@@ -504,21 +509,21 @@ def self_attention(x: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, wv: Tensor, bv
 
     def bwd(g: Array):
         gctx, gwo, gbo = _affine_grads(g, ctx, wo.data)
-        gh = gctx.reshape(split[:-3] + split[-2:]).swapaxes(-3, -2)
-        gqkv = np.empty_like(qkv)
-        gq, gk, gv = heads(gqkv)
+        (gh,) = heads(gctx, lq, 1)
+        gq, gkv = np.empty_like(q), np.empty_like(kv)
+        (gqh,), (gk, gv) = heads(gq, lq, 1), heads(gkv, kv_shape[-2], 2)
         gv[...] = np.matmul(y.swapaxes(-1, -2), gh)
         gs = np.matmul(gh, vh.swapaxes(-1, -2))
         gs -= _sum_last(gs * y)
         gs *= y
         gs *= c
         gk[...] = np.matmul(qh.swapaxes(-1, -2), gs).swapaxes(-2, -1)
-        gq[...] = np.matmul(gs, kh)
-        gx, gw, gb = _affine_grads(gqkv, x.data, wqkv)
-        q, k, v = slice(0, d), slice(d, 2 * d), slice(2 * d, None)
-        return gx, gw[:, q], gb[q], gw[:, k], gw[:, v], gb[v], gwo, gbo
+        gqh[...] = np.matmul(gs, kh)
+        gxq, gwq, gbq = _affine_grads(gq, xq.data, wq.data)
+        gxkv, gw, gb = _affine_grads(gkv, xkv.data, wkv)
+        return gxq, gxkv, gwq, gbq, gw[:, :d], gw[:, d:], gb[d:], gwo, gbo
 
-    return _emit("self_attention", (x, *params), _affine(ctx, wo.data, bo.data), bwd)
+    return _emit("self_attention", (xq, xkv, *params), _affine(ctx, wo.data, bo.data), bwd)
 
 
 def sgd_step(params: Sequence[Tensor], learning_rate: float) -> None:

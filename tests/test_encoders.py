@@ -1,5 +1,8 @@
 """Transformer blocks, pooling rules, and the content and visual encoders."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -25,8 +28,8 @@ def block_bias(mask, causal=False, dtype=np.float32) -> np.ndarray:
 
 
 def block_attention(x, bias, blk, cfg):
-    """A block's self_attention sublayer."""
-    return self_attention(x, blk.wq, blk.bq, blk.wk, blk.wv, blk.bv, blk.wo, blk.bo, bias,
+    """A full block's self_attention sublayer: x gives the queries, keys and values."""
+    return self_attention(x, x, blk.wq, blk.bq, blk.wk, blk.wv, blk.bv, blk.wo, blk.bo, bias,
                           cfg.n_heads)
 
 
@@ -71,14 +74,15 @@ class TestAttention:
         np.testing.assert_array_equal(got, want)
 
     def test_a_block_is_four_records(self):
-        """self_attention takes x and the four projections' weights; the mask bias is a
-        plain array, so no record takes it as an input."""
+        """self_attention takes the query rows, the key/value rows and the four
+        projections' weights; the mask bias is a plain array, so no record takes it
+        as an input."""
         blk = init_block(CFG, seeded(1), prefix="t")
         x = Tensor(np.zeros((2, 5, 8), dtype=np.float32))
         with Tape() as tape:
-            transformer_block(x, block_bias(np.ones((2, 5), dtype=bool)), blk, CFG)
+            transformer_block(x, x, block_bias(np.ones((2, 5), dtype=bool)), blk, CFG)
         assert [(r.op, len(r.input_ids)) for r in tape.records] == \
-            [("self_attention", 8), ("residual_norm", 4), ("feed_forward", 5),
+            [("self_attention", 9), ("residual_norm", 4), ("feed_forward", 5),
              ("residual_norm", 4)]
 
     def test_output_shape(self):
@@ -96,7 +100,7 @@ class TestAttention:
         w = Tensor(rng.normal(size=(3, 4)), dtype=np.float64)
         params = [x] + list(vars(blk).values())
         assert_grads_match(params,
-                           lambda: project(transformer_block(x, bias, blk, cfg), w),
+                           lambda: project(transformer_block(x, x, bias, blk, cfg), w),
                            tol=1e-4)
 
 
@@ -105,21 +109,21 @@ class TestTransformerBlock:
         blk = init_block(CFG, seeded(2), prefix="t")
         rng = np.random.default_rng(2)
         x = Tensor(rng.normal(size=(6, 8)).astype(np.float32))
-        out = transformer_block(x, block_bias(np.ones(6, dtype=bool)), blk, CFG)
+        out = transformer_block(x, x, block_bias(np.ones(6, dtype=bool)), blk, CFG)
         assert out.shape == (6, 8)
 
     def test_wrong_width_rejected(self):
         blk = init_block(CFG, seeded(2), prefix="t")
+        x = Tensor(np.zeros((3, 4), dtype=np.float32))
         with pytest.raises(ShapeError):
-            transformer_block(Tensor(np.zeros((3, 4), dtype=np.float32)),
-                              block_bias(np.ones(3, dtype=bool)), blk, CFG)
+            transformer_block(x, x, block_bias(np.ones(3, dtype=bool)), blk, CFG)
 
     def test_sequence_over_max_rejected(self):
         cfg = EncoderConfig(d_model=8, n_heads=2, n_layers=1, d_ff=16, max_seq=4)
         blk = init_block(cfg, seeded(2), prefix="t")
+        x = Tensor(np.zeros((5, 8), dtype=np.float32))
         with pytest.raises(ContractError):
-            transformer_block(Tensor(np.zeros((5, 8), dtype=np.float32)),
-                              block_bias(np.ones(5, dtype=bool)), blk, cfg)
+            transformer_block(x, x, block_bias(np.ones(5, dtype=bool)), blk, cfg)
 
 
 class TestQuestionEncoders:
@@ -147,6 +151,15 @@ class TestQuestionEncoders:
         with pytest.raises(ContractError):
             encode_question_causal(np.zeros(4, dtype=np.int64),
                                    np.zeros(4, dtype=bool), params, CAUSAL_CFG)
+
+    def test_bidir_rejects_all_pad(self):
+        """An all-PAD question has no key to attend to; it is refused, not pooled into NaN."""
+        params = init_encoder(CFG, len(VOCAB), seeded(5), prefix="q")
+        ids, mask = (np.stack([a, np.zeros_like(a)]) for a in encode_text("a", VOCAB, 8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match="all-PAD"):
+                encode_question_bidir(ids, mask, params, CFG)
 
     def test_pad_extension_changes_little(self):
         """Padding a sequence further must not change the pooled feature
@@ -198,6 +211,82 @@ class TestQuestionEncoders:
             ids, mask = encode_text(text, VOCAB, 12)
             out = encode_question_bidir(ids, mask, params, CFG).data
             assert np.isfinite(out).all()
+
+
+ENCODERS = {"bidir": encode_question_bidir, "causal": encode_question_causal}
+
+
+def question_stack(n: int, length: int, seed: int):
+    """ids and mask of n questions of random tokens, each 1 to length tokens long."""
+    rng = np.random.default_rng(seed)
+    mask = np.arange(length) < rng.integers(1, length + 1, size=(n, 1))
+    return np.where(mask, rng.integers(1, len(VOCAB), size=(n, length)), 0), mask
+
+
+def full_then_pool(ids, mask, params, cfg):
+    """The feature computed the long way: every block at every position, then the
+    pooled row, position 0 (bidirectional) or the last non-PAD one (causal)."""
+    hidden = run_blocks(ids, mask, params, cfg).data
+    m = np.asarray(mask, dtype=bool)
+    pos = m.shape[-1] - 1 - np.argmax(m[..., ::-1], axis=-1) if cfg.causal else \
+        np.zeros(m.shape[:-1], dtype=np.int64)
+    return np.take_along_axis(hidden, pos[..., None, None], axis=-2)[..., 0, :]
+
+
+def question_cfg(kind: str, n_layers: int = 2, d_model: int = 8, max_seq: int = 16):
+    return EncoderConfig(d_model=d_model, n_heads=2, n_layers=n_layers, d_ff=2 * d_model,
+                         max_seq=max_seq, causal=kind == "causal")
+
+
+@pytest.mark.parametrize("kind", ["bidir", "causal"])
+class TestPooledQuestions:
+    """A question encoder runs its last block with the pooled row alone as the query."""
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    @pytest.mark.parametrize("lead", [(), (2, 3)], ids=["one", "2x3"])
+    @pytest.mark.parametrize("dtype,atol", [(np.float64, 1e-12), (np.float32, 1e-6)],
+                             ids=["float64", "float32"])
+    def test_equals_the_full_stack_then_the_pooled_row(self, kind, n_layers, lead, dtype, atol):
+        cfg = question_cfg(kind, n_layers)
+        params = init_encoder(cfg, len(VOCAB), seeded(13, dtype), prefix="q")
+        ids, mask = (a.reshape(*lead, 16) for a in question_stack(math.prod(lead), 16, n_layers))
+        got = ENCODERS[kind](ids, mask, params, cfg)
+        assert got.shape == (*lead, 8) and got.dtype == dtype
+        np.testing.assert_allclose(got.data, full_then_pool(ids, mask, params, cfg),
+                                   rtol=0, atol=atol)
+
+    def test_a_question_is_bit_identical_alone_and_in_a_batch_of_40(self, kind):
+        cfg = question_cfg(kind, d_model=48, max_seq=24)
+        params = init_encoder(cfg, len(VOCAB), seeded(14), prefix="q")
+        ids, mask = question_stack(40, 24, seed=15)
+        feats = ENCODERS[kind](ids, mask, params, cfg).data
+        for i in range(len(ids)):
+            alone = ENCODERS[kind](ids[i:i + 1], mask[i:i + 1], params, cfg).data
+            np.testing.assert_array_equal(feats[i], alone[0])
+
+    @pytest.mark.parametrize("n_layers", [1, 2])
+    def test_pad_extension_is_bit_exact(self, kind, n_layers):
+        """More PAD after a question moves no bit of its feature, at the lengths 8, 16
+        and 24 that a question runs at."""
+        cfg = question_cfg(kind, n_layers, max_seq=24)
+        params = init_encoder(cfg, len(VOCAB), seeded(6), prefix="q")
+        for text in ("what is rain", "a study of soil and rain"):
+            short, *longer = (ENCODERS[kind](*(a[None] for a in encode_text(text, VOCAB, n)),
+                                             params, cfg).data for n in (8, 16, 24))
+            for other in longer:
+                np.testing.assert_array_equal(short, other)
+
+    def test_gradients_through_the_pooled_block(self, kind):
+        """The pooled row's gradient reaches the last block's keys and values, and
+        through both, the blocks and embeddings before it."""
+        cfg = question_cfg(kind, d_model=4, max_seq=6)
+        params = init_encoder(cfg, len(VOCAB), seeded(16, np.float64), prefix="g")
+        ids, mask = question_stack(3, 6, seed=17)
+        w = Tensor(np.random.default_rng(18).normal(size=(3, 4)), dtype=np.float64)
+        checked = [params.tok, params.pos,
+                   *(t for blk in params.blocks for t in vars(blk).values())]
+        assert_grads_match(checked, lambda: project(ENCODERS[kind](ids, mask, params, cfg), w),
+                           tol=1e-4, per_param=6)
 
 
 class TestContentEncoder:

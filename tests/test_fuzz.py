@@ -4,16 +4,24 @@ A flipped, dropped or inserted byte, or any JSON value in place of a
 record or of the sidecar's config, must end in a JaegerError (which the
 CLI prints as `error:` with exit 1) or in a file that still parses; any
 other exception would reach the user as a traceback. Content elements of
-any mix of lengths must each encode as they would alone.
+any mix of lengths must each encode as they would alone. Every op that
+numerics records, at any shape, returns the shape its docstring gives or
+raises a JaegerError.
 """
 
+import inspect
 import json
+import math
+import re
 import shutil
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from jaeger import numerics
 from jaeger.config import TrainConfig
 from jaeger.data import GenConfig, generate_corpus, read_jsonl, write_jsonl
 from jaeger.encoders import EncoderConfig, encode_content, init_content
@@ -21,7 +29,9 @@ from jaeger.errors import JaegerError
 from jaeger.harness.checkpoint import config_path, load_model, save_checkpoint, vocab_path
 from jaeger.harness.train import corpus_texts
 from jaeger.model import JaegerModel
-from jaeger.numerics import seeded
+from jaeger.numerics import (Tensor, add, bce_with_logits, concat_last, embedding_lookup,
+                             feed_forward, linear, masked_mean_rows, merge_rows, reshape,
+                             residual_norm, seeded, self_attention)
 from jaeger.text import build_vocab
 
 from test_encoders import VOCAB, element_stack, untrimmed_content
@@ -190,3 +200,175 @@ def test_any_element_lengths_encode_each_element_alone(content_encoders, lengths
             .data[0])
     np.testing.assert_allclose(feats, untrimmed_content(ids, mask, boxes, params, cfg),
                                rtol=0, atol=1e-6)
+
+
+# Every op numerics records, on inputs of ranks 0-4 with sizes 0-5: each drawer
+# builds the op's documented valid layout, as often as not replaces one argument's
+# shape by any shape, and returns the call with the output shape the op's
+# docstring gives for those inputs, or None where the docstring rules them out.
+DIM = st.integers(0, 5)
+SHAPES = st.lists(DIM, max_size=4).map(tuple)
+
+
+def values(shape, dtype) -> np.ndarray:
+    return np.random.default_rng(len(shape)).normal(size=shape).astype(dtype)
+
+
+def tensor(shape, dtype) -> Tensor:
+    return Tensor(values(shape, dtype))
+
+
+def with_one_changed(draw, shapes: list) -> list:
+    """The shapes, as often as not all kept, else one of them replaced by any shape."""
+    i = draw(st.integers(-len(shapes) - 1, len(shapes) - 1))
+    return [draw(SHAPES) if j == i else tuple(s) for j, s in enumerate(shapes)]
+
+
+def broadcast(*shapes):
+    try:
+        return np.broadcast_shapes(*shapes)
+    except ValueError:
+        return None
+
+
+def affine_out(x, w, b):
+    """linear's output shape for x, w and b of these shapes, or None."""
+    ok = x and len(w) in (1, 2) and x[-1] == w[0] and b == w[1:]
+    return (*x[:-1], *w[1:]) if ok else None
+
+
+def draw_add(draw, dtype):
+    """Each operand drops some leading axes of a shape and sets some sizes to 1."""
+    out = draw(SHAPES)
+    sa, sb = with_one_changed(draw, [
+        tuple(draw(st.sampled_from([n, 1])) for n in out[draw(st.integers(0, len(out))):])
+        for _ in range(2)])
+    return lambda: add(tensor(sa, dtype), tensor(sb, dtype)), broadcast(sa, sb)
+
+
+def draw_concat_last(draw, dtype):
+    lead = draw(st.lists(DIM, max_size=3))
+    sa, sb = with_one_changed(draw, [(*lead, draw(DIM)), (*lead, draw(DIM))])
+    ok = sa and len(sa) == len(sb) and sa[:-1] == sb[:-1]
+    return (lambda: concat_last(tensor(sa, dtype), tensor(sb, dtype)),
+            (*sa[:-1], sa[-1] + sb[-1]) if ok else None)
+
+
+def draw_reshape(draw, dtype):
+    s = draw(SHAPES)
+    target = draw(st.one_of(st.permutations(s).map(tuple), SHAPES))
+    return (lambda: reshape(tensor(s, dtype), target),
+            target if math.prod(target) == math.prod(s) else None)
+
+
+def draw_merge_rows(draw, dtype):
+    tail = draw(st.lists(DIM, max_size=3))
+    shapes = with_one_changed(draw, [(n, *tail) for n in draw(st.lists(DIM, max_size=3))])
+    total = sum(s[0] for s in shapes if s)
+    index = draw(st.one_of(st.permutations(range(total)),
+                           st.lists(st.integers(-1, total), max_size=total + 1)))
+    ok = shapes and all(s and s[1:] == shapes[0][1:] for s in shapes) and \
+        sorted(index) == list(range(total))
+    return (lambda: merge_rows([tensor(s, dtype) for s in shapes], index),
+            (total, *shapes[0][1:]) if ok else None)
+
+
+def draw_masked_mean_rows(draw, dtype):
+    lead = draw(st.lists(DIM, max_size=2))
+    length, d = draw(DIM), draw(DIM)
+    xs, ms = with_one_changed(draw, [(*lead, length, d), (*lead, length)])
+    mask = draw(arrays(bool, ms))
+    ok = len(xs) >= 2 and ms == xs[:-1] and mask.any(axis=-1).all()
+    return lambda: masked_mean_rows(tensor(xs, dtype), mask), (*xs[:-2], xs[-1]) if ok else None
+
+
+def draw_embedding_lookup(draw, dtype):
+    rows = draw(DIM)
+    (table,) = with_one_changed(draw, [(rows, draw(DIM))])
+    ids = draw(arrays(np.int64, tuple(draw(st.lists(DIM, max_size=3))),
+                      elements=st.integers(-1, rows)))
+    ids = ids.astype(dtype) if draw(st.booleans()) else ids
+    ok = ids.ndim and (ids.size == 0 or ids.dtype.kind == "i") and len(table) == 2 and \
+        ((0 <= ids) & (ids < table[0])).all()
+    return lambda: embedding_lookup(tensor(table, dtype), ids), \
+        (*ids.shape, table[1]) if ok else None
+
+
+def draw_bce_with_logits(draw, dtype):
+    n = draw(DIM)
+    weighted = draw(st.booleans())
+    zs, ts, ws = with_one_changed(draw, [(n,), (n,), (n,)])
+    ok = len(zs) == 1 and ts == zs and (ws == zs or not weighted) and zs[0] >= 1
+    return (lambda: bce_with_logits(tensor(zs, dtype), np.full(ts, 0.5, dtype),
+                                    np.ones(ws, dtype) if weighted else None), () if ok else None)
+
+
+def draw_linear(draw, dtype):
+    k = draw(st.one_of(st.just(()), DIM.map(lambda n: (n,))))  # a (d,) weight has a () bias
+    d = draw(DIM)
+    xs, ws, bs = with_one_changed(draw, [(*draw(st.lists(DIM, max_size=3)), d), (d, *k), k])
+    x = tensor(xs, dtype) if draw(st.booleans()) else values(xs, dtype)  # x may be a constant
+    return lambda: linear(x, tensor(ws, dtype), tensor(bs, dtype)), affine_out(xs, ws, bs)
+
+
+def draw_feed_forward(draw, dtype):
+    k = draw(st.one_of(st.just(()), DIM.map(lambda n: (n,))))
+    d, f = draw(DIM), draw(DIM)
+    shapes = with_one_changed(draw, [(*draw(st.lists(DIM, max_size=3)), d), (d, f), (f,), (f, *k),
+                                     k])
+    xs, w1, b1, w2, b2 = shapes
+    hidden = affine_out(xs, w1, b1) if len(w1) == 2 else None
+    return (lambda: feed_forward(*(tensor(s, dtype) for s in shapes)),
+            hidden and affine_out(hidden, w2, b2))
+
+
+def draw_residual_norm(draw, dtype):
+    d = draw(DIM)
+    shapes = with_one_changed(draw, [(*draw(st.lists(DIM, max_size=3)), d)] * 2 + [(d,)] * 2)
+    xs, ys, gs, bs = shapes
+    ok = xs and xs[-1] and ys == xs and gs == bs == (xs[-1],)
+    return lambda: residual_norm(*(tensor(s, dtype) for s in shapes)), xs if ok else None
+
+
+def draw_self_attention(draw, dtype):
+    lead = tuple(draw(st.lists(DIM, max_size=2)))
+    n_heads = draw(st.integers(-1, 3))
+    d = n_heads * draw(DIM) if n_heads > 0 else draw(DIM)
+    rows = draw(st.one_of(st.just(()), DIM.map(lambda n: (n,))))  # (..., d) or (..., Lq, d)
+    length = draw(DIM)
+    weights = [(d, d), (d,), (d, d), (d, d), (d,), (d, d), (d,)]
+    bias = draw(st.sampled_from([(*lead, 1, 1, length), (1, length), ()]))
+    shapes = with_one_changed(draw, [(*lead, *rows, d), (*lead, length, d), *weights, bias])
+    qs, kvs, *ws, bias = shapes
+    kv_lead = kvs[:-2]
+    ok = len(kvs) >= 2 and kvs[-2] >= 1 and 1 <= n_heads <= kvs[-1] and kvs[-1] % n_heads == 0 \
+        and qs[:len(kv_lead)] == kv_lead and len(qs) - len(kv_lead) in (1, 2) \
+        and qs[-1] == kvs[-1] and ws == [(kvs[-1], kvs[-1])[:len(w)] for w in weights]
+    scores = (*kv_lead, n_heads, math.prod(qs[len(kv_lead):-1]), kvs[-2]) if ok else None
+    return (lambda: self_attention(*(tensor(s, dtype) for s in shapes[:-1]),
+                                   values(bias, dtype), n_heads),
+            qs if ok and broadcast(scores, bias) == scores else None)
+
+
+OPS = {name[len("draw_"):]: fn for name, fn in globals().items() if name.startswith("draw_")}
+
+
+def test_the_op_property_covers_every_op_numerics_records():
+    assert set(OPS) == set(re.findall(r'_emit\("(\w+)"', inspect.getsource(numerics)))
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+@given(data=st.data(), dtype=st.sampled_from([np.float32, np.float64]))
+def test_each_op_returns_its_documented_shape_or_raises_a_jaeger_error(op, data, dtype):
+    """Valid inputs give the documented shape in the inputs' dtype, with no numpy
+    warning; any other input raises a JaegerError and nothing else."""
+    call, want = OPS[op](data.draw, dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            out = call()
+        except JaegerError as err:
+            assert want is None, f"{op} refused inputs it documents, expecting {want}: {err}"
+            return
+    assert want is not None, f"{op} returned {out.shape} for inputs it does not document"
+    assert out.shape == tuple(want) and out.dtype == dtype

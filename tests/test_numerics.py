@@ -189,7 +189,7 @@ class TestSoftmax:
         w = Tensor(rng.normal(size=(3, 5, 4)), dtype=np.float64)
         bias = np.zeros((3, 1, 5, 5))
         assert_grads_match([x, wq, wk], lambda: project(
-            self_attention(x, *(p[n] for n in ATTENTION_PARAMS), bias, 2), w))
+            self_attention(x, x, *(p[n] for n in ATTENTION_PARAMS), bias, 2), w))
 
 
 ATTENTION_PARAMS = ("wq", "bq", "wk", "wv", "bv", "wo", "bo")
@@ -234,27 +234,28 @@ NUMPY = Sums(lambda a: a.reshape(-1, a.shape[-1]).sum(axis=0),  # ndarray.sum, t
              lambda a: a.sum(axis=-1, keepdims=True))
 
 
-def composed_attention(x, p, bias, n_heads, g, sums=ONES):
+def composed_attention(xq, xkv, p, bias, n_heads, g, sums=ONES):
     """Output and input gradients of self_attention, written out as its separate steps.
 
-    Forward: the q, k and v products, head split, q·kᵀ, scale by 1/√d_head,
-    bias add, max-shifted softmax, product with v, head merge and the output
-    product. Backward: each step's own rule in reverse, with the upstream
-    gradient g of the output; q, k and v's gradients are joined into one
-    (..., L, 3d) array that goes back through the concatenated weights as
-    one product. Its sums are taken by sums.
+    Forward: the q product of the query rows xq, the k and v products of the key
+    rows xkv, head split, q·kᵀ, scale by 1/√d_head, bias add, max-shifted softmax,
+    product with v, head merge and the output product. Backward: each step's own
+    rule in reverse, with the upstream gradient g of the output; q's gradient goes
+    back through wq as one product, and k's and v's, joined into one (..., L, 2d)
+    array, through the concatenated weights as another. When xq is xkv, the one
+    tensor's gradient is the sum of the two. Its sums are taken by sums.
     """
-    shape, d = x.shape, x.shape[-1]
-    split = (*shape[:-1], n_heads, d // n_heads)
-    q, v = (rows_times(x, p["w" + n]) + p["b" + n] for n in "qv")
-    k = rows_times(x, p["wk"])  # keys carry no bias
+    d = xkv.shape[-1]
+    split = (*xkv.shape[:-2], -1, n_heads, d // n_heads)  # a (..., d) xq is one row
+    q, v = (rows_times(x, p["w" + n]) + p["b" + n] for x, n in ((xq, "q"), (xkv, "v")))
+    k = rows_times(xkv, p["wk"])  # keys carry no bias
     qh, kh, vh = (a.reshape(split).swapaxes(-3, -2) for a in (q, k, v))
     kt = kh.swapaxes(-2, -1)
-    c = x.dtype.type(1.0 / np.sqrt(split[-1]))
+    c = xq.dtype.type(1.0 / np.sqrt(split[-1]))
     scores = np.matmul(qh, kt) * c + bias
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     y = e / e.sum(axis=-1, keepdims=True)
-    ctx = np.matmul(y, vh).swapaxes(-3, -2).reshape(shape)
+    ctx = np.matmul(y, vh).swapaxes(-3, -2).reshape(xq.shape)
     out = rows_times(ctx, p["wo"]) + p["bo"]
 
     g2, ctx2 = g.reshape(-1, d), ctx.reshape(-1, d)
@@ -263,21 +264,25 @@ def composed_attention(x, p, bias, n_heads, g, sums=ONES):
     g_scores = y * (g_y - sums.last(g_y * y))
     g_scaled = g_scores * c
     g_qh, g_kt = np.matmul(g_scaled, kt.swapaxes(-1, -2)), np.matmul(qh.swapaxes(-1, -2), g_scaled)
-    g_qkv = np.concatenate([gh.swapaxes(-3, -2).reshape(shape)
-                            for gh in (g_qh, g_kt.swapaxes(-2, -1), g_vh)], axis=-1)
-    g_qkv = g_qkv.reshape(-1, 3 * d)
-    w_qkv = np.concatenate([p["wq"], p["wk"], p["wv"]], axis=1)
-    g_w, g_b = x.reshape(-1, d).T @ g_qkv, sums.rows(g_qkv)
-    grads = {"x": (g_qkv @ w_qkv.T).reshape(shape), "wo": ctx2.T @ g2, "bo": sums.rows(g2)}
-    for i, n in enumerate("qkv"):
-        grads["w" + n], grads["b" + n] = g_w[:, i * d:(i + 1) * d], g_b[i * d:(i + 1) * d]
-    del grads["bk"]
+    g_q = g_qh.swapaxes(-3, -2).reshape(-1, d)
+    g_kv = np.concatenate([gh.swapaxes(-3, -2).reshape(xkv.shape)
+                           for gh in (g_kt.swapaxes(-2, -1), g_vh)], axis=-1).reshape(-1, 2 * d)
+    w_kv = np.concatenate([p["wk"], p["wv"]], axis=1)
+    g_w, g_b = xkv.reshape(-1, d).T @ g_kv, sums.rows(g_kv)
+    grads = {"xq": (g_q @ p["wq"].T).reshape(xq.shape), "xkv": (g_kv @ w_kv.T).reshape(xkv.shape),
+             "wq": xq.reshape(-1, d).T @ g_q, "bq": sums.rows(g_q), "wk": g_w[:, :d],
+             "wv": g_w[:, d:], "bv": g_b[d:], "wo": ctx2.T @ g2, "bo": sums.rows(g2)}
+    if xq is xkv:
+        grads["xq"] = grads["xkv"] = grads["xq"] + grads["xkv"]
     return out, grads
 
 
-def run_attention(x, p, bias, n_heads, g):
-    """self_attention's output and the gradients the tape gives for upstream g, by name."""
-    ts = {"x": Tensor(x), **{name: Tensor(p[name]) for name in ATTENTION_PARAMS}}
+def run_attention(xq, xkv, p, bias, n_heads, g):
+    """self_attention's output and the gradients the tape gives for upstream g, by name.
+    When xq is xkv, one tensor goes in as both, as in a full block."""
+    ts = {"xq": Tensor(xq)}
+    ts["xkv"] = ts["xq"] if xkv is xq else Tensor(xkv)
+    ts.update((name, Tensor(p[name])) for name in ATTENTION_PARAMS)
     with Tape() as tape:
         out = self_attention(*ts.values(), bias, n_heads)
         tape.backward(project(out, g), list(ts.values()))
@@ -311,13 +316,45 @@ class TestAttention:
             x, g = (rng.normal(size=shape).astype(dtype) for _ in range(2))
             p = attention_weights(rng, shape[-1], dtype)
             for n_heads in (2, 3):
-                out, grads = run_attention(x, p, bias, n_heads, g)
-                want_out, want_grads = composed_attention(x, p, bias, n_heads, g)
+                out, grads = run_attention(x, x, p, bias, n_heads, g)
+                want_out, want_grads = composed_attention(x, x, p, bias, n_heads, g)
                 assert out.dtype == dtype
                 np.testing.assert_array_equal(out, want_out)
                 for name, want in want_grads.items():
                     assert grads[name].dtype == dtype
                     np.testing.assert_array_equal(grads[name], want, err_msg=name)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_separate_query_rows_are_bit_identical_to_the_composed_steps(self, dtype):
+        """One (..., d) query row per sequence, as a pooled block passes, and (..., Lq, d)
+        rows, over PAD keys; the bias is the key mask alone, with a query axis of size 1."""
+        rng = np.random.default_rng(37)
+        for q_shape, kv_shape in (((4, 12), (4, 24, 12)), ((2, 3, 12), (2, 3, 8, 12)),
+                                  ((4, 5, 12), (4, 16, 12)), ((12,), (13, 12)),
+                                  ((3, 12), (13, 12))):
+            n_keys = kv_shape[-2]
+            keys = np.ones(kv_shape[:-1], dtype=bool)
+            keys[..., n_keys - n_keys // 3:] = False
+            bias = np.where(keys, 0.0, -np.inf).astype(dtype)[..., None, None, :]
+            xq, xkv, g = (rng.normal(size=s).astype(dtype) for s in (q_shape, kv_shape, q_shape))
+            p = attention_weights(rng, 12, dtype)
+            for n_heads in (2, 3):
+                out, grads = run_attention(xq, xkv, p, bias, n_heads, g)
+                want_out, want_grads = composed_attention(xq, xkv, p, bias, n_heads, g)
+                assert out.shape == q_shape and out.dtype == dtype
+                np.testing.assert_array_equal(out, want_out)
+                for name, want in want_grads.items():
+                    np.testing.assert_array_equal(grads[name], want, err_msg=name)
+
+    @pytest.mark.parametrize("q_shape", [(2, 6), (2, 3, 6)], ids=["one-row", "three-rows"])
+    def test_gradients_with_separate_query_rows(self, q_shape):
+        rng = np.random.default_rng(38)
+        xq = random_param(rng, *q_shape)
+        args = attention_args(rng, (2, 4, 6))
+        keys = np.array([[True] * 4, [True, True, False, False]])
+        bias = np.where(keys, 0.0, -np.inf)[:, None, None, :]
+        w = Tensor(rng.normal(size=q_shape), dtype=np.float64)
+        assert_grads_match([xq, *args], lambda: project(self_attention(xq, *args, bias, 3), w))
 
     def test_masked_key_gets_no_weight(self):
         """A PAD key's row never reaches another row's output, and with no upstream
@@ -328,12 +365,12 @@ class TestAttention:
         p = attention_weights(rng, 4, np.float64)
         bias = attention_mask_bias(np.array([True, True, False, True, True]), False,
                                    np.float64)
-        out, grads = run_attention(x, p, bias, 2, g)
+        out, grads = run_attention(x, x, p, bias, 2, g)
         x2 = x.copy()
         x2[2] = 1e3
         others = [0, 1, 3, 4]
-        np.testing.assert_array_equal(run_attention(x2, p, bias, 2, g)[0][others], out[others])
-        assert not grads["x"][2].any()
+        np.testing.assert_array_equal(run_attention(x2, x2, p, bias, 2, g)[0][others], out[others])
+        assert not grads["xq"][2].any()
 
     def test_gradients(self):
         rng = np.random.default_rng(32)
@@ -341,14 +378,14 @@ class TestAttention:
         w = Tensor(rng.normal(size=(2, 4, 6)), dtype=np.float64)
         bias = attention_mask_bias(np.array([[True] * 4, [True, True, True, False]]), False,
                                    np.float64)
-        assert_grads_match(args, lambda: project(self_attention(*args, bias, 3), w))
+        assert_grads_match(args, lambda: project(self_attention(args[0], *args, bias, 3), w))
 
     def test_causal_gradients(self):
         rng = np.random.default_rng(33)
         args = attention_args(rng, (5, 4))
         w = Tensor(rng.normal(size=(5, 4)), dtype=np.float64)
         bias = attention_mask_bias(np.ones(5, dtype=bool), True, np.float64)
-        assert_grads_match(args, lambda: project(self_attention(*args, bias, 2), w))
+        assert_grads_match(args, lambda: project(self_attention(args[0], *args, bias, 2), w))
 
     def test_large_scores_stay_finite(self):
         rng = np.random.default_rng(34)
@@ -356,15 +393,17 @@ class TestAttention:
         p["wq"] *= 1e3
         x = rng.normal(size=(6, 8)).astype(np.float32)
         bias = attention_mask_bias(np.ones(6, dtype=bool), False, np.float32)
-        out = self_attention(Tensor(x), *(Tensor(p[n]) for n in ATTENTION_PARAMS), bias, 2).data
+        xt = Tensor(x)
+        out = self_attention(xt, xt, *(Tensor(p[n]) for n in ATTENTION_PARAMS), bias, 2).data
         assert np.isfinite(out).all()
 
     def test_is_one_record(self):
-        """x and the seven weights are the record's inputs; the bias is a plain array."""
+        """The query rows, the key/value rows and the seven weights are the record's
+        inputs; the bias is a plain array."""
         args = attention_args(np.random.default_rng(35), (3, 4))
         with Tape() as tape:
-            self_attention(*args, np.zeros((1, 3, 3)), 2)
-        assert [(rec.op, len(rec.input_ids)) for rec in tape.records] == [("self_attention", 8)]
+            self_attention(args[0], *args, np.zeros((1, 3, 3)), 2)
+        assert [(rec.op, len(rec.input_ids)) for rec in tape.records] == [("self_attention", 9)]
 
     @pytest.mark.parametrize("x_shape,name,w_shape,n_heads", [
         ((3, 8), "wk", (9, 8), 2),
@@ -376,20 +415,21 @@ class TestAttention:
     def test_bad_shapes_rejected(self, x_shape, name, w_shape, n_heads):
         p = {n: Tensor(np.zeros(8 if n[0] == "b" else (8, 8))) for n in ATTENTION_PARAMS}
         p[name] = Tensor(np.zeros(w_shape))
+        x = Tensor(np.zeros(x_shape))
         with pytest.raises(ShapeError) as err:
-            self_attention(Tensor(np.zeros(x_shape)), *p.values(), np.zeros((1, 1)), n_heads)
+            self_attention(x, x, *p.values(), np.zeros((1, 1)), n_heads)
         assert str(x_shape) in str(err.value)
 
     def test_bias_that_does_not_fit_rejected(self):
         args = attention_args(np.random.default_rng(36), (3, 8))
         with pytest.raises(ShapeError):
-            self_attention(*args, np.zeros((1, 4, 4)), 2)
+            self_attention(args[0], *args, np.zeros((1, 4, 4)), 2)
 
     @pytest.mark.parametrize("n_heads", [0, -2])
     def test_head_count_below_one_rejected(self, n_heads):
         args = attention_args(np.random.default_rng(36), (3, 8))
         with pytest.raises(ShapeError, match="self_attention"):
-            self_attention(*args, np.zeros((1, 3, 3)), n_heads)
+            self_attention(args[0], *args, np.zeros((1, 3, 3)), n_heads)
 
 
 def composed_residual_norm(x, y, gamma, beta, g, eps=1e-5, sums=ONES):
@@ -611,8 +651,8 @@ class TestOnesSumsAgainstNumpy:
             bias = attention_mask_bias(keys, causal, dtype)
             x, g = (rng.normal(size=shape).astype(dtype) for _ in range(2))
             p = attention_weights(rng, shape[-1], dtype)
-            grads = run_attention(x, p, bias, 2, g)[1]
-            self.assert_within_bound(grads, composed_attention(x, p, bias, 2, g, sums=NUMPY)[1],
+            grads = run_attention(x, x, p, bias, 2, g)[1]
+            self.assert_within_bound(grads, composed_attention(x, x, p, bias, 2, g, sums=NUMPY)[1],
                                      dtype)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
