@@ -40,21 +40,27 @@ def reduce_dim(qfeat: Tensor, params: SimpleNamespace) -> Tensor:
     return linear(qfeat, params.reduce_w, params.reduce_b)
 
 
-def score_candidates(qreduced: Tensor, cand_feats: Tensor, owner, rows,
-                     params: SimpleNamespace) -> Tensor:
-    """One logit per pair i: question owner[i] against candidate rows[i]; no
-    cross-candidate terms.
+def pair_features(qreduced: Tensor, cand_feats: Tensor, owner, rows) -> Tensor:
+    """The scorer's input: row i is [question owner[i] | candidate rows[i]].
 
     qreduced holds one reduced question per row and cand_feats one
     [content | visual] row per candidate. Both sides are gathered, then
-    concatenated once. All pairs are scored at once, yet a pair's logit is
-    bit-identical no matter which other pairs are present or in what order.
+    concatenated once: three tape records, whatever the number of pairs.
     """
     owner, rows = np.asarray(owner), np.asarray(rows)
     if owner.ndim != 1 or owner.shape != rows.shape:
         raise ShapeError(f"owner {owner.shape} and rows {rows.shape} must be equal-length vectors")
-    f = concat_last(embedding_lookup(qreduced, owner), embedding_lookup(cand_feats, rows))
-    return feed_forward(f, params.score_w1, params.score_b1, params.score_w2, params.score_b2)
+    return concat_last(embedding_lookup(qreduced, owner), embedding_lookup(cand_feats, rows))
+
+
+def score_candidates(pairs: Tensor, params: SimpleNamespace) -> Tensor:
+    """One logit per row of pair_features; no cross-candidate terms.
+
+    All rows are scored in one feed_forward record, yet each row's logit is
+    bit-identical no matter which other rows are present or in what order,
+    so scoring any subset of a pair matrix gives that subset's logits.
+    """
+    return feed_forward(pairs, params.score_w1, params.score_b1, params.score_w2, params.score_b2)
 
 
 def predict_answer_set(logits, threshold: float = 0.5) -> set[int]:

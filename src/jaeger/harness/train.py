@@ -103,22 +103,33 @@ def evaluate(model: JaegerModel, samples: list[EncodedSample], split: str,
     """EMA report {"split", "n", "ema"} over pre-encoded samples.
 
     Each chunk of EVAL_CHUNK questions and its distinct candidates is encoded in one
-    pass; each question's logits are then bit-identical to model.forward(sample).
+    pass, and its scorer pairs are gathered once (model.sample_features). Each
+    question is then scored by one model.forward call, in sample order, and its
+    logits are bit-identical to model.forward(sample). One predict_answer_set call
+    reads the answer sets of the whole chunk, split by each question's offset.
     numpy's floating-point warnings are silenced: predict_answer_set alone reports
     the non-finite logits of an overflowing model.
     """
     if not samples:
         raise ContractError(f"cannot evaluate an empty {split!r} split")
     tau = model.cfg.threshold if threshold is None else threshold
-    predictions, golds = [], []
+    predictions = []
     with np.errstate(all="ignore"):
         for at in range(0, len(samples), EVAL_CHUNK):
             chunk = samples[at:at + EVAL_CHUNK]
-            for s, features in zip(chunk, model.sample_features(chunk)):
-                picked = predict_answer_set(model.forward(s, features), tau)
-                predictions.append({s.candidate_ids[i] for i in picked})
-                golds.append(set(s.gold))
-    return {"split": split, "n": len(samples), "ema": ema(predictions, golds)}
+            logits = [model.forward(s, f).data for s, f in zip(chunk, model.sample_features(chunk))]
+            predictions.extend({s.candidate_ids[i] for i in picked}
+                               for s, picked in zip(chunk, _answer_sets(logits, tau)))
+    return {"split": split, "n": len(samples),
+            "ema": ema(predictions, [set(s.gold) for s in samples])}
+
+
+def _answer_sets(logits: list[np.ndarray], threshold: float) -> list[np.ndarray]:
+    """Each logit vector's predict_answer_set indices, from one call over them all."""
+    ends = np.cumsum([len(z) for z in logits])
+    hit = np.zeros(ends[-1], dtype=bool)
+    hit[list(predict_answer_set(np.concatenate(logits), threshold))] = True
+    return [np.flatnonzero(part) for part in np.split(hit, ends[:-1])]
 
 
 def train(cfg: TrainConfig, corpus: list[Document]) -> TrainResult:

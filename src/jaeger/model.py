@@ -11,8 +11,8 @@ from .encoders import (EncoderConfig, encode_content, encode_question_bidir,
                        encode_question_causal, encode_visual, init_content, init_encoder,
                        init_visual)
 from .errors import ContractError, ShapeError
-from .fusion import init_fusion, reduce_dim, score_candidates
-from .numerics import ParamSource, Tensor, concat_last, seeded
+from .fusion import init_fusion, pair_features, reduce_dim, score_candidates
+from .numerics import ParamSource, Tensor, concat_last, embedding_lookup, seeded
 from .text import Vocabulary, _encode_texts, encode_text
 
 
@@ -170,6 +170,8 @@ class JaegerModel:
 
     def question_features(self, samples: list[EncodedSample]) -> Tensor:
         """(B, width) question features: both encoders concatenated, or the one the variant has."""
+        if not samples:
+            raise ContractError("question_features needs at least one sample")
         ids = np.stack([s.question_ids for s in samples])
         mask = np.stack([s.question_mask for s in samples])
         feats = []
@@ -186,19 +188,20 @@ class JaegerModel:
                                  self.content, self.content_cfg)
         return concat_last(content, encode_visual(cands.visuals, self.visual))
 
-    def _features(self, samples: list[EncodedSample]) -> tuple[Tensor, Tensor, list]:
-        """The reduced questions, one candidate_features matrix and each sample's rows in it.
+    def _pairs(self, samples: list[EncodedSample]) -> Tensor:
+        """pair_features over every sample's candidates, sample after sample.
 
-        Each distinct EncodedCandidates, by identity, is encoded once, however
-        many of the samples share it. Every row is computed alone, so no row
-        depends on what else shares the pass.
+        The questions take one pass and each distinct EncodedCandidates, by
+        identity, is encoded once, however many of the samples share it. Every
+        row is computed alone, so no row depends on what else shares the pass.
         """
         qreduced = reduce_dim(self.question_features(samples), self.fusion)
         distinct = list(dict.fromkeys(s.candidates for s in samples))
         start = dict(zip(distinct, np.cumsum([0, *(len(c.candidate_ids) for c in distinct)])))
         feats = self.candidate_features(EncodedCandidates.concat(distinct))
-        rows = [start[s.candidates] + np.arange(len(s.candidate_ids)) for s in samples]
-        return qreduced, feats, rows
+        counts = [len(s.candidate_ids) for s in samples]
+        rows = np.concatenate([start[s.candidates] + np.arange(n) for s, n in zip(samples, counts)])
+        return pair_features(qreduced, feats, np.repeat(np.arange(len(samples)), counts), rows)
 
     def batch_logits(self, samples: list[EncodedSample]) -> Tensor:
         """Logits over every sample's candidates, sample after sample, in one pass.
@@ -209,22 +212,22 @@ class JaegerModel:
         compute each row alone, so a question's logits are bit-identical to
         forward(sample) whatever else shares the batch.
         """
-        qreduced, feats, rows = self._features(samples)
-        owner = np.repeat(np.arange(len(samples)), [len(r) for r in rows])
-        return score_candidates(qreduced, feats, owner, np.concatenate(rows), self.fusion)
+        return score_candidates(self._pairs(samples), self.fusion)
 
     def sample_features(self, samples: list[EncodedSample]) -> list[tuple]:
-        """Each sample's scorer inputs for forward: (reduced questions, candidate
-        features, owner, rows), all from one _features pass over the samples."""
-        qreduced, feats, rows = self._features(samples)
-        return [(qreduced, feats, np.full(len(r), i), r) for i, r in enumerate(rows)]
+        """Each sample's (pairs, rows) for forward: one pair matrix, gathered once for
+        all the samples as in batch_logits, and the sample's consecutive rows in it."""
+        pairs = self._pairs(samples)
+        ends = np.cumsum([len(s.candidate_ids) for s in samples])
+        return [(pairs, np.arange(end - len(s.candidate_ids), end)) for s, end in zip(samples, ends)]
 
     def forward(self, sample: EncodedSample, features: tuple | None = None) -> Tensor:
         """Logits over the sample's candidates, in candidate order.
 
-        Without features this is batch_logits([sample]); given the sample's
-        entry of sample_features, it only scores.
+        Without features this is batch_logits([sample]). Given the sample's
+        entry of sample_features, it looks up its rows of the pair matrix and
+        scores them: two records, bit-identical to batch_logits([sample]).
         """
         if features is None:
             return self.batch_logits([sample])
-        return score_candidates(*features, self.fusion)
+        return score_candidates(embedding_lookup(*features), self.fusion)

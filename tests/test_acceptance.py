@@ -13,7 +13,7 @@ import pytest
 
 from jaeger.cli import main
 from jaeger.data import GenConfig, generate_document
-from jaeger.fusion import init_fusion, score_candidates
+from jaeger.fusion import init_fusion, pair_features, score_candidates
 from jaeger.harness.checkpoint import config_path, load_model, save_checkpoint, vocab_path
 from jaeger.harness.gradcheck import format_gradcheck, run_gradcheck
 from jaeger.harness.metrics import ema
@@ -239,10 +239,11 @@ def test_c08_structural_invariants():
     q = Tensor(rng.normal(size=(2, 6)).astype(np.float32))
     feats = Tensor(rng.normal(size=(7, 8)).astype(np.float32))
     owner, rows = rng.integers(0, 2, size=7), np.arange(7)
-    logits = score_candidates(q, feats, owner, rows, fparams).data
+    logits = score_candidates(pair_features(q, feats, owner, rows), fparams).data
     order = list(range(7))
     Xoshiro256(1, "perm").shuffle(order)
-    shuffled = score_candidates(q, feats, owner[order], rows[order], fparams).data
+    shuffled = score_candidates(pair_features(q, feats, owner[order], rows[order]),
+                                fparams).data
     np.testing.assert_array_equal(shuffled, logits[order])
 
     _passed(f"c08 structural invariants: concat additivity and recovery are "

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from jaeger.errors import ContractError, ShapeError
-from jaeger.fusion import (init_fusion, per_candidate_mult_count, predict_answer_set, reduce_dim,
-                           score_candidates)
-from jaeger.numerics import Tensor, seeded
+from jaeger.fusion import (init_fusion, pair_features, per_candidate_mult_count,
+                           predict_answer_set, reduce_dim, score_candidates)
+from jaeger.numerics import Tensor, embedding_lookup, seeded
 from jaeger.rng import Xoshiro256
 
 
@@ -17,6 +17,11 @@ def random_features(seed: int, n: int, b=2, d_q=6, d_c=5, d_v=3):
     q = Tensor(rng.normal(size=(b, d_q)).astype(np.float32))
     feats = Tensor(rng.normal(size=(n, d_c + d_v)).astype(np.float32))
     return q, feats, rng.integers(0, b, size=n), np.arange(n)
+
+
+def score(q, feats, owner, rows, params):
+    """The logit of each pair (owner[i], rows[i]): pair_features, then the scorer."""
+    return score_candidates(pair_features(q, feats, owner, rows), params)
 
 
 class TestReduce:
@@ -50,14 +55,14 @@ class TestScoreCandidates:
     def test_one_logit_per_candidate(self):
         params = init_fusion(6, 6, 5, 3, 8, seeded(1))
         q, feats, owner, rows = random_features(1, n=4)
-        logits = score_candidates(q, feats, owner, rows, params)
+        logits = score(q, feats, owner, rows, params)
         assert logits.shape == (4,)
         assert np.isfinite(logits.data).all()
 
     def test_no_candidates(self):
         params = init_fusion(6, 6, 5, 3, 8, seeded(1))
         q, feats, owner, rows = random_features(1, n=0)
-        logits = score_candidates(q, feats, owner, rows, params)
+        logits = score(q, feats, owner, rows, params)
         assert logits.shape == (0,)
 
     def test_permutation_equivariance_is_bit_exact(self):
@@ -66,25 +71,24 @@ class TestScoreCandidates:
         params = init_fusion(6, 6, 5, 3, 8, seeded(2))
         for n in (6, 30):
             q, feats, owner, rows = random_features(2, n=n)
-            base = score_candidates(q, feats, owner, rows, params).data
+            base = score(q, feats, owner, rows, params).data
             perm = Xoshiro256(9, "perm")
             order = list(range(n))
             perm.shuffle(order)
-            shuffled = score_candidates(q, feats, owner[order], rows[order], params).data
+            shuffled = score(q, feats, owner[order], rows[order], params).data
             np.testing.assert_array_equal(shuffled, base[order])
-            moved = score_candidates(q, Tensor(feats.data[order]), owner[order], rows,
-                                     params).data
+            moved = score(q, Tensor(feats.data[order]), owner[order], rows, params).data
             np.testing.assert_array_equal(moved, base[order])
 
     def test_appending_candidates_never_moves_existing_logits(self):
         params = init_fusion(6, 6, 5, 3, 8, seeded(3))
         for n in (4, 1):
             q, feats, owner, rows = random_features(3, n=n)
-            base = score_candidates(q, feats, owner, rows, params).data
+            base = score(q, feats, owner, rows, params).data
             _, extra, extra_owner, extra_rows = random_features(4, n=3)
-            grown = score_candidates(q, Tensor(np.concatenate([feats.data, extra.data])),
-                                     np.concatenate([owner, extra_owner]),
-                                     np.concatenate([rows, n + extra_rows]), params).data
+            grown = score(q, Tensor(np.concatenate([feats.data, extra.data])),
+                          np.concatenate([owner, extra_owner]),
+                          np.concatenate([rows, n + extra_rows]), params).data
             np.testing.assert_array_equal(grown[:n], base)
 
     def test_gathered_rows_score_like_their_own_stack(self):
@@ -93,19 +97,29 @@ class TestScoreCandidates:
         params = init_fusion(6, 6, 5, 3, 8, seeded(5))
         q, feats, _, _ = random_features(5, n=4, b=3)
         owner, rows = np.array([2, 0, 2, 1, 0]), np.array([3, 3, 0, 1, 3])
-        logits = score_candidates(q, feats, owner, rows, params).data
+        logits = score(q, feats, owner, rows, params).data
         for i, (o, r) in enumerate(zip(owner, rows)):
-            alone = score_candidates(Tensor(q.data[o:o + 1]), Tensor(feats.data[r:r + 1]),
-                                     [0], [0], params).data
+            alone = score(Tensor(q.data[o:o + 1]), Tensor(feats.data[r:r + 1]), [0], [0],
+                          params).data
             np.testing.assert_array_equal(logits[i:i + 1], alone)
 
+    def test_looked_up_pair_rows_score_bit_for_bit_as_in_the_whole_matrix(self):
+        """Scoring rows looked up from a pair matrix, as forward does with its
+        sample_features entry, gives exactly those rows' logits from the whole."""
+        params = init_fusion(6, 6, 5, 3, 8, seeded(6))
+        q, feats, owner, rows = random_features(6, n=30, b=5)
+        pairs = pair_features(q, feats, owner, rows)
+        whole = score_candidates(pairs, params).data
+        for ids in (np.arange(0, 7), np.arange(7, 8), np.arange(8, 30), np.array([29, 3, 3])):
+            part = score_candidates(embedding_lookup(pairs, ids), params).data
+            np.testing.assert_array_equal(part, whole[ids])
+
     def test_row_count_mismatch_rejected(self):
-        params = init_fusion(6, 6, 5, 3, 8, seeded(1))
         q, feats, owner, rows = random_features(1, n=4)
         for bad_owner, bad_rows in ((owner[:3], rows), (owner, rows[:3]),
                                     (owner.reshape(2, 2), rows.reshape(2, 2))):
             with pytest.raises(ShapeError):
-                score_candidates(q, feats, bad_owner, bad_rows, params)
+                pair_features(q, feats, bad_owner, bad_rows)
 
 
 class TestPredictAnswerSet:

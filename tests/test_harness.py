@@ -32,10 +32,11 @@ from jaeger.harness.checkpoint import (config_path, load_checkpoint, load_model,
                                        save_checkpoint, vocab_path)
 from jaeger.harness.gradcheck import format_gradcheck, run_gradcheck, tiny_gradcheck_config
 from jaeger.harness.metrics import ema
-from jaeger.harness.train import (_batch_loss, corpus_texts, encode_split, evaluate,
-                                  evaluate_checkpoint, three_way_split, train, train_step)
+from jaeger.harness.train import (_answer_sets, _batch_loss, corpus_texts, encode_split,
+                                  evaluate, evaluate_checkpoint, three_way_split, train,
+                                  train_step)
 from jaeger.model import EncodedCandidates, JaegerModel, encode_sample
-from jaeger.numerics import Tape, bce_with_logits, seeded, seeded_init
+from jaeger.numerics import Tape, Tensor, _sigmoid, bce_with_logits, seeded, seeded_init
 from jaeger.text import Vocabulary, build_vocab
 
 from fdcheck import assert_grads_match
@@ -298,6 +299,14 @@ class TestForward:
                          len(tape.records) - content_records(widths, cfg.n_layers)))
         assert [(n, w) for n, w, _ in seen] == [(4, 1), (4, 2), (30, 1), (30, 2)]
         assert {rest for _, _, rest in seen} == {seen[0][2]}
+
+    @pytest.mark.parametrize("call", ["question_features", "sample_features", "batch_logits"])
+    def test_no_samples_is_refused_by_name(self, call):
+        """All three reach question_features first, which refuses an empty list
+        instead of ending in numpy's bare stack error."""
+        model = JaegerModel(small_config(), build_vocab(["a b c"]))
+        with pytest.raises(ContractError, match="question_features needs at least one"):
+            getattr(model, call)([])
 
 
 class TestBatchedTrainStep:
@@ -648,6 +657,32 @@ class TestSharedCandidateFeatures:
             np.testing.assert_array_equal(seen[qid], logits)
         self._assert_each_alone(model, interleaved, seen)
 
+    def test_evaluate_calls_forward_once_per_question_in_order_bit_for_bit(self, monkeypatch):
+        """The benchmark reads held-out logits by wrapping JaegerModel.forward on the
+        class: evaluate must call it once per question, in sample order, and each
+        call's logits must be that question's slice of batch_logits, bit for bit."""
+        model, corpus = self._model_and_corpus(n_docs=44, questions_per_doc=3)
+        samples = encode_split(corpus, model.vocab, model.cfg)[:130]
+        chunk = jaeger.harness.train.EVAL_CHUNK
+        assert len(samples) > 2 * chunk
+        assert samples[chunk - 1].candidates is samples[chunk].candidates
+        calls = []
+        forward = JaegerModel.forward
+
+        def capturing(self, sample, *args, **kwargs):
+            logits = forward(self, sample, *args, **kwargs)
+            calls.append((sample, logits.data.copy()))
+            return logits
+
+        monkeypatch.setattr(JaegerModel, "forward", capturing)
+        evaluate(model, samples, "val")
+        assert len(calls) == len(samples)
+        assert all(got is s for (got, _), s in zip(calls, samples))
+        whole = model.batch_logits(samples).data
+        ends = np.cumsum([len(s.candidate_ids) for s in samples])
+        for (s, logits), end in zip(calls, ends):
+            np.testing.assert_array_equal(logits, whole[end - len(s.candidate_ids):end])
+
     def test_questions_of_one_document_share_its_candidates(self):
         model, corpus = self._model_and_corpus()
         samples = encode_split(corpus, model.vocab, model.cfg)
@@ -659,6 +694,58 @@ class TestSharedCandidateFeatures:
         assert len(set().union(*by_doc.values())) == 5
         for s, doc in zip(samples[::4], corpus):
             assert s.candidate_ids == [el.id for el in doc.elements]
+
+
+class TestChunkAnswerSets:
+    """evaluate reads a chunk's answer sets from one predict_answer_set call."""
+
+    def _model_and_samples(self):
+        corpus = small_corpus()
+        model = JaegerModel(small_config(), build_vocab(corpus_texts(corpus)))
+        return model, encode_split(corpus, model.vocab, model.cfg)
+
+    def test_equal_each_question_read_alone(self):
+        """At the default threshold, and at one that a candidate's sigmoid score hits
+        exactly, which predict_answer_set includes. A question may have no candidates."""
+        model, samples = self._model_and_samples()
+        logits = [model.forward(s).data for s in samples] + [np.zeros(0, dtype=np.float32)]
+        scores = _sigmoid(np.concatenate(logits).astype(np.float64))
+        exact = float(np.sort(scores)[len(scores) // 2])
+        assert (scores == exact).any() and (scores < exact).any()
+        for tau in (0.5, exact):
+            got = _answer_sets(logits, tau)
+            assert len(got) == len(logits)
+            for picked, z in zip(got, logits):
+                assert set(picked.tolist()) == predict_answer_set(z, tau)
+            assert sum(map(len, got)) == int((scores >= tau).sum())
+
+    def test_evaluate_passes_a_threshold_one_score_hits_exactly(self):
+        """The default threshold is covered by test_chunked_logits_equal_each_question_alone."""
+        model, samples = self._model_and_samples()
+        z = {s.qid: model.forward(s).data for s in samples}
+        exact = float(_sigmoid(np.concatenate(list(z.values())).astype(np.float64)).max())
+        hits = sum({s.candidate_ids[i] for i in predict_answer_set(z[s.qid], exact)}
+                   == set(s.gold) for s in samples)
+        assert evaluate(model, samples, "val", exact)["ema"] == hits / len(samples)
+
+    def test_non_finite_logits_of_the_last_question_are_refused(self, monkeypatch):
+        message = "non-finite logits: the model's weights overflow its forward pass"
+        model, samples = self._model_and_samples()
+        logits = [model.forward(s).data for s in samples]
+        for bad in (np.inf, -np.inf, np.nan):
+            last = logits[-1].copy()
+            last[-1] = bad
+            with pytest.raises(ContractError, match=message):
+                _answer_sets(logits[:-1] + [last], 0.5)
+        forward = JaegerModel.forward
+
+        def overflowing(self, sample, *args, **kwargs):
+            logits = forward(self, sample, *args, **kwargs)
+            return Tensor(logits.data * np.inf) if sample is samples[-1] else logits
+
+        monkeypatch.setattr(JaegerModel, "forward", overflowing)
+        with pytest.raises(ContractError, match=message):
+            evaluate(model, samples, "val")
 
 
 class TestCheckpoint:
