@@ -8,7 +8,6 @@ order, so reruns produce bit-identical checkpoints and metrics.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,7 +19,7 @@ from ..fusion import predict_answer_set
 from ..model import EncodedSample, JaegerModel, _encode_documents, encode_sample
 from ..numerics import Tape, bce_with_logits, sgd_step
 from ..rng import Xoshiro256
-from ..text import Vocabulary, _count_vocab
+from ..text import Vocabulary, build_vocab
 from .metrics import ema
 
 
@@ -46,22 +45,18 @@ def three_way_split(corpus: list[Document], cfg: TrainConfig
 @dataclass
 class TrainResult:
     model: JaegerModel
-    vocab: Vocabulary
     metrics: list[dict] = field(default_factory=list)
     steps: int = 0
 
 
 def encode_split(docs: list[Document], vocab: Vocabulary,
                  cfg: TrainConfig) -> list[EncodedSample]:
-    """One sample per question; a document's questions share one EncodedCandidates."""
-    return _encode_split(docs, vocab, cfg, {})
+    """One sample per question; a document's questions share one EncodedCandidates.
 
-
-def _encode_split(docs: list[Document], vocab: Vocabulary, cfg: TrainConfig,
-                  tokenized: dict[str, list[str]]) -> list[EncodedSample]:
-    """encode_split, taking element tokens from tokenized and adding the texts it lacks."""
+    Element texts share one id table; each question is encoded alone.
+    """
     samples = []
-    for doc, cands in zip(docs, _encode_documents(docs, vocab, cfg, tokenized)):
+    for doc, cands in zip(docs, _encode_documents(docs, vocab, cfg)):
         samples.extend(encode_sample(doc, q, vocab, cfg, cands) for q in doc.questions)
     return samples
 
@@ -145,15 +140,14 @@ def train(cfg: TrainConfig, corpus: list[Document]) -> TrainResult:
     train_docs, val_docs, _ = three_way_split(corpus, cfg)
     if not train_docs:
         raise ContractError("the training split is empty")
-    tokenized: dict[str, list[str]] = {}  # each distinct text is tokenized once for both splits
-    vocab = _count_vocab(Counter(corpus_texts(train_docs)), tokenized, cfg.min_count)
+    vocab = build_vocab(corpus_texts(train_docs), cfg.min_count)
     model = JaegerModel(cfg, vocab)
-    samples = _encode_split(train_docs, vocab, cfg, tokenized)
+    samples = encode_split(train_docs, vocab, cfg)
     if not samples:
         raise ContractError("the training split has no questions")
-    val_samples = _encode_split(val_docs, vocab, cfg, tokenized)
+    val_samples = encode_split(val_docs, vocab, cfg)
     order_rng = Xoshiro256(cfg.seed, "batch-order")
-    result = TrainResult(model=model, vocab=vocab)
+    result = TrainResult(model=model)
     step = 0
     for epoch in range(cfg.epochs):
         order = list(range(len(samples)))

@@ -59,11 +59,10 @@ class EncodedSample:
 
 def encode_candidates(doc, vocab: Vocabulary, cfg: TrainConfig) -> EncodedCandidates:
     """Tokenize every element of a document, in stored order, once."""
-    return _encode_documents([doc], vocab, cfg, {})[0]
+    return _encode_documents([doc], vocab, cfg)[0]
 
 
-def _encode_documents(docs, vocab: Vocabulary, cfg: TrainConfig,
-                      tokenized: dict[str, list[str]]) -> list[EncodedCandidates]:
+def _encode_documents(docs, vocab: Vocabulary, cfg: TrainConfig) -> list[EncodedCandidates]:
     """encode_candidates of each document, cut from arrays built once for all of them.
 
     One id/mask table holds each distinct element text once; every
@@ -78,7 +77,7 @@ def _encode_documents(docs, vocab: Vocabulary, cfg: TrainConfig,
     table_row: dict[str, int] = {}
     rows = np.array([table_row.setdefault(el.text, len(table_row)) for el in elements],
                     dtype=np.intp)
-    ids, masks = _encode_texts(list(table_row), vocab, cfg.max_content_len, tokenized)
+    ids, masks = _encode_texts(list(table_row), vocab, cfg.max_content_len)
     n = len(elements)
     bboxes = np.array([el.bbox for el in elements], dtype=np.float64).reshape(n, 4)
     visuals = np.array([el.vis for el in elements], dtype=np.float64).reshape(n, cfg.d_vis_in)

@@ -36,14 +36,12 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN.findall(text.lower())
 
 
-def _tokenize_new(texts: Iterable[str], tokenized: dict[str, list[str]]) -> None:
-    """Add each text that tokenized lacks, with its tokens, so a text is tokenized once."""
-    new = [text for text in texts if text not in tokenized]
-    tokenized.update(zip(new, map(tokenize, new)))
-
-
 class Vocabulary:
-    """Immutable token-to-id mapping with the reserved ids pinned first."""
+    """Immutable token-to-id mapping with the reserved ids pinned first.
+
+    One from build_vocab keeps each counted text's tokens for the encoders.
+    save() does not write them, so one from parse() tokenizes every text.
+    """
 
     def __init__(self, tokens: Sequence[str]):
         all_tokens = list(RESERVED) + list(tokens)
@@ -54,6 +52,7 @@ class Vocabulary:
             index[tok] = i
         self._tokens = tuple(all_tokens)
         self._index = index
+        self._counted: dict[str, list[str]] = {}
 
     def __len__(self) -> int:
         return len(self._tokens)
@@ -91,31 +90,30 @@ def build_vocab(corpus: Iterable[str], min_count: int = 1) -> Vocabulary:
     """Vocabulary of all tokens seen at least min_count times.
 
     Ordered by descending count, then lexicographically, so the id
-    assignment is deterministic for a given corpus.
+    assignment is deterministic for a given corpus. Each distinct text is
+    tokenized once, and the vocabulary keeps its tokens.
     """
-    return _count_vocab(Counter(corpus), {}, min_count)
-
-
-def _count_vocab(texts: Counter[str], tokenized: dict[str, list[str]],
-                 min_count: int) -> Vocabulary:
-    """build_vocab over each distinct text's tokens, counted as often as the text occurs."""
     if min_count < 1:
         raise ContractError(f"min_count must be at least 1, got {min_count}")
-    _tokenize_new(texts, tokenized)
+    texts = Counter(corpus)
+    counted = dict(zip(texts, map(tokenize, texts)))
     counts = Counter(chain.from_iterable(
-        tokenized[text] * n if n > 1 else tokenized[text] for text, n in texts.items()))
+        counted[text] * n if n > 1 else counted[text] for text, n in texts.items()))
     kept = [t for t, c in counts.items() if c >= min_count]
     kept.sort(key=lambda t: (-counts[t], t))
-    return Vocabulary(kept)
+    vocab = Vocabulary(kept)
+    vocab._counted = counted
+    return vocab
 
 
-def _unpadded_ids(tokens: list[str], vocab: Vocabulary, max_len: int) -> list[int]:
-    """[CLS] ids... [SEP] for one token list, truncated so the SEP always fits max_len.
+def _unpadded_ids(text: str, vocab: Vocabulary, max_len: int) -> list[int]:
+    """[CLS] ids... [SEP] for one text, truncated so the SEP always fits max_len.
 
     Both encoders pad the result with PAD to max_len and mask what this returns.
     """
     if max_len < 2:
         raise ContractError(f"max_len must fit CLS and SEP, got {max_len}")
+    tokens = vocab._counted[text] if text in vocab._counted else tokenize(text)
     get = vocab._index.get
     return [CLS_ID, *[get(t, UNK_ID) for t in tokens[:max_len - 2]], SEP_ID]
 
@@ -124,23 +122,23 @@ def encode_text(text: str, vocab: Vocabulary, max_len: int) -> tuple[np.ndarray,
     """Fixed-length id sequence [CLS] tokens... [SEP] PAD... plus its mask.
 
     Token lists longer than max_len - 2 are truncated so the SEP always
-    survives. Pure: identical inputs give identical arrays.
+    survives. Only a text the vocabulary never counted is tokenized. Pure:
+    identical inputs give identical arrays.
     """
-    ids = _unpadded_ids(tokenize(text), vocab, max_len)
+    ids = _unpadded_ids(text, vocab, max_len)
     n = len(ids)
     mask = np.zeros(max_len, dtype=bool)
     mask[:n] = True
     return np.asarray(ids + [PAD_ID] * (max_len - n), dtype=np.int64), mask
 
 
-def _encode_texts(texts: Sequence[str], vocab: Vocabulary, max_len: int,
-                  tokenized: dict[str, list[str]]) -> tuple[np.ndarray, np.ndarray]:
+def _encode_texts(texts: Sequence[str], vocab: Vocabulary,
+                  max_len: int) -> tuple[np.ndarray, np.ndarray]:
     """(len(texts), max_len) ids and masks; row i is encode_text(texts[i], vocab, max_len).
 
-    Texts that tokenized lacks are tokenized and added to it.
+    Only the texts the vocabulary never counted are tokenized.
     """
-    _tokenize_new(texts, tokenized)
-    rows = [_unpadded_ids(tokenized[text], vocab, max_len) for text in texts]
+    rows = [_unpadded_ids(text, vocab, max_len) for text in texts]
     lengths = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
     mask = np.arange(max_len) < lengths[:, None]
     ids = np.full((len(rows), max_len), PAD_ID, dtype=np.int64)

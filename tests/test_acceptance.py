@@ -174,7 +174,7 @@ def test_c07_checkpoint_integrity(tmp_path):
     restored = load_model(path)
 
     train_docs, _, _ = three_way_split(corpus, cfg)
-    samples = encode_split(train_docs, result.vocab, cfg)
+    samples = encode_split(train_docs, result.model.vocab, cfg)
     for sample in samples[:5]:
         np.testing.assert_array_equal(result.model.forward(sample).data,
                                       restored.forward(sample).data)

@@ -54,17 +54,18 @@ class TestGenData:
         text = capsys.readouterr().out
         assert "10 documents" in text
         assert out in text
-        assert sum(1 for _ in open(out)) == 10
+        with open(out) as f:
+            assert sum(1 for _ in f) == 10
 
     def test_same_seed_same_bytes(self, tmp_path):
         a = gen_corpus(tmp_path, "a.jsonl", seed=4)
         b = gen_corpus(tmp_path, "b.jsonl", seed=4)
-        assert open(a, "rb").read() == open(b, "rb").read()
+        assert Path(a).read_bytes() == Path(b).read_bytes()
 
     def test_different_seeds_differ(self, tmp_path):
         a = gen_corpus(tmp_path, "a.jsonl", seed=4)
         b = gen_corpus(tmp_path, "b.jsonl", seed=5)
-        assert open(a, "rb").read() != open(b, "rb").read()
+        assert Path(a).read_bytes() != Path(b).read_bytes()
 
     def test_infeasible_layout_fails_cleanly(self, tmp_path, capsys):
         code = main(["gen-data", "--seed", "1", "--docs", "1",
@@ -105,7 +106,7 @@ class TestTrainEvalPredict:
         assert 0.0 <= report["ema"] <= 1.0
         assert report["n"] > 0
 
-        doc_id = json.loads(open(corpus).readline())["doc_id"]
+        doc_id = json.loads(Path(corpus).read_text().splitlines()[0])["doc_id"]
         code = main(["predict", "--ckpt", ckpt, "--data", corpus,
                      "--doc-id", doc_id,
                      "--question", "which elements are the children of the title?"])
@@ -178,7 +179,8 @@ class TestTrainEvalPredict:
             p.data = p.data * np.float32(1e30)
         save_checkpoint(ckpt, model)
         if command[0] == "predict":
-            command = [*command, "--doc-id", json.loads(open(corpus).readline())["doc_id"]]
+            doc_id = json.loads(Path(corpus).read_text().splitlines()[0])["doc_id"]
+            command = [*command, "--doc-id", doc_id]
         run = run_cli([*command, "--ckpt", ckpt, "--data", corpus])
         assert run.returncode == 1
         [line] = run.stderr.splitlines()
@@ -246,7 +248,7 @@ class TestTrainEvalPredict:
 
     def test_corrupt_line_names_the_file(self, tmp_path, tiny_config, capsys):
         corpus = tmp_path / "broken.jsonl"
-        lines = open(gen_corpus(tmp_path)).readlines()[:3] + ["{bad\n"]
+        lines = Path(gen_corpus(tmp_path)).read_text().splitlines(keepends=True)[:3] + ["{bad\n"]
         corpus.write_text("".join(lines))
         code = main(["train", "--config", tiny_config, "--data", str(corpus),
                      "--out", str(tmp_path / "m.ckpt")])
@@ -267,7 +269,7 @@ class TestPredictReadsUpToItsDocument:
         corpus = gen_corpus(tmp_path)
         ckpt = str(tmp_path / "model.ckpt")
         assert main(["train", "--config", str(config), "--data", corpus, "--out", ckpt]) == 0
-        return ckpt, open(corpus, "rb").read().splitlines(keepends=True)
+        return ckpt, Path(corpus).read_bytes().splitlines(keepends=True)
 
     def _predict(self, tmp_path, ckpt, lines, doc_id, capsys):
         corpus = tmp_path / "served.jsonl"
@@ -359,7 +361,7 @@ class TestBadJsonAtTheBoundary:
                      "--out", ckpt]) == 0
         (tmp_path / "model.ckpt.json").write_text("{not json")
         capsys.readouterr()
-        doc_id = json.loads(open(corpus).readline())["doc_id"]
+        doc_id = json.loads(Path(corpus).read_text().splitlines()[0])["doc_id"]
         code = main(["predict", "--ckpt", ckpt, "--data", corpus,
                      "--doc-id", doc_id, "--question", "anything?"])
         err = capsys.readouterr().err
@@ -440,7 +442,7 @@ class TestInvalidUtf8AtTheBoundary:
         return corpus, ckpt
 
     def _predict(self, corpus, ckpt, capsys):
-        doc_id = json.loads(open(corpus).readline())["doc_id"]
+        doc_id = json.loads(Path(corpus).read_text().splitlines()[0])["doc_id"]
         code = main(["predict", "--ckpt", ckpt, "--data", corpus,
                      "--doc-id", doc_id, "--question", "anything?"])
         return code, capsys.readouterr().err
@@ -456,9 +458,9 @@ class TestInvalidUtf8AtTheBoundary:
 
     def test_tensor_name(self, tmp_path, tiny_config, capsys):
         corpus, ckpt = self._trained(tmp_path, tiny_config, capsys)
-        blob = bytearray(open(ckpt, "rb").read())
+        blob = bytearray(Path(ckpt).read_bytes())
         blob[14] = 0xFF  # first byte of the first tensor name
-        open(ckpt, "wb").write(bytes(blob))
+        Path(ckpt).write_bytes(bytes(blob))
         code, err = self._predict(corpus, ckpt, capsys)
         assert code == 1
         assert err.startswith("error:") and "model.ckpt" in err

@@ -10,6 +10,7 @@ import re
 import struct
 import warnings
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -526,7 +527,7 @@ class TestEvaluate:
         cfg = small_config(epochs=1)
         result = train(cfg, corpus)
         _, val_docs, _ = three_way_split(corpus, cfg)
-        samples = encode_split(val_docs, result.vocab, cfg)
+        samples = encode_split(val_docs, result.model.vocab, cfg)
         report = evaluate(result.model, samples, "val")
         assert set(report) == {"split", "n", "ema"}
         assert report["split"] == "val"
@@ -763,7 +764,7 @@ class TestCheckpoint:
         for name, arr in result.model.state_arrays().items():
             np.testing.assert_array_equal(arr, restored.state_arrays()[name])
         train_docs, _, _ = three_way_split(corpus, cfg)
-        sample = encode_split(train_docs, result.vocab, cfg)[0]
+        sample = encode_split(train_docs, result.model.vocab, cfg)[0]
         np.testing.assert_array_equal(result.model.forward(sample).data,
                                       restored.forward(sample).data)
 
@@ -771,21 +772,21 @@ class TestCheckpoint:
         _, cfg, result, path = self._trained(tmp_path)
         arrays, restored_cfg, restored_vocab = load_checkpoint(path)
         assert restored_cfg == cfg
-        assert restored_vocab.tokens == result.vocab.tokens
+        assert restored_vocab.tokens == result.model.vocab.tokens
         assert set(arrays) == set(result.model.state_arrays())
 
     def test_bad_magic_rejected(self, tmp_path):
         _, _, _, path = self._trained(tmp_path)
-        blob = bytearray(open(path, "rb").read())
+        blob = bytearray(Path(path).read_bytes())
         blob[:4] = b"NOPE"
-        open(path, "wb").write(bytes(blob))
+        Path(path).write_bytes(bytes(blob))
         with pytest.raises(CheckpointFormatError, match="magic"):
             load_model(path)
 
     def test_truncation_rejected(self, tmp_path):
         _, _, _, path = self._trained(tmp_path)
-        blob = open(path, "rb").read()
-        open(path, "wb").write(blob[: len(blob) // 2])
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(blob[: len(blob) // 2])
         with pytest.raises(CheckpointFormatError, match="truncated"):
             load_model(path)
 
@@ -807,25 +808,25 @@ class TestCheckpoint:
     def test_width_mismatch_rejected(self, tmp_path):
         """A sidecar that disagrees with the stored tensors must not load."""
         _, _, _, path = self._trained(tmp_path)
-        sidecar = json.load(open(config_path(path)))
+        sidecar = json.loads(Path(config_path(path)).read_text())
         sidecar["config"]["d_visual"] = 12
-        json.dump(sidecar, open(config_path(path), "w"))
+        Path(config_path(path)).write_text(json.dumps(sidecar))
         with pytest.raises(CompatibilityError):
             load_model(path)
 
     def test_sidecar_holds_the_digests_of_both_files(self, tmp_path):
         _, _, _, path = self._trained(tmp_path)
-        digests = json.load(open(config_path(path)))["sha256"]
+        digests = json.loads(Path(config_path(path)).read_text())["sha256"]
         assert digests == {
-            "tensors": hashlib.sha256(open(path, "rb").read()).hexdigest(),
-            "vocab": hashlib.sha256(open(vocab_path(path), "rb").read()).hexdigest()}
+            "tensors": hashlib.sha256(Path(path).read_bytes()).hexdigest(),
+            "vocab": hashlib.sha256(Path(vocab_path(path)).read_bytes()).hexdigest()}
 
     def test_same_size_vocabulary_from_another_run_rejected(self, tmp_path):
         _, _, result, path = self._trained(tmp_path)
-        tokens = list(result.vocab.tokens)
+        tokens = list(result.model.vocab.tokens)
         tokens[4], tokens[5] = tokens[5], tokens[4]
         other = Vocabulary(tokens[4:])
-        assert len(other) == len(result.vocab) and other.tokens != result.vocab.tokens
+        assert len(other) == len(result.model.vocab) and other.tokens != result.model.vocab.tokens
         other.save(vocab_path(path))
         with pytest.raises(CheckpointFormatError, match="model.ckpt.vocab"):
             load_model(path)
@@ -844,26 +845,26 @@ class TestCheckpoint:
         other = str(tmp_path / "other.ckpt")
         save_checkpoint(other, train(dataclasses.replace(cfg, learning_rate=0.02), corpus).model)
         os.replace(other, path)
-        sidecar = json.load(open(config_path(path)))
+        sidecar = json.loads(Path(config_path(path)).read_text())
         sidecar["sha257"] = sidecar.pop("sha256")
-        json.dump(sidecar, open(config_path(path), "w"))
+        Path(config_path(path)).write_text(json.dumps(sidecar))
         with pytest.raises(CheckpointFormatError, match="sha256"):
             load_model(path)
 
     def test_sidecar_without_digests_rejected(self, tmp_path):
         _, _, _, path = self._trained(tmp_path)
-        sidecar = json.load(open(config_path(path)))
+        sidecar = json.loads(Path(config_path(path)).read_text())
         del sidecar["sha256"]
-        json.dump(sidecar, open(config_path(path), "w"))
+        Path(config_path(path)).write_text(json.dumps(sidecar))
         with pytest.raises(CheckpointFormatError, match="model.ckpt.json"):
             load_model(path)
 
     @pytest.mark.parametrize("config", [5, None, [1, "a"], "x"])
     def test_sidecar_config_that_is_not_an_object_rejected(self, tmp_path, config):
         _, _, _, path = self._trained(tmp_path)
-        sidecar = json.load(open(config_path(path)))
+        sidecar = json.loads(Path(config_path(path)).read_text())
         sidecar["config"] = config
-        json.dump(sidecar, open(config_path(path), "w"))
+        Path(config_path(path)).write_text(json.dumps(sidecar))
         with pytest.raises(SchemaError, match="model.ckpt.json must be a JSON object"):
             load_model(path)
 
@@ -871,9 +872,9 @@ class TestCheckpoint:
                              ids=["unknown-field", "wrong-type"])
     def test_sidecar_config_field_error_names_the_sidecar(self, tmp_path, field, value):
         _, _, _, path = self._trained(tmp_path)
-        sidecar = json.load(open(config_path(path)))
+        sidecar = json.loads(Path(config_path(path)).read_text())
         sidecar["config"][field] = value
-        json.dump(sidecar, open(config_path(path), "w"))
+        Path(config_path(path)).write_text(json.dumps(sidecar))
         with pytest.raises(SchemaError, match="model.ckpt.json") as err:
             load_model(path)
         assert repr(field) in str(err.value)
@@ -882,9 +883,9 @@ class TestCheckpoint:
                                              ("d_reduced", 0)])
     def test_sidecar_config_out_of_range_names_the_sidecar(self, tmp_path, field, value):
         _, _, _, path = self._trained(tmp_path)
-        sidecar = json.load(open(config_path(path)))
+        sidecar = json.loads(Path(config_path(path)).read_text())
         sidecar["config"][field] = value
-        json.dump(sidecar, open(config_path(path), "w"))
+        Path(config_path(path)).write_text(json.dumps(sidecar))
         with pytest.raises(ContractError, match="model.ckpt.json") as err:
             load_model(path)
         assert field in str(err.value)
@@ -892,9 +893,9 @@ class TestCheckpoint:
     @pytest.mark.parametrize("key", ["tensors", "vocab"])
     def test_sidecar_missing_one_digest_rejected(self, tmp_path, key):
         _, _, _, path = self._trained(tmp_path)
-        sidecar = json.load(open(config_path(path)))
+        sidecar = json.loads(Path(config_path(path)).read_text())
         del sidecar["sha256"][key]
-        json.dump(sidecar, open(config_path(path), "w"))
+        Path(config_path(path)).write_text(json.dumps(sidecar))
         with pytest.raises(CheckpointFormatError, match=key):
             load_model(path)
 
@@ -932,7 +933,7 @@ class TestCheckpoint:
                 monkeypatch.setattr(module, "seeded_init", refuse)
         restored = load_model(path)
         train_docs, _, _ = three_way_split(corpus, cfg)
-        sample = encode_split(train_docs, result.vocab, cfg)[0]
+        sample = encode_split(train_docs, result.model.vocab, cfg)[0]
         np.testing.assert_array_equal(result.model.forward(sample).data,
                                       restored.forward(sample).data)
 
@@ -942,7 +943,7 @@ class TestCheckpoint:
         whole, with no temporary file beside it."""
         corpus, cfg, result, path = self._trained(tmp_path)
         train_docs, _, _ = three_way_split(corpus, cfg)
-        sample = encode_split(train_docs, result.vocab, cfg)[0]
+        sample = encode_split(train_docs, result.model.vocab, cfg)[0]
         before = load_model(path).forward(sample).data
         files = sorted(os.listdir(tmp_path))
 
@@ -951,7 +952,7 @@ class TestCheckpoint:
 
         monkeypatch.setattr(Vocabulary, "save", disk_full)
         with pytest.raises(OSError, match="no space"):
-            save_checkpoint(path, JaegerModel(cfg, result.vocab))
+            save_checkpoint(path, JaegerModel(cfg, result.model.vocab))
         monkeypatch.undo()
         assert sorted(os.listdir(tmp_path)) == files
         np.testing.assert_array_equal(load_model(path).forward(sample).data, before)
@@ -1092,7 +1093,7 @@ class TestVariants:
             cfg = small_config(epochs=1, variant=variant)
             result = train(cfg, corpus)
             _, val_docs, _ = three_way_split(corpus, cfg)
-            samples = encode_split(val_docs, result.vocab, cfg)
+            samples = encode_split(val_docs, result.model.vocab, cfg)
             report = evaluate(result.model, samples, "val")
             assert 0.0 <= report["ema"] <= 1.0
 
@@ -1104,7 +1105,7 @@ class TestVariants:
         save_checkpoint(path, result.model)
         restored = load_model(path)
         train_docs, _, _ = three_way_split(corpus, cfg)
-        sample = encode_split(train_docs, result.vocab, cfg)[0]
+        sample = encode_split(train_docs, result.model.vocab, cfg)[0]
         np.testing.assert_array_equal(result.model.forward(sample).data,
                                       restored.forward(sample).data)
 

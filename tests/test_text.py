@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import jaeger.harness.train
+import jaeger.text
 from jaeger.config import TrainConfig
 from jaeger.data import Document, DocumentElement, GenConfig, QASample, generate_corpus
 from jaeger.errors import ContractError, IndexOutOfRange, ShapeError
@@ -333,11 +334,79 @@ class TestTextToArraysMatchesTheLoop:
         monkeypatch.setattr(jaeger.harness.train, "encode_sample", spy)
         result = train(cfg, docs)
         train_docs, val_docs, _ = three_way_split(docs, cfg)
-        assert result.vocab.tokens == loop_vocab_tokens(corpus_texts(train_docs), 2)
+        assert result.model.vocab.tokens == loop_vocab_tokens(corpus_texts(train_docs), 2)
         split_questions = [(d, q) for d in train_docs + val_docs for q in d.questions]
         assert [(d, q) for d, q, _ in calls] == split_questions
         for doc, q, sample in calls:
-            assert_sample_matches_loop(sample, doc, q, result.vocab, cfg)
+            assert_sample_matches_loop(sample, doc, q, result.model.vocab, cfg)
+
+
+SPLIT_CFG = TrainConfig(max_question_len=16, max_content_len=10, d_vis_in=3, learning_rate=0.01,
+                        epochs=1, batch_size=4, seed=5, max_steps=1, d_bidir=8, d_causal=8,
+                        d_content=8, d_visual=8, d_reduced=8, scorer_hidden=8, n_heads=2,
+                        n_layers=1, min_count=2, split_ratios=(0.6, 0.2, 0.2))
+
+
+def split_docs():
+    """Generated documents and the EDGE_DOCS a train batch can hold, with visual descriptors
+    of SPLIT_CFG's width."""
+    docs = generate_corpus(4, 12, GenConfig(n_pages=1, elements_per_page=(4, 6)),
+                           questions_per_doc=2) + [d for d in EDGE_DOCS if d.elements]
+    return [Document(d.doc_id, [element(el.id, el.text) for el in d.elements], list(d.questions))
+            for d in docs]
+
+
+class TestVocabularyKeepsTheTokensItCounted:
+    def test_train_tokenizes_each_text_of_both_splits_once(self, monkeypatch):
+        """The vocabulary keeps the tokens of every train text it counted, and a validation
+        element text is tokenized once for the split's id table. A validation question the
+        vocabulary never counted is tokenized once per question that asks it."""
+        docs = split_docs()
+        train_docs, val_docs, _ = three_way_split(docs, SPLIT_CFG)
+        asked = val_docs[0].questions[0]
+        val_docs[0].questions.append(QASample(qid="again", qtype=asked.qtype, target=asked.target,
+                                              question=asked.question, answers=asked.answers))
+        calls = Counter()
+        real = jaeger.text.tokenize
+
+        def spy(text):
+            calls[text] += 1
+            return real(text)
+
+        monkeypatch.setattr(jaeger.text, "tokenize", spy)
+        train(SPLIT_CFG, docs)
+        counted = set(corpus_texts(train_docs))
+        want = Counter(counted)
+        want.update({el.text for d in val_docs for el in d.elements} - counted)
+        want.update(q.question for d in val_docs for q in d.questions if q.question not in counted)
+        assert calls == want
+        assert set(calls) == set(corpus_texts(train_docs + val_docs))
+        assert asked.question not in counted and calls[asked.question] == 2
+
+    def test_built_and_parsed_vocabularies_encode_identical_arrays(self, tmp_path):
+        """A parsed vocabulary keeps no tokens and tokenizes every text; the arrays are the
+        built vocabulary's, byte for byte, on every split and on texts it never counted."""
+        docs = split_docs()
+        built = train(SPLIT_CFG, docs).model.vocab
+        built.save(tmp_path / "v.vocab")
+        parsed = Vocabulary.parse((tmp_path / "v.vocab").read_bytes(), "v.vocab")
+        assert parsed.tokens == built.tokens
+        for split in three_way_split(docs, SPLIT_CFG):
+            pairs = zip(encode_split(split, built, SPLIT_CFG),
+                        encode_split(split, parsed, SPLIT_CFG), strict=True)
+            for a, b in pairs:
+                for name in ("question_ids", "question_mask", "targets"):
+                    assert_same_array(getattr(a, name), getattr(b, name))
+                for name in ("content_ids", "content_masks", "bboxes", "visuals"):
+                    assert_same_array(getattr(a.candidates, name), getattr(b.candidates, name))
+        never = ["never counted, these words", "İSTANBUL ΟΔΟΣ odos?", "\u2028"]
+        edge = ["", "   \t", "İstanbul ΟΔΟΣ odos", *corpus_texts(EDGE_DOCS)]
+        assert built._counted.keys() >= set(edge[:3]) and not built._counted.keys() & set(never)
+        for text in edge + never:
+            for max_len in (2, 6, 16):
+                for got, want in zip(encode_text(text, built, max_len),
+                                     encode_text(text, parsed, max_len)):
+                    assert_same_array(got, want)
 
 
 def test_visual_width_error_names_the_element_in_a_later_document():
