@@ -37,6 +37,8 @@ _VIS_NOISE_SIGMA = 0.1
 # type), and the range test rejects NaN, ±Infinity and ints too big for a float.
 _JSON_NUMBERS = (int, float)
 _FLOAT_MAX = sys.float_info.max
+# The model reads vis as float32, where a larger magnitude would be infinite.
+_FLOAT32_MAX = 3.4028234663852886e38
 _MIN_HEIGHT = 0.03
 _GAP = 0.012
 _MARGIN = 0.04
@@ -337,6 +339,11 @@ def _take(obj: dict, key: str, kind, where: str, optional_none: bool = False):
         raise SchemaError(f"{where}.{key} must be an integer")
     if not isinstance(val, kind):
         raise SchemaError(f"{where}.{key} has the wrong type")
+    if kind is str:
+        try:
+            val.encode("utf-8")
+        except UnicodeEncodeError as e:
+            raise SchemaError(f"{where}.{key} is not UTF-8 text ({e.reason})") from None
     return val
 
 
@@ -358,8 +365,8 @@ def _element_from_record(raw: dict, where: str) -> DocumentElement:
             raise SchemaError(f"{where}.bbox must hold finite numbers")
     vis = _take(raw, "vis", list, where)
     for c in vis:
-        if type(c) not in _JSON_NUMBERS or not -_FLOAT_MAX <= c <= _FLOAT_MAX:
-            raise SchemaError(f"{where}.vis must hold finite numbers")
+        if type(c) not in _JSON_NUMBERS or not -_FLOAT32_MAX <= c <= _FLOAT32_MAX:
+            raise SchemaError(f"{where}.vis must hold finite numbers within float32's range")
     return DocumentElement(
         id=_take(raw, "id", int, where),
         category=_take(raw, "category", str, where),
@@ -417,7 +424,10 @@ _ID_PREFIX = b'{"doc_id":"'
 def read_jsonl(path: str, doc_id: str | None = None) -> list[Document]:
     """Parse a corpus, rejecting malformed lines and unknown or missing fields.
 
-    Every error names the file and the line. Given a doc_id, returns just
+    A string that UTF-8 cannot encode (a lone surrogate, which only a JSON
+    escape can spell) and a vis value beyond float32's range, which the
+    model would read as infinite, are refused too. Every error names the
+    file and the line. Given a doc_id, returns just
     the first document with that id ([] if none): only it is schema-checked,
     and no later line is read. A line before it that opens as write_jsonl's
     do, holds no backslash and no second '"doc_id"', and whose id differs

@@ -10,14 +10,17 @@ The training config rides in a JSON sidecar at <path>.json and the
 vocabulary at <path>.vocab, one token per line; the tensor file alone
 does not identify the tokens it was trained with. The sidecar also holds
 the SHA-256 of the tensor file and of the vocabulary file ("sha256":
-{"tensors", "vocab"}), so a sidecar or vocabulary from another run does
-not load. A sidecar that lacks either digest does not load either.
+{"tensors", "vocab"}), taken from the bytes written, so a sidecar or
+vocabulary from another run does not load. A sidecar that lacks either
+digest does not load either. The reader makes one bounds-checked pass
+over the tensor file's bytes and copies each tensor's values once.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 
 import numpy as np
@@ -44,20 +47,19 @@ def vocab_path(path: str) -> str:
 def save_checkpoint(path: str, model: JaegerModel) -> None:
     """Write the model's named tensors, config sidecar and vocabulary.
 
-    All three files are written to temporaries first and only then moved
-    into place, so a failed save leaves the previous checkpoint whole.
+    All three files are built as bytes first, so both digests are of the
+    bytes written. They go to temporaries and only then move into place,
+    so a failed save leaves the previous checkpoint whole.
     """
-    blob = _tensor_bytes(model.state_arrays())
-    with replacing(path, config_path(path), vocab_path(path)) as (tmp, tmp_config, tmp_vocab):
-        with open(tmp, "wb") as f:
-            f.write(blob)
-        model.vocab.save(tmp_vocab)
-        with open(tmp_vocab, "rb") as f:
-            digests = {"tensors": _sha256(blob), "vocab": _sha256(f.read())}
-        with open(tmp_config, "w", encoding="utf-8") as f:
-            json.dump({"format_version": VERSION, "config": model.cfg.to_dict(),
-                       "sha256": digests}, f, indent=2, sort_keys=True)
-            f.write("\n")
+    tensors = _tensor_bytes(model.state_arrays())
+    vocab = model.vocab.to_bytes()
+    sidecar = {"format_version": VERSION, "config": model.cfg.to_dict(),
+               "sha256": {"tensors": _sha256(tensors), "vocab": _sha256(vocab)}}
+    config = (json.dumps(sidecar, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    with replacing(path, config_path(path), vocab_path(path)) as temps:
+        for tmp, data in zip(temps, (tensors, config, vocab)):
+            with open(tmp, "wb") as f:
+                f.write(data)
 
 
 def _sha256(data: bytes) -> str:
@@ -65,72 +67,57 @@ def _sha256(data: bytes) -> str:
 
 
 def _tensor_bytes(arrays: dict[str, np.ndarray]) -> bytes:
-    parts = [MAGIC, struct.pack("<I", VERSION), struct.pack("<I", len(arrays))]
+    parts = [MAGIC, struct.pack("<II", VERSION, len(arrays))]
     for name, arr in arrays.items():
         encoded = name.encode("utf-8")
-        parts += [struct.pack("<H", len(encoded)), encoded, struct.pack("<B", arr.ndim)]
-        parts += [struct.pack("<I", dim) for dim in arr.shape]
-        parts.append(np.array(arr, dtype="<f4", order="C").tobytes())
+        parts += [struct.pack("<H", len(encoded)), encoded, struct.pack("<B", arr.ndim),
+                  struct.pack(f"<{arr.ndim}I", *arr.shape), arr.astype("<f4").tobytes()]
     return b"".join(parts)
-
-
-class _Reader:
-    def __init__(self, blob: bytes, path: str):
-        self.blob = blob
-        self.path = path
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.blob):
-            raise CheckpointFormatError(f"{self.path} is truncated at byte {self.pos}")
-        out = self.blob[self.pos:self.pos + n]
-        self.pos += n
-        return out
-
-    def u8(self) -> int:
-        return struct.unpack("<B", self.take(1))[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], TrainConfig, Vocabulary]:
     """Read tensors, config and vocabulary; rejects corrupt files."""
     with open(path, "rb") as f:
         blob = f.read()
-    r = _Reader(blob, path)
-    magic = r.take(4)
+    pos = 0
+
+    def claim(n: int) -> int:
+        """Offset of the next n bytes, which the reader moves past; refuses a short file."""
+        nonlocal pos
+        if pos + n > len(blob):
+            raise CheckpointFormatError(f"{path} is truncated at byte {pos}")
+        pos += n
+        return pos - n
+
+    magic = blob[claim(4):4]
     if magic != MAGIC:
         raise CheckpointFormatError(f"{path} has bad magic {magic!r}, expected {MAGIC!r}")
-    version = r.u32()
+    version, count = struct.unpack_from("<II", blob, claim(8))
     if version != VERSION:
         raise CheckpointFormatError(f"{path} has unsupported version {version}")
-    count = r.u32()
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
+        (length,) = struct.unpack_from("<H", blob, claim(2))
+        start = claim(length)
         try:
-            name = r.take(r.u16()).decode("utf-8")
+            name = blob[start:pos].decode("utf-8")
         except UnicodeDecodeError:
             raise CheckpointFormatError(
                 f"{path} has a tensor name that is not valid UTF-8") from None
         if name in arrays:
             raise CheckpointFormatError(f"{path} repeats tensor {name!r}")
-        rank = r.u8()
-        dims = tuple(r.u32() for _ in range(rank))
-        n_values = 1
-        for d in dims:
-            n_values *= d
-        raw = r.take(4 * n_values)
+        (rank,) = struct.unpack_from("<B", blob, claim(1))
+        dims = struct.unpack_from(f"<{rank}I", blob, claim(4 * rank))
+        n_values = math.prod(dims)
+        # Claimed outside the try: a truncation is a ValueError too, not a bad shape.
+        values = np.frombuffer(blob, "<f4", n_values, claim(4 * n_values))
         try:
-            arrays[name] = np.frombuffer(raw, dtype="<f4").reshape(dims).copy()
+            arrays[name] = values.reshape(dims).copy()
         except ValueError:
             raise CheckpointFormatError(
                 f"{path} tensor {name!r} has an unsupported shape of rank {rank}") from None
-    if r.pos != len(blob):
-        raise CheckpointFormatError(f"{path} has {len(blob) - r.pos} trailing bytes")
+    if pos != len(blob):
+        raise CheckpointFormatError(f"{path} has {len(blob) - pos} trailing bytes")
 
     with open(config_path(path), encoding="utf-8") as f:
         try:

@@ -40,7 +40,7 @@ class Vocabulary:
     """Immutable token-to-id mapping with the reserved ids pinned first.
 
     One from build_vocab keeps each counted text's tokens for the encoders.
-    save() does not write them, so one from parse() tokenizes every text.
+    to_bytes() leaves them out, so one from parse() tokenizes every text.
     """
 
     def __init__(self, tokens: Sequence[str]):
@@ -65,15 +65,13 @@ class Vocabulary:
         """Id of a token, UNK_ID when out of vocabulary."""
         return self._index.get(token, UNK_ID)
 
-    def save(self, path: str) -> None:
-        """One token per line, in id order."""
-        with open(path, "w", encoding="utf-8") as f:
-            for tok in self._tokens:
-                f.write(tok + "\n")
+    def to_bytes(self) -> bytes:
+        """The vocabulary file: one token per line, in id order, as strict UTF-8."""
+        return ("\n".join(self._tokens) + "\n").encode("utf-8")
 
     @classmethod
     def parse(cls, data: bytes, path: str) -> "Vocabulary":
-        """A vocabulary from the bytes of a file written by save(); path names it in errors."""
+        """A vocabulary from the bytes to_bytes() returns; path names the file in errors."""
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as e:

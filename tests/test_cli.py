@@ -474,6 +474,65 @@ class TestInvalidUtf8AtTheBoundary:
         assert err.startswith("error:") and "model.ckpt.vocab" in err
 
 
+def _edit_elements(corpus, out, key, value):
+    """corpus with `key` of the first element of every document set to value, at out;
+    value is a JSON literal, so it can spell what json.dumps would not write."""
+    lines = []
+    for line in Path(corpus).read_text().splitlines():
+        record = json.loads(line)
+        record["elements"][0][key] = "PLACEHOLDER"
+        lines.append(json.dumps(record).replace('"PLACEHOLDER"', value))
+    Path(out).write_text("\n".join(lines) + "\n")
+    return str(out)
+
+
+class TestCorpusValuesTheModelCannotTake:
+    """A corpus value that UTF-8 or float32 cannot hold is refused as it is read,
+    in one error: line naming the file and the line, before any work is done."""
+
+    def test_lone_surrogate_stops_train_before_the_first_epoch(self, tmp_path, tiny_config):
+        corpus = _edit_elements(gen_corpus(tmp_path), tmp_path / "surrogate.jsonl",
+                                "text", '"alpha \\ud800 beta"')
+        run = run_cli(["train", "--config", tiny_config, "--data", corpus,
+                       "--out", str(tmp_path / "m.ckpt")])
+        assert run.returncode == 1
+        [line] = run.stderr.splitlines()
+        assert line.startswith("error: ") and "surrogate.jsonl line 1" in line and "text" in line
+        assert "epoch" not in run.stdout
+        assert not list(tmp_path.glob("*.ckpt*"))
+
+    def test_visual_value_beyond_float32_stops_train(self, tmp_path, tiny_config):
+        corpus = _edit_elements(gen_corpus(tmp_path), tmp_path / "huge.jsonl", "vis",
+                                "[1e39, 0, 0, 0, 0, 0, 0, 0]")
+        run = run_cli(["train", "--config", tiny_config, "--data", corpus,
+                       "--out", str(tmp_path / "m.ckpt")])
+        assert run.returncode == 1
+        [line] = run.stderr.splitlines()
+        assert line.startswith("error: ") and "huge.jsonl line 1" in line and "vis" in line
+        assert "epoch" not in run.stdout
+        assert not list(tmp_path.glob("*.ckpt*"))
+
+    @pytest.mark.parametrize("command", [
+        ["eval", "--split", "test"],
+        ["predict", "--question", "which elements are the children of the title?"],
+    ], ids=["eval", "predict"])
+    def test_visual_value_beyond_float32_is_not_blamed_on_the_model(self, tmp_path, tiny_config,
+                                                                    command):
+        corpus = gen_corpus(tmp_path)
+        ckpt = str(tmp_path / "model.ckpt")
+        assert main(["train", "--config", tiny_config, "--data", corpus, "--out", ckpt]) == 0
+        huge = _edit_elements(corpus, tmp_path / "huge.jsonl", "vis",
+                              "[3.5e38, 0, 0, 0, 0, 0, 0, 0]")
+        if command[0] == "predict":
+            doc_id = json.loads(Path(huge).read_text().splitlines()[0])["doc_id"]
+            command = [*command, "--doc-id", doc_id]
+        run = run_cli([*command, "--ckpt", ckpt, "--data", huge])
+        assert run.returncode == 1
+        [line] = run.stderr.splitlines()
+        assert line.startswith("error: ") and "huge.jsonl line 1" in line and "vis" in line
+        assert run.stdout == ""
+
+
 class TestAblateCommand:
     def test_prints_all_variants(self, tmp_path, tiny_config, capsys):
         corpus = gen_corpus(tmp_path)

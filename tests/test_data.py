@@ -252,8 +252,11 @@ class TestJsonl:
         with pytest.raises(SchemaError):
             read_jsonl(path)
 
+    # The model reads vis as float32, where 3.5e38 and the rest are infinite too.
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999",
-                                         pytest.param("1" + "0" * 400, id="huge-int")])
+                                         pytest.param("1" + "0" * 400, id="huge-int"),
+                                         "3.5e38", "-3.5e38", "1e39",
+                                         pytest.param("4" + "0" * 38, id="float32-int")])
     def test_non_finite_visual_value_names_the_line(self, tmp_path, literal):
         path = tmp_path / "vis.jsonl"
         write_jsonl(generate_corpus(2, 2), path)
@@ -263,6 +266,26 @@ class TestJsonl:
         lines[1] = json.dumps(record).replace('"PLACEHOLDER"', literal)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(SchemaError, match="line 2.*vis"):
+            read_jsonl(path)
+
+    def test_largest_float32_visual_value_is_read(self, tmp_path):
+        path = self._mutate_first_record(
+            tmp_path, lambda r: r["elements"][0]["vis"].__setitem__(0, -3.4028234663852886e38))
+        assert read_jsonl(path)[0].elements[0].vis[0] == -3.4028234663852886e38
+
+    @pytest.mark.parametrize("where,field", [("elements", "text"), ("questions", "question"),
+                                             ("questions", "qid")])
+    def test_lone_surrogate_names_the_file_line_and_field(self, tmp_path, where, field):
+        """A JSON escape can spell a lone surrogate, which no UTF-8 file can hold."""
+        path = tmp_path / "surrogate.jsonl"
+        write_jsonl(generate_corpus(2, 2), path)
+        lines = path.read_text().splitlines()
+        record = json.loads(lines[1])
+        record[where][0][field] = "alpha \ud800 beta"
+        lines[1] = json.dumps(record)
+        assert "\\ud800" in lines[1]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SchemaError, match=f"surrogate.jsonl line 2.{where}.0.*{field}"):
             read_jsonl(path)
 
     def test_bool_id_rejected(self, tmp_path):

@@ -10,6 +10,7 @@ import re
 import struct
 import warnings
 import weakref
+from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -18,6 +19,7 @@ import pytest
 
 import jaeger.encoders
 import jaeger.fusion
+import jaeger.harness.checkpoint
 import jaeger.harness.train
 import jaeger.model
 from jaeger import numerics
@@ -25,7 +27,7 @@ from jaeger.config import TrainConfig
 from jaeger.data import GenConfig, generate_corpus, generate_document, generate_questions
 from jaeger.encoders import WIDTH_STEP
 from jaeger.errors import (CheckpointFormatError, CompatibilityError, ContractError,
-                           SchemaError, TrainingDiverged)
+                           JaegerError, SchemaError, TrainingDiverged)
 from jaeger.fusion import predict_answer_set
 from jaeger.harness import gradcheck
 from jaeger.harness.ablate import ablate, format_ablation_table
@@ -805,6 +807,23 @@ class TestCheckpoint:
         with pytest.raises(CheckpointFormatError, match="shape"):
             load_checkpoint(str(path))
 
+    def test_every_cut_and_every_flipped_byte_ends_in_a_jaeger_error(self, tmp_path):
+        """The tensor file cut at each length, and with each byte inverted in turn,
+        never loads and never escapes as a bare exception. Width 4 keeps all 63
+        tensor headers but only a third of the value bytes, so each of the
+        9,754 loads is quick."""
+        cfg = small_config(d_bidir=4, d_causal=4, d_content=4, d_visual=4, d_reduced=4,
+                           scorer_hidden=4, max_question_len=8, max_content_len=8)
+        path = tmp_path / "fresh.ckpt"
+        save_checkpoint(str(path), JaegerModel(cfg, build_vocab(["alpha beta"])))
+        blob = path.read_bytes()
+        cuts = (blob[:n] for n in range(len(blob)))
+        flips = (blob[:i] + bytes([blob[i] ^ 0xFF]) + blob[i + 1:] for i in range(len(blob)))
+        for damaged in chain(cuts, flips):
+            path.write_bytes(damaged)
+            with pytest.raises(JaegerError):
+                load_checkpoint(str(path))
+
     def test_width_mismatch_rejected(self, tmp_path):
         """A sidecar that disagrees with the stored tensors must not load."""
         _, _, _, path = self._trained(tmp_path)
@@ -827,7 +846,7 @@ class TestCheckpoint:
         tokens[4], tokens[5] = tokens[5], tokens[4]
         other = Vocabulary(tokens[4:])
         assert len(other) == len(result.model.vocab) and other.tokens != result.model.vocab.tokens
-        other.save(vocab_path(path))
+        Path(vocab_path(path)).write_bytes(other.to_bytes())
         with pytest.raises(CheckpointFormatError, match="model.ckpt.vocab"):
             load_model(path)
 
@@ -947,10 +966,13 @@ class TestCheckpoint:
         before = load_model(path).forward(sample).data
         files = sorted(os.listdir(tmp_path))
 
-        def disk_full(self, path):
-            raise OSError(f"no space left for {path}")
+        def disk_full_at_the_sidecar(file, mode="r", *args, **kwargs):
+            if file.startswith(config_path(path) + ".tmp-"):
+                raise OSError(f"no space left for {file}")
+            return open(file, mode, *args, **kwargs)
 
-        monkeypatch.setattr(Vocabulary, "save", disk_full)
+        monkeypatch.setattr(jaeger.harness.checkpoint, "open", disk_full_at_the_sidecar,
+                            raising=False)
         with pytest.raises(OSError, match="no space"):
             save_checkpoint(path, JaegerModel(cfg, result.model.vocab))
         monkeypatch.undo()
@@ -995,6 +1017,15 @@ class TestFreshInit:
                                           build_vocab(["alpha beta"])))
         with open(path, "rb") as f:
             assert hashlib.sha256(f.read()).hexdigest() == digest
+
+    def test_fresh_sidecar_and_vocabulary_are_pinned(self, tmp_path):
+        """The SHA-256 of the other two files of a fresh dual save."""
+        path = str(tmp_path / "fresh.ckpt")
+        save_checkpoint(path, JaegerModel(small_config(), build_vocab(["alpha beta"])))
+        digests = [hashlib.sha256(Path(file).read_bytes()).hexdigest()
+                   for file in (config_path(path), vocab_path(path))]
+        assert digests == ["0c57022ebb2e43acdadbfc498aeb79d24a7d8768cf962b481eeb4417732ef1c7",
+                           "238d80ad24cdf16b1e06d5930d5e1e6c15c3cd0262766142bc341b715446afe2"]
 
     def test_float64_fresh_tensors_are_pinned(self):
         """The float32 pins above hide low-bit changes in the float64 draws

@@ -114,7 +114,7 @@ class TestVocabulary:
     def test_save_load_roundtrip(self, tmp_path):
         vocab = build_vocab(["the quick brown fox", "the lazy dog"])
         path = tmp_path / "vocab.txt"
-        vocab.save(path)
+        path.write_bytes(vocab.to_bytes())
         loaded = Vocabulary.parse(path.read_bytes(), str(path))
         assert loaded.tokens == vocab.tokens
         assert len(loaded) == len(vocab)
@@ -388,7 +388,7 @@ class TestVocabularyKeepsTheTokensItCounted:
         built vocabulary's, byte for byte, on every split and on texts it never counted."""
         docs = split_docs()
         built = train(SPLIT_CFG, docs).model.vocab
-        built.save(tmp_path / "v.vocab")
+        (tmp_path / "v.vocab").write_bytes(built.to_bytes())
         parsed = Vocabulary.parse((tmp_path / "v.vocab").read_bytes(), "v.vocab")
         assert parsed.tokens == built.tokens
         for split in three_way_split(docs, SPLIT_CFG):
