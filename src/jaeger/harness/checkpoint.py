@@ -12,7 +12,8 @@ does not identify the tokens it was trained with. The sidecar also holds
 the SHA-256 of the tensor file and of the vocabulary file ("sha256":
 {"tensors", "vocab"}), taken from the bytes written, so a sidecar or
 vocabulary from another run does not load. A sidecar that lacks either
-digest does not load either. The reader makes one bounds-checked pass
+digest does not load either, nor one whose "format_version" is not the
+int VERSION. The reader makes one bounds-checked pass
 over the tensor file's bytes and copies each tensor's values once.
 """
 
@@ -126,6 +127,10 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], TrainConfig, Voca
             raise CheckpointFormatError(f"{config_path(path)} is not valid JSON ({e})") from None
     if not isinstance(sidecar, dict) or "config" not in sidecar:
         raise SchemaError(f"{config_path(path)} is missing the config object")
+    version = sidecar.get("format_version")
+    if type(version) is not int or version != VERSION:  # true and 1.0 equal 1 in Python
+        raise CheckpointFormatError(
+            f"{config_path(path)} has format_version {version!r}, this build reads {VERSION}")
     cfg = TrainConfig.from_dict(sidecar["config"], where=f"config in {config_path(path)}")
     with open(vocab_path(path), "rb") as f:
         vocab_blob = f.read()

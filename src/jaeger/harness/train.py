@@ -19,7 +19,7 @@ from ..fusion import predict_answer_set
 from ..model import EncodedSample, JaegerModel, _encode_documents, encode_sample
 from ..numerics import Tape, bce_with_logits, sgd_step
 from ..rng import Xoshiro256
-from ..text import Vocabulary, build_vocab
+from ..text import Vocabulary, _encode_texts, build_vocab
 from .metrics import ema
 
 
@@ -53,12 +53,17 @@ def encode_split(docs: list[Document], vocab: Vocabulary,
                  cfg: TrainConfig) -> list[EncodedSample]:
     """One sample per question; a document's questions share one EncodedCandidates.
 
-    Element texts share one id table; each question is encoded alone.
+    Element texts share one id table, and the split's distinct question texts
+    another; each sample owns a copy of its question's row.
     """
-    samples = []
-    for doc, cands in zip(docs, _encode_documents(docs, vocab, cfg)):
-        samples.extend(encode_sample(doc, q, vocab, cfg, cands) for q in doc.questions)
-    return samples
+    asked = [(doc, cands, q) for doc, cands in zip(docs, _encode_documents(docs, vocab, cfg))
+             for q in doc.questions]
+    table_row: dict[str, int] = {}
+    rows = [table_row.setdefault(q.question, len(table_row)) for _, _, q in asked]
+    ids, masks = _encode_texts(list(table_row), vocab, cfg.max_question_len)
+    # Copies, not views, for the reason _encode_documents gives.
+    return [encode_sample(doc, q, vocab, cfg, cands, (ids[r].copy(), masks[r].copy()))
+            for (doc, cands, q), r in zip(asked, rows)]
 
 
 def _batch_loss(model: JaegerModel, batch: list[EncodedSample]):
@@ -98,10 +103,11 @@ def evaluate(model: JaegerModel, samples: list[EncodedSample], split: str,
     """EMA report {"split", "n", "ema"} over pre-encoded samples.
 
     Each chunk of EVAL_CHUNK questions and its distinct candidates is encoded in one
-    pass, and its scorer pairs are gathered once (model.sample_features). Each
-    question is then scored by one model.forward call, in sample order, and its
-    logits are bit-identical to model.forward(sample). One predict_answer_set call
-    reads the answer sets of the whole chunk, split by each question's offset.
+    pass and scored by one scorer call (model.sample_features), and each question's
+    slice of those logits is bit-identical to model.forward(sample). The slices still
+    pass through one model.forward call per question, in sample order, so a wrapper
+    of forward sees every question's logits. One predict_answer_set call reads the
+    answer sets of the whole chunk, split by each question's offset.
     numpy's floating-point warnings are silenced: predict_answer_set alone reports
     the non-finite logits of an overflowing model.
     """
@@ -146,6 +152,7 @@ def train(cfg: TrainConfig, corpus: list[Document]) -> TrainResult:
     if not samples:
         raise ContractError("the training split has no questions")
     val_samples = encode_split(val_docs, vocab, cfg)
+    vocab._counted = {}  # nothing reads the token lists again; a saved model never had them
     order_rng = Xoshiro256(cfg.seed, "batch-order")
     result = TrainResult(model=model)
     step = 0

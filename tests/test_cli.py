@@ -368,6 +368,25 @@ class TestBadJsonAtTheBoundary:
         assert code == 1
         assert err.startswith("error:") and "model.ckpt.json" in err
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_sidecar_of_another_format_version(self, tmp_path, tiny_config, capsys, command):
+        corpus = gen_corpus(tmp_path)
+        ckpt = str(tmp_path / "model.ckpt")
+        assert main(["train", "--config", tiny_config, "--data", corpus, "--out", ckpt]) == 0
+        sidecar = json.loads((tmp_path / "model.ckpt.json").read_text())
+        sidecar["format_version"] = 2
+        (tmp_path / "model.ckpt.json").write_text(json.dumps(sidecar))
+        capsys.readouterr()
+        doc_id = json.loads(Path(corpus).read_text().splitlines()[0])["doc_id"]
+        argv = {"eval": ["eval", "--ckpt", ckpt, "--data", corpus, "--split", "test"],
+                "predict": ["predict", "--ckpt", ckpt, "--data", corpus, "--doc-id", doc_id,
+                            "--question", "anything?"]}[command]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "model.ckpt.json has format_version 2" in err
+
     def test_malformed_config(self, tmp_path, capsys):
         config = tmp_path / "config.json"
         config.write_text("{not json")

@@ -104,8 +104,8 @@ class TestScoreCandidates:
             np.testing.assert_array_equal(logits[i:i + 1], alone)
 
     def test_looked_up_pair_rows_score_bit_for_bit_as_in_the_whole_matrix(self):
-        """Scoring rows looked up from a pair matrix, as forward does with its
-        sample_features entry, gives exactly those rows' logits from the whole."""
+        """Scoring rows looked up from a pair matrix gives exactly those rows' logits
+        from the whole, so any slice of a chunk's logits is that slice scored alone."""
         params = init_fusion(6, 6, 5, 3, 8, seeded(6))
         q, feats, owner, rows = random_features(6, n=30, b=5)
         pairs = pair_features(q, feats, owner, rows)

@@ -686,6 +686,45 @@ class TestSharedCandidateFeatures:
         for (s, logits), end in zip(calls, ends):
             np.testing.assert_array_equal(logits, whole[end - len(s.candidate_ids):end])
 
+    def test_one_scorer_call_per_chunk_scores_each_question_bit_for_bit(self, monkeypatch):
+        """Three chunks of 64, 64 and 2 questions, one document straddling the first
+        boundary: three score_candidates calls, each over its chunk's pairs, and each
+        question's logits equal forward(sample) alone, bit for bit."""
+        model, corpus = self._model_and_corpus(n_docs=44, questions_per_doc=3)
+        samples = encode_split(corpus, model.vocab, model.cfg)[:130]
+        chunk = jaeger.harness.train.EVAL_CHUNK
+        assert samples[chunk - 1].candidates is samples[chunk].candidates
+        rows = []
+        score = jaeger.model.score_candidates
+
+        def counting(pairs, params):
+            rows.append(pairs.data.shape[0])
+            return score(pairs, params)
+
+        monkeypatch.setattr(jaeger.model, "score_candidates", counting)
+        seen = self._record_logits(model)
+        evaluate(model, samples, "val")
+        assert rows == [sum(len(s.candidate_ids) for s in samples[at:at + chunk])
+                        for at in range(0, len(samples), chunk)]
+        self._assert_each_alone(model, samples, seen)
+
+    def test_a_repeated_question_text_gives_each_sample_its_own_arrays(self):
+        """Questions of one text share a row of the split's question table, yet each
+        sample owns a copy: writing to one leaves the other as it was."""
+        model, corpus = self._model_and_corpus(n_docs=20)
+        samples = encode_split(corpus, model.vocab, model.cfg)
+        asked = [q.question for doc in corpus for q in doc.questions]
+        first = {}
+        one, other = next((first[text], s) for text, s in zip(asked, samples)
+                          if first.setdefault(text, s) is not s)
+        for name in ("question_ids", "question_mask"):
+            a, b = getattr(one, name), getattr(other, name)
+            np.testing.assert_array_equal(a, b)
+            assert a.base is None and b.base is None
+            kept = b.copy()
+            a[...] = 0
+            assert b[0] and (b == kept).all()  # b opens with CLS, unmasked
+
     def test_questions_of_one_document_share_its_candidates(self):
         model, corpus = self._model_and_corpus()
         samples = encode_split(corpus, model.vocab, model.cfg)
@@ -916,6 +955,24 @@ class TestCheckpoint:
         del sidecar["sha256"][key]
         Path(config_path(path)).write_text(json.dumps(sidecar))
         with pytest.raises(CheckpointFormatError, match=key):
+            load_model(path)
+
+    @pytest.mark.parametrize("version", ["missing", 2, 4096, 0.5, float("nan"), None, "dual",
+                                         True, 1.0],
+                             ids=["missing", "2", "4096", "0.5", "NaN", "null", "dual", "true",
+                                  "1.0"])
+    def test_sidecar_format_version_other_than_this_builds_rejected(self, tmp_path, version):
+        """Only the int this build writes loads. true and 1.0 compare equal to 1 in
+        Python, yet neither is the version a save writes."""
+        _, _, _, path = self._trained(tmp_path)
+        sidecar = json.loads(Path(config_path(path)).read_text())
+        assert sidecar["format_version"] == 1
+        if version == "missing":
+            del sidecar["format_version"]
+        else:
+            sidecar["format_version"] = version
+        Path(config_path(path)).write_text(json.dumps(sidecar))
+        with pytest.raises(CheckpointFormatError, match=r"model\.ckpt\.json has format_version"):
             load_model(path)
 
     def _rewrite_tensors(self, path, edit):

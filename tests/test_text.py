@@ -358,9 +358,9 @@ def split_docs():
 
 class TestVocabularyKeepsTheTokensItCounted:
     def test_train_tokenizes_each_text_of_both_splits_once(self, monkeypatch):
-        """The vocabulary keeps the tokens of every train text it counted, and a validation
-        element text is tokenized once for the split's id table. A validation question the
-        vocabulary never counted is tokenized once per question that asks it."""
+        """The vocabulary keeps the tokens of every train text it counted, and each
+        validation text it never counted, element or question, is tokenized once for the
+        split's id tables, however many questions ask it."""
         docs = split_docs()
         train_docs, val_docs, _ = three_way_split(docs, SPLIT_CFG)
         asked = val_docs[0].questions[0]
@@ -378,16 +378,17 @@ class TestVocabularyKeepsTheTokensItCounted:
         counted = set(corpus_texts(train_docs))
         want = Counter(counted)
         want.update({el.text for d in val_docs for el in d.elements} - counted)
-        want.update(q.question for d in val_docs for q in d.questions if q.question not in counted)
+        want.update({q.question for d in val_docs for q in d.questions} - counted)
         assert calls == want
         assert set(calls) == set(corpus_texts(train_docs + val_docs))
-        assert asked.question not in counted and calls[asked.question] == 2
+        assert asked.question not in counted and calls[asked.question] == 1
 
     def test_built_and_parsed_vocabularies_encode_identical_arrays(self, tmp_path):
         """A parsed vocabulary keeps no tokens and tokenizes every text; the arrays are the
         built vocabulary's, byte for byte, on every split and on texts it never counted."""
         docs = split_docs()
-        built = train(SPLIT_CFG, docs).model.vocab
+        built = build_vocab(corpus_texts(three_way_split(docs, SPLIT_CFG)[0]), SPLIT_CFG.min_count)
+        assert built.to_bytes() == train(SPLIT_CFG, docs).model.vocab.to_bytes()
         (tmp_path / "v.vocab").write_bytes(built.to_bytes())
         parsed = Vocabulary.parse((tmp_path / "v.vocab").read_bytes(), "v.vocab")
         assert parsed.tokens == built.tokens
@@ -407,6 +408,15 @@ class TestVocabularyKeepsTheTokensItCounted:
                 for got, want in zip(encode_text(text, built, max_len),
                                      encode_text(text, parsed, max_len)):
                     assert_same_array(got, want)
+
+    def test_a_trained_model_keeps_no_token_lists(self):
+        """train() drops the counted tokens once both splits are encoded: the model's
+        vocabulary then tokenizes every text, as a parsed one does."""
+        docs = split_docs()
+        vocab = train(SPLIT_CFG, docs).model.vocab
+        assert vocab._counted == {}
+        assert build_vocab(corpus_texts(three_way_split(docs, SPLIT_CFG)[0]),
+                           SPLIT_CFG.min_count)._counted
 
 
 def test_visual_width_error_names_the_element_in_a_later_document():
