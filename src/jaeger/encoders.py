@@ -18,7 +18,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .numerics import (ParamSource, Tensor, add, embedding_lookup, feed_forward, linear,
+from .numerics import (MakeParam, Tensor, add, embedding_lookup, feed_forward, linear,
                        make_params, masked_mean_rows, merge_rows, reshape, residual_norm,
                        self_attention)
 from .text import embed_sequence
@@ -46,7 +46,7 @@ class EncoderConfig:
         return self.d_model // self.n_heads
 
 
-def init_block(cfg: EncoderConfig, make: ParamSource, prefix: str) -> SimpleNamespace:
+def init_block(cfg: EncoderConfig, make: MakeParam, prefix: str) -> SimpleNamespace:
     d, f = cfg.d_model, cfg.d_ff
     x, z, o = "xavier_uniform", "zeros", "ones"
     return make_params(make, prefix, {
@@ -61,7 +61,7 @@ def init_block(cfg: EncoderConfig, make: ParamSource, prefix: str) -> SimpleName
     })
 
 
-def init_encoder(cfg: EncoderConfig, vocab_size: int, make: ParamSource,
+def init_encoder(cfg: EncoderConfig, vocab_size: int, make: MakeParam,
                  prefix: str) -> SimpleNamespace:
     """Token and position tables (tok, pos), then the stack of block weights (blocks)."""
     enc = make_params(make, prefix, {"tok": ((vocab_size, cfg.d_model), "xavier_uniform"),
@@ -149,7 +149,7 @@ def encode_question_causal(ids, mask: np.ndarray, params: SimpleNamespace,
     return _pool(ids, m, last, params, cfg)
 
 
-def init_content(cfg: EncoderConfig, vocab_size: int, make: ParamSource,
+def init_content(cfg: EncoderConfig, vocab_size: int, make: MakeParam,
                  prefix: str) -> SimpleNamespace:
     """A text encoder's weights plus the bbox injection (bbox_w, bbox_b), built after them."""
     return SimpleNamespace(**vars(init_encoder(cfg, vocab_size, make, prefix)),
@@ -203,7 +203,7 @@ def encode_content(ids, mask: np.ndarray, bbox, params: SimpleNamespace,
     return reshape(feats, (*lead, d))
 
 
-def init_visual(d_in: int, d_hidden: int, d_out: int, make: ParamSource,
+def init_visual(d_in: int, d_hidden: int, d_out: int, make: MakeParam,
                 prefix: str) -> SimpleNamespace:
     return make_params(make, prefix, {
         "w1": ((d_in, d_hidden), "xavier_uniform"), "b1": ((d_hidden,), "zeros"),

@@ -15,12 +15,12 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .numerics import (ParamSource, Tensor, concat_last, embedding_lookup, feed_forward, linear,
+from .numerics import (MakeParam, Tensor, concat_last, embedding_lookup, feed_forward, linear,
                        make_params, _sigmoid)
 
 
 def init_fusion(q_width: int, d_reduced: int, d_content: int, d_visual: int,
-                hidden: int, make: ParamSource, prefix: str = "fusion") -> SimpleNamespace:
+                hidden: int, make: MakeParam, prefix: str = "fusion") -> SimpleNamespace:
     f_width = d_reduced + d_content + d_visual
     return make_params(make, prefix, {
         "reduce_w": ((q_width, d_reduced), "xavier_uniform"),

@@ -30,7 +30,7 @@ from ..atomic import replacing
 from ..config import TrainConfig
 from ..errors import CheckpointFormatError, CompatibilityError, SchemaError
 from ..model import JaegerModel
-from ..numerics import ParamSource, Tensor
+from ..numerics import ParamSource
 from ..text import Vocabulary
 
 MAGIC = b"JGR1"
@@ -149,15 +149,15 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], TrainConfig, Voca
 
 def _checkpoint_source(arrays: dict[str, np.ndarray]) -> ParamSource:
     """Parameters taken from a checkpoint's tensors by name; nothing is drawn."""
-    def make(name: str, shape: tuple[int, ...], scheme: str) -> Tensor:
+    def take(name: str, shape: tuple[int, ...]) -> np.ndarray:
         if name not in arrays:
             raise CompatibilityError(f"checkpoint is missing parameter {name!r}")
         arr = arrays[name]
         if arr.shape != shape:
             raise CompatibilityError(
                 f"parameter {name!r} has shape {arr.shape}, model expects {shape}")
-        return Tensor(arr)
-    return make
+        return arr
+    return ParamSource(lambda specs: [take(name, shape) for name, shape, _ in specs])
 
 
 def load_model(path: str) -> JaegerModel:

@@ -127,10 +127,10 @@ def evaluate(model: JaegerModel, samples: list[EncodedSample], split: str,
 
 def _answer_sets(logits: list[np.ndarray], threshold: float) -> list[np.ndarray]:
     """Each logit vector's predict_answer_set indices, from one call over them all."""
-    ends = np.cumsum([len(z) for z in logits])
+    ends = np.cumsum([len(z) for z in logits]).tolist()
     hit = np.zeros(ends[-1], dtype=bool)
     hit[list(predict_answer_set(np.concatenate(logits), threshold))] = True
-    return [np.flatnonzero(part) for part in np.split(hit, ends[:-1])]
+    return [np.flatnonzero(hit[end - len(z):end]) for z, end in zip(logits, ends)]
 
 
 def train(cfg: TrainConfig, corpus: list[Document]) -> TrainResult:

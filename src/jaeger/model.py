@@ -12,7 +12,7 @@ from .encoders import (EncoderConfig, encode_content, encode_question_bidir,
                        init_visual)
 from .errors import ContractError, ShapeError
 from .fusion import init_fusion, pair_features, reduce_dim, score_candidates
-from .numerics import ParamSource, Tensor, concat_last, seeded
+from .numerics import ParamSource, ParamSpec, Tensor, concat_last, seeded
 from .text import Vocabulary, _encode_texts, encode_text
 
 
@@ -114,6 +114,9 @@ def encode_sample(doc, question, vocab: Vocabulary, cfg: TrainConfig,
     )
 
 
+_UNFILLED = np.empty(0)  # a registered parameter's data until its source answers
+
+
 class JaegerModel:
     """All trainable state for one pipeline variant.
 
@@ -125,7 +128,9 @@ class JaegerModel:
         """Build every parameter from source; a fresh float32 draw from cfg.seed by default.
 
         The registry holds each tensor under the name it was built with, in
-        build order, which is also the tensor order of a checkpoint.
+        build order, which is also the tensor order of a checkpoint. Every
+        tensor is registered first, and one request to source then fills
+        them all.
         """
         if cfg.variant not in VARIANTS:
             raise ContractError(f"unknown variant {cfg.variant!r}")
@@ -133,9 +138,13 @@ class JaegerModel:
         self.vocab = vocab
         source = source or seeded(cfg.seed)
         self._named: dict[str, Tensor] = {}
+        specs: list[ParamSpec] = []
+        tensors: list[Tensor] = []
 
         def make(name: str, shape: tuple[int, ...], scheme: str) -> Tensor:
-            self._named[name] = tensor = source(name, shape, scheme)
+            specs.append((name, shape, scheme))
+            self._named[name] = tensor = Tensor(_UNFILLED)
+            tensors.append(tensor)
             return tensor
 
         v = len(vocab)
@@ -158,6 +167,8 @@ class JaegerModel:
         self.visual = init_visual(cfg.d_vis_in, cfg.scorer_hidden, cfg.d_visual, make, "visual")
         self.fusion = init_fusion(cfg.question_width, cfg.d_reduced, cfg.d_content,
                                   cfg.d_visual, cfg.scorer_hidden, make)
+        for tensor, data in zip(tensors, source.request(specs)):
+            tensor.data = data
         self.dtype = self.content.bbox_w.data.dtype
 
     def named_parameters(self) -> dict[str, Tensor]:

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ContractError, IndexOutOfRange, ShapeError
-from .rng import Xoshiro256
+from .rng import Xoshiro256, uniform_streams
 
 Array = np.ndarray
 
@@ -546,43 +546,69 @@ def seeded_init(shape: Sequence[int], scheme: str, seed: int, stream: str = "",
                 dtype=np.float32) -> Tensor:
     """Deterministic parameter init; (seed, stream) fully determine the values.
 
-    Draws happen in float64 and are then cast, so float32 and float64
-    models share the same underlying sample sequence.
+    A request of one to seeded(seed, dtype), with stream as the tensor's name.
     """
-    dims = tuple(int(d) for d in shape)
-    if any(d < 0 for d in dims):
-        raise ShapeError(f"negative dimension in shape {dims}")
-    if scheme == "zeros":
-        data = np.zeros(dims, dtype=dtype)
-    elif scheme == "ones":
-        data = np.ones(dims, dtype=dtype)
-    elif scheme == "xavier_uniform":
-        b = xavier_bound(dims)
-        gen = Xoshiro256(seed, stream)
-        n = int(np.prod(dims)) if dims else 1
-        vals = gen.uniforms(n, -b, b)
-        data = vals.reshape(dims).astype(dtype)
-    else:
-        raise ContractError(f"unknown init scheme {scheme!r}")
-    return Tensor(data)
+    return seeded(seed, dtype)(stream, tuple(shape), scheme)
 
 
-# make(name, shape, scheme) builds the parameter registered as `name`, e.g.
-# "q_bidir.blk0.wq": fresh init and checkpoint loading share one build path.
-ParamSource = Callable[[str, tuple[int, ...], str], Tensor]
+# (name, shape, scheme) of one parameter, e.g. ("q_bidir.blk0.wq", (32, 32), "xavier_uniform").
+ParamSpec = tuple[str, tuple[int, ...], str]
+# make(name, shape, scheme) builds the parameter registered as `name`: a
+# ParamSource called with one spec, or JaegerModel's registrar.
+MakeParam = Callable[[str, tuple[int, ...], str], Tensor]
+
+
+class ParamSource:
+    """Where parameters come from: request(specs) answers a list of specs with one
+    array per spec, in order.
+
+    JaegerModel registers every tensor first and then sends its whole registry
+    as one request, so fresh init and checkpoint loading share one build path.
+    Called with one spec, a source builds that tensor alone, a request of one;
+    that is how make_params builds a layout outside a model.
+    """
+
+    def __init__(self, request: Callable[[list[ParamSpec]], list[Array]]):
+        self.request = request
+
+    def __call__(self, name: str, shape: tuple[int, ...], scheme: str) -> Tensor:
+        return Tensor(self.request([(name, shape, scheme)])[0])
 
 
 def seeded(seed: int, dtype=np.float32) -> ParamSource:
-    """Fresh parameters: seeded_init with each tensor's name as its stream."""
-    return lambda name, shape, scheme: seeded_init(shape, scheme, seed, name, dtype=dtype)
+    """Fresh parameters: each xavier_uniform tensor is drawn from the stream named
+    after it, and one uniform_streams call draws every stream of a request.
+
+    Draws happen in float64 and are then cast, so float32 and float64 models
+    share the same underlying sample sequence.
+    """
+    def request(specs: list[ParamSpec]) -> list[Array]:
+        shapes = [tuple(int(d) for d in shape) for _, shape, _ in specs]
+        drawn = []
+        for (name, _, scheme), dims in zip(specs, shapes):
+            if any(d < 0 for d in dims):
+                raise ShapeError(f"negative dimension in shape {dims}")
+            if scheme == "xavier_uniform":
+                b = xavier_bound(dims)
+                drawn.append((Xoshiro256(seed, name), math.prod(dims), -b, b))
+            elif scheme not in ("zeros", "ones"):
+                raise ContractError(f"unknown init scheme {scheme!r}")
+        values = iter(uniform_streams(drawn))
+        return [np.zeros(dims, dtype) if scheme == "zeros" else
+                np.ones(dims, dtype) if scheme == "ones" else
+                next(values).reshape(dims).astype(dtype)
+                for (_, _, scheme), dims in zip(specs, shapes)]
+    return ParamSource(request)
 
 
-def make_params(make: ParamSource, prefix: str,
+def make_params(make: MakeParam, prefix: str,
                 layout: dict[str, tuple[tuple[int, ...], str]]) -> SimpleNamespace:
     """A {name: (shape, scheme)} layout built in order, each tensor as f"{prefix}.{name}".
 
     The tensors come back as attributes under their layout names, so the
-    layout is the only place a parameter is declared.
+    layout is the only place a parameter is declared. A ParamSource as make
+    answers one request per tensor; JaegerModel's make registers each tensor
+    and fills them all from one request afterwards.
     """
     return SimpleNamespace(**{name: make(f"{prefix}.{name}", shape, scheme)
                               for name, (shape, scheme) in layout.items()})

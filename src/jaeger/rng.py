@@ -4,10 +4,22 @@ splitmix64 turns a (seed, stream name) pair into generator state and
 xoshiro256** produces the actual numbers. Both are fixed-width integer
 algorithms, so every stream replays identically across platforms and
 Python versions for the same seed.
+
+uniform_streams draws many streams at once. xoshiro256**'s state step is
+linear over GF(2) (only the output scrambler is not), so a 256-bit state
+row times one fixed 256x256 0/1 matrix, mod 2, is the state LANE steps
+later. Each stream is cut into lanes of LANE draws; lane j starts from
+lane j-1's state times that matrix, one product per lane index shared by
+every stream. All lanes then take LANE steps in lockstep as uint64
+arrays, and each stream's draws are its lanes read in order: the same
+bits as stepping the stream alone. The product runs in float32 on 0/1
+entries, so every partial sum is an integer of at most 256, which float32
+holds exactly whatever order a BLAS sums in.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Sequence, TypeVar
 
@@ -15,6 +27,9 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+# Draws per lane of uniform_streams: the jump matrix is LANE steps, and every
+# lane takes LANE lockstep steps.
+LANE = 256
 
 T = TypeVar("T")
 
@@ -83,28 +98,9 @@ class Xoshiro256:
         return lo + (hi - lo) * self.random()
 
     def uniforms(self, n: int, lo: float, hi: float) -> np.ndarray:
-        """n float64 draws, bit-identical to n uniform(lo, hi) calls.
-
-        One loop over local words advances the state and keeps each
-        pre-step s1; the ** scrambler and the float conversion then run
-        as whole-array uint64 and float64 ops. The generator ends in the
-        same state as after the n per-draw calls.
-        """
-        s0, s1, s2, s3 = self._s
-        pre = [0] * n
-        for i in range(n):
-            pre[i] = s1
-            t = (s1 << 17) & _MASK64
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-        self._s = [s0, s1, s2, s3]
-        x = np.array(pre, dtype=np.uint64) * np.uint64(5)
-        x = ((x << np.uint64(7)) | (x >> np.uint64(57))) * np.uint64(9)
-        return lo + (hi - lo) * ((x >> np.uint64(11)).astype(np.float64) * 2.0**-53)
+        """n float64 draws, bit-identical to n uniform(lo, hi) calls, which
+        also leave the generator in the same state: uniform_streams of one."""
+        return uniform_streams([(self, n, lo, hi)])[0]
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n) without modulo bias."""
@@ -147,3 +143,106 @@ class Xoshiro256:
         for i in range(len(items) - 1, 0, -1):
             j = self.randrange(i + 1)
             items[i], items[j] = items[j], items[i]
+
+
+_U = {k: np.uint64(k) for k in (5, 7, 9, 11, 17, 19, 45, 57)}
+
+
+def _step(s: list[np.ndarray]) -> None:
+    """One xoshiro256** state step of every lane, in place on the four word arrays."""
+    s0, s1, s2, s3 = s
+    t = s1 << _U[17]
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= t
+    np.left_shift(s3, _U[45], out=t)
+    s3 >>= _U[19]
+    s3 |= t
+
+
+def _bits(words: np.ndarray) -> np.ndarray:
+    """(k, 4) uint64 states as (k, 256) uint8 bit rows, bit 64*w + b of row i
+    being bit b of word w; little-endian bytes on every platform."""
+    return np.unpackbits(words.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+
+
+def _words(bits: np.ndarray) -> np.ndarray:
+    """The inverse of _bits."""
+    return np.packbits(bits, axis=1, bitorder="little").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _lane_jump() -> np.ndarray:
+    """The (256, 256) float32 0/1 matrix taking a state's bit row LANE steps on.
+
+    Row i is the state reached from the one whose only set bit is bit i;
+    by linearity, any row's product with it, mod 2, is the XOR of the rows
+    its set bits pick.
+    """
+    s = list(_words(np.eye(256, dtype=np.uint8)).T.copy())
+    for _ in range(LANE):
+        _step(s)
+    jump = _bits(np.stack(s, axis=1)).astype(np.float32)
+    jump.flags.writeable = False
+    return jump
+
+
+def uniform_streams(requests: Sequence[tuple[Xoshiro256, int, float, float]]
+                    ) -> list[np.ndarray]:
+    """Each (generator, n, lo, hi) request's n uniform(lo, hi) draws, as float64,
+    from one lockstep pass over every stream (see the module docstring).
+
+    Each draw is bit-identical to the generator's own uniform call, and each
+    generator, which no other request may share, ends in the state its n calls
+    would leave it in.
+    """
+    if not requests:
+        return []
+    gens = [gen for gen, _, _, _ in requests]
+    if len({id(gen) for gen in gens}) < len(gens):
+        raise ValueError("two requests share a generator")
+    counts = np.array([n for _, n, _, _ in requests], dtype=np.int64)
+    if (counts < 0).any():
+        raise ValueError("a stream cannot take a negative number of draws")
+    lanes = -(-counts // LANE)
+    first = np.concatenate([[0], np.cumsum(lanes)])  # stream i's lanes are rows first[i]:first[i+1]
+    # Lane starts, lane index by lane index: alive[j] streams start a lane j.
+    # Streams are taken longest first, so those are a prefix of the ones before.
+    alive = [len(gens)] + [int((lanes > j).sum()) for j in range(1, int(lanes.max()))]
+    rank = np.argsort(-lanes, kind="stable")
+    bits = _bits(np.array([gens[r]._s for r in rank], dtype=np.uint64).reshape(-1, 4))
+    jump, blocks = _lane_jump(), [bits]
+    for m in alive[1:]:
+        bits = ((bits[:m] @ jump).astype(np.int32) & 1).astype(np.uint8)
+        blocks.append(bits)
+    # Stream i, of rank r, has lane j at row sum(alive[:j]) + r of the blocks.
+    base = np.cumsum([0] + alive)
+    place = np.argsort(rank)
+    order = np.concatenate([base[:k] + place[i] for i, k in enumerate(lanes)])
+    starts = _words(np.concatenate(blocks)[order])
+    s = [starts[:, w].copy() for w in range(4)]
+    # Each stream's last lane takes its last draw at step n - (lanes - 1) * LANE.
+    ends: dict[int, list[int]] = {}
+    for i, n in enumerate(counts):
+        if n:
+            ends.setdefault(int(n - (lanes[i] - 1) * LANE), []).append(i)
+    out = np.empty((len(starts), LANE), dtype=np.float64)
+    words = out.view(np.uint64)  # each step's pre-step s1, turned into floats in place below
+    for k in range(1, LANE + 1):
+        words[:, k - 1] = s[1]
+        _step(s)
+        for i in ends.get(k, ()):
+            gens[i]._s = [int(w[first[i + 1] - 1]) for w in s]
+    draws = []
+    for i, (_, n, lo, hi) in enumerate(requests):
+        x = words[first[i]:first[i + 1]] * _U[5]
+        x = ((x << _U[7]) | (x >> _U[57])) * _U[9]
+        part = out[first[i]:first[i + 1]]
+        part[...] = x >> _U[11]
+        part *= 2.0**-53
+        part *= hi - lo
+        part += lo
+        draws.append(part.reshape(-1)[:n])
+    return draws

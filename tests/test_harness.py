@@ -22,7 +22,7 @@ import jaeger.fusion
 import jaeger.harness.checkpoint
 import jaeger.harness.train
 import jaeger.model
-from jaeger import numerics
+from jaeger import numerics, rng
 from jaeger.config import TrainConfig
 from jaeger.data import GenConfig, generate_corpus, generate_document, generate_questions
 from jaeger.encoders import WIDTH_STEP
@@ -1095,6 +1095,34 @@ class TestFreshInit:
             assert p.data.dtype == np.float64
             h.update(p.data.tobytes())
         assert h.hexdigest() == "01120747fa40f413918247199ab5ce1021566d869e55fd80165a27ed811f0949"
+
+    def test_a_fresh_model_draws_in_one_engine_call_and_a_loaded_one_in_none(
+            self, tmp_path, monkeypatch):
+        """Fresh init sends the whole registry as one request, which draws every
+        xavier stream in one uniform_streams call, in float32 and in float64 as
+        gradcheck builds its model; loading draws nothing."""
+        calls = []
+        real = rng.uniform_streams
+
+        def counting(requests):
+            calls.append(len(requests))
+            return real(requests)
+
+        for module in (rng, numerics):
+            monkeypatch.setattr(module, "uniform_streams", counting)
+        vocab = build_vocab(["alpha beta"])
+        model = JaegerModel(small_config(), vocab)
+        drawn = [p for p in model.parameters() if p.data.any() and not (p.data == 1).all()]
+        assert calls == [len(drawn)]
+        calls.clear()
+        cfg = tiny_gradcheck_config()
+        assert JaegerModel(cfg, vocab, seeded(cfg.seed, np.float64)).dtype == np.float64
+        assert len(calls) == 1
+        path = str(tmp_path / "fresh.ckpt")
+        save_checkpoint(path, model)
+        calls.clear()
+        load_model(path)
+        assert calls == []
 
 
 class TestGradcheck:

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from jaeger.rng import Xoshiro256, derive_stream, splitmix64
+from jaeger.rng import LANE, Xoshiro256, derive_stream, splitmix64, uniform_streams
 
 
 class TestSplitmix:
@@ -153,3 +154,43 @@ class TestUniforms:
         got = gen.uniforms(0, -1.0, 1.0)
         assert got.dtype == np.float64 and got.shape == (0,)
         assert gen._s == untouched._s
+
+
+# A lane boundary on either side, one whole lane, and streams of several lanes.
+COUNTS = st.one_of(st.sampled_from([0, 1, LANE - 1, LANE, LANE + 1]),
+                   st.integers(2 * LANE - 1, 5 * LANE + 1))
+BOUND = st.floats(-1e300, 1e300)
+STREAMS = st.lists(st.tuples(st.text(max_size=12), COUNTS, BOUND, BOUND),
+                   min_size=1, max_size=6, unique_by=lambda stream: stream[0])
+
+
+class TestUniformStreams:
+    """uniform_streams draws every stream of a request in one lockstep pass."""
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**64 - 1), streams=STREAMS)
+    def test_each_stream_is_its_per_draw_calls_bit_for_bit_alone_or_together(self, seed,
+                                                                            streams):
+        together = [Xoshiro256(seed, name) for name, _, _, _ in streams]
+        got = uniform_streams([(gen, n, lo, hi)
+                               for gen, (_, n, lo, hi) in zip(together, streams)])
+        assert len(got) == len(streams)
+        for gen, values, (name, n, lo, hi) in zip(together, got, streams):
+            single = Xoshiro256(seed, name)
+            want = np.array([single.uniform(lo, hi) for _ in range(n)], dtype=np.float64)
+            assert values.dtype == np.float64 and values.shape == (n,)
+            assert values.tobytes() == want.tobytes()
+            assert gen._s == single._s
+            alone = Xoshiro256(seed, name)
+            assert uniform_streams([(alone, n, lo, hi)])[0].tobytes() == want.tobytes()
+            assert alone._s == single._s
+
+    def test_no_streams_draw_nothing(self):
+        assert uniform_streams([]) == []
+
+    def test_a_shared_generator_or_a_negative_count_is_refused(self):
+        gen = Xoshiro256(1, "w")
+        with pytest.raises(ValueError, match="share"):
+            uniform_streams([(gen, 3, 0.0, 1.0), (gen, 2, 0.0, 1.0)])
+        with pytest.raises(ValueError, match="negative"):
+            uniform_streams([(gen, -1, 0.0, 1.0)])
