@@ -30,7 +30,7 @@ from ..atomic import replacing
 from ..config import TrainConfig
 from ..errors import CheckpointFormatError, CompatibilityError, SchemaError
 from ..model import JaegerModel
-from ..numerics import ParamSource
+from ..numerics import ParamSource, ParamSpec
 from ..text import Vocabulary
 
 MAGIC = b"JGR1"
@@ -148,23 +148,24 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], TrainConfig, Voca
 
 
 def _checkpoint_source(arrays: dict[str, np.ndarray]) -> ParamSource:
-    """Parameters taken from a checkpoint's tensors by name; nothing is drawn."""
-    def take(name: str, shape: tuple[int, ...]) -> np.ndarray:
-        if name not in arrays:
-            raise CompatibilityError(f"checkpoint is missing parameter {name!r}")
-        arr = arrays[name]
-        if arr.shape != shape:
-            raise CompatibilityError(
-                f"parameter {name!r} has shape {arr.shape}, model expects {shape}")
-        return arr
-    return ParamSource(lambda specs: [take(name, shape) for name, shape, _ in specs])
+    """Parameters taken from a checkpoint's tensors by name; nothing is drawn. Its one
+    request is the whole registry: it refuses the first registered tensor that is
+    missing or misshapen, then a tensor the model does not register."""
+    def request(specs: list[ParamSpec]) -> list[np.ndarray]:
+        for name, shape, _ in specs:
+            if name not in arrays:
+                raise CompatibilityError(f"checkpoint is missing parameter {name!r}")
+            if arrays[name].shape != shape:
+                raise CompatibilityError(
+                    f"parameter {name!r} has shape {arrays[name].shape}, model expects {shape}")
+        extra = sorted(set(arrays) - {name for name, _, _ in specs})
+        if extra:
+            raise CompatibilityError(f"checkpoint has unexpected parameter {extra[0]!r}")
+        return [arrays[name] for name, _, _ in specs]
+    return ParamSource(request)
 
 
 def load_model(path: str) -> JaegerModel:
     """Rebuild a model from a checkpoint; raises CompatibilityError on mismatch."""
     arrays, cfg, vocab = load_checkpoint(path)
-    model = JaegerModel(cfg, vocab, _checkpoint_source(arrays))
-    extra = sorted(set(arrays) - set(model.named_parameters()))
-    if extra:
-        raise CompatibilityError(f"checkpoint has unexpected parameter {extra[0]!r}")
-    return model
+    return JaegerModel(cfg, vocab, _checkpoint_source(arrays))

@@ -139,12 +139,10 @@ class JaegerModel:
         source = source or seeded(cfg.seed)
         self._named: dict[str, Tensor] = {}
         specs: list[ParamSpec] = []
-        tensors: list[Tensor] = []
 
         def make(name: str, shape: tuple[int, ...], scheme: str) -> Tensor:
             specs.append((name, shape, scheme))
             self._named[name] = tensor = Tensor(_UNFILLED)
-            tensors.append(tensor)
             return tensor
 
         v = len(vocab)
@@ -167,7 +165,7 @@ class JaegerModel:
         self.visual = init_visual(cfg.d_vis_in, cfg.scorer_hidden, cfg.d_visual, make, "visual")
         self.fusion = init_fusion(cfg.question_width, cfg.d_reduced, cfg.d_content,
                                   cfg.d_visual, cfg.scorer_hidden, make)
-        for tensor, data in zip(tensors, source.request(specs)):
+        for tensor, data in zip(self._named.values(), source.request(specs)):
             tensor.data = data
         self.dtype = self.content.bbox_w.data.dtype
 

@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ContractError, IndexOutOfRange, ShapeError
-from .rng import Xoshiro256, uniform_streams
+from .rng import stream_state, uniform_streams
 
 Array = np.ndarray
 
@@ -542,19 +542,10 @@ def xavier_bound(shape: Sequence[int]) -> float:
     return math.sqrt(6.0 / (fan_in + fan_out))
 
 
-def seeded_init(shape: Sequence[int], scheme: str, seed: int, stream: str = "",
-                dtype=np.float32) -> Tensor:
-    """Deterministic parameter init; (seed, stream) fully determine the values.
-
-    A request of one to seeded(seed, dtype), with stream as the tensor's name.
-    """
-    return seeded(seed, dtype)(stream, tuple(shape), scheme)
-
-
 # (name, shape, scheme) of one parameter, e.g. ("q_bidir.blk0.wq", (32, 32), "xavier_uniform").
 ParamSpec = tuple[str, tuple[int, ...], str]
-# make(name, shape, scheme) builds the parameter registered as `name`: a
-# ParamSource called with one spec, or JaegerModel's registrar.
+# make(name, shape, scheme) builds the parameter registered as `name`:
+# JaegerModel's registrar, or a ParamSource called with one spec.
 MakeParam = Callable[[str, tuple[int, ...], str], Tensor]
 
 
@@ -564,8 +555,8 @@ class ParamSource:
 
     JaegerModel registers every tensor first and then sends its whole registry
     as one request, so fresh init and checkpoint loading share one build path.
-    Called with one spec, a source builds that tensor alone, a request of one;
-    that is how make_params builds a layout outside a model.
+    Called as make(name, shape, scheme), a source answers a request of one with a
+    Tensor; that is how a tensor or a make_params layout is built outside a model.
     """
 
     def __init__(self, request: Callable[[list[ParamSpec]], list[Array]]):
@@ -576,8 +567,9 @@ class ParamSource:
 
 
 def seeded(seed: int, dtype=np.float32) -> ParamSource:
-    """Fresh parameters: each xavier_uniform tensor is drawn from the stream named
-    after it, and one uniform_streams call draws every stream of a request.
+    """Fresh parameters: each xavier_uniform tensor takes its draws from
+    stream_state(seed, name), and one uniform_streams call draws every stream
+    of a request; zeros and ones tensors draw nothing.
 
     Draws happen in float64 and are then cast, so float32 and float64 models
     share the same underlying sample sequence.
@@ -590,7 +582,7 @@ def seeded(seed: int, dtype=np.float32) -> ParamSource:
                 raise ShapeError(f"negative dimension in shape {dims}")
             if scheme == "xavier_uniform":
                 b = xavier_bound(dims)
-                drawn.append((Xoshiro256(seed, name), math.prod(dims), -b, b))
+                drawn.append((stream_state(seed, name), math.prod(dims), -b, b))
             elif scheme not in ("zeros", "ones"):
                 raise ContractError(f"unknown init scheme {scheme!r}")
         values = iter(uniform_streams(drawn))
@@ -606,9 +598,9 @@ def make_params(make: MakeParam, prefix: str,
     """A {name: (shape, scheme)} layout built in order, each tensor as f"{prefix}.{name}".
 
     The tensors come back as attributes under their layout names, so the
-    layout is the only place a parameter is declared. A ParamSource as make
-    answers one request per tensor; JaegerModel's make registers each tensor
-    and fills them all from one request afterwards.
+    layout is the only place a parameter is declared. JaegerModel's make
+    registers each tensor unfilled and fills them all from one request
+    afterwards; a ParamSource as make answers one request per tensor.
     """
     return SimpleNamespace(**{name: make(f"{prefix}.{name}", shape, scheme)
                               for name, (shape, scheme) in layout.items()})

@@ -1,20 +1,21 @@
 """Deterministic pseudo-random streams.
 
-splitmix64 turns a (seed, stream name) pair into generator state and
-xoshiro256** produces the actual numbers. Both are fixed-width integer
-algorithms, so every stream replays identically across platforms and
-Python versions for the same seed.
+splitmix64 turns a (seed, stream name) pair into generator state
+(stream_state) and xoshiro256** produces the actual numbers. Both are
+fixed-width integer algorithms, so every stream replays identically across
+platforms and Python versions for the same seed.
 
-uniform_streams draws many streams at once. xoshiro256**'s state step is
-linear over GF(2) (only the output scrambler is not), so a 256-bit state
-row times one fixed 256x256 0/1 matrix, mod 2, is the state LANE steps
-later. Each stream is cut into lanes of LANE draws; lane j starts from
-lane j-1's state times that matrix, one product per lane index shared by
-every stream. All lanes then take LANE steps in lockstep as uint64
-arrays, and each stream's draws are its lanes read in order: the same
-bits as stepping the stream alone. The product runs in float32 on 0/1
-entries, so every partial sum is an integer of at most 256, which float32
-holds exactly whatever order a BLAS sums in.
+uniform_streams draws many streams at once, each from the state words it
+is given, and advances no generator. xoshiro256**'s state step is linear
+over GF(2) (only the output scrambler is not), so a 256-bit state row
+times one fixed 256x256 0/1 matrix, mod 2, is the state LANE steps later.
+Each stream is cut into lanes of LANE draws; lane j starts from lane j-1's
+state times that matrix, one product per lane index over the streams that
+still have a lane j. All lanes then take LANE steps in lockstep as uint64
+arrays, and each stream's draws are its lanes read in order: the same bits
+as stepping the stream alone. The product runs in float32 on 0/1 entries,
+so every partial sum is an integer of at most 256, which float32 holds
+exactly whatever order a BLAS sums in.
 """
 
 from __future__ import annotations
@@ -58,24 +59,26 @@ def derive_stream(seed: int, name: str) -> int:
     return out
 
 
+def stream_state(seed: int, name: str = "") -> list[int]:
+    """The four xoshiro256** state words of stream `name` under `seed`: splitmix64
+    steps of derive_stream(seed, name), which avoid the all-zero state."""
+    state = derive_stream(seed, name)
+    words = []
+    for _ in range(4):
+        state, out = splitmix64(state)
+        words.append(out)
+    return words
+
+
 def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
 
 
 class Xoshiro256:
-    """xoshiro256** generator with named sub-streams.
-
-    The four state words come from repeated splitmix64 steps of the
-    derived stream id, which avoids the all-zero state.
-    """
+    """xoshiro256** generator with named sub-streams, started from stream_state."""
 
     def __init__(self, seed: int, stream: str = ""):
-        state = derive_stream(seed, stream)
-        words = []
-        for _ in range(4):
-            state, out = splitmix64(state)
-            words.append(out)
-        self._s = words
+        self._s = stream_state(seed, stream)
         self._spare_gauss: float | None = None
 
     def next_u64(self) -> int:
@@ -96,11 +99,6 @@ class Xoshiro256:
 
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.random()
-
-    def uniforms(self, n: int, lo: float, hi: float) -> np.ndarray:
-        """n float64 draws, bit-identical to n uniform(lo, hi) calls, which
-        also leave the generator in the same state: uniform_streams of one."""
-        return uniform_streams([(self, n, lo, hi)])[0]
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n) without modulo bias."""
@@ -189,60 +187,39 @@ def _lane_jump() -> np.ndarray:
     return jump
 
 
-def uniform_streams(requests: Sequence[tuple[Xoshiro256, int, float, float]]
+def uniform_streams(requests: Sequence[tuple[Sequence[int], int, float, float]]
                     ) -> list[np.ndarray]:
-    """Each (generator, n, lo, hi) request's n uniform(lo, hi) draws, as float64,
-    from one lockstep pass over every stream (see the module docstring).
+    """Each (state, n, lo, hi) request's n uniform(lo, hi) draws, as float64, from a
+    generator in that state, all from one lockstep pass (see the module docstring).
 
-    Each draw is bit-identical to the generator's own uniform call, and each
-    generator, which no other request may share, ends in the state its n calls
-    would leave it in.
+    Each draw is bit-identical to the generator's own uniform call. No state
+    is advanced: the caller's state words are only read.
     """
     if not requests:
         return []
-    gens = [gen for gen, _, _, _ in requests]
-    if len({id(gen) for gen in gens}) < len(gens):
-        raise ValueError("two requests share a generator")
     counts = np.array([n for _, n, _, _ in requests], dtype=np.int64)
     if (counts < 0).any():
         raise ValueError("a stream cannot take a negative number of draws")
     lanes = -(-counts // LANE)
     first = np.concatenate([[0], np.cumsum(lanes)])  # stream i's lanes are rows first[i]:first[i+1]
-    # Lane starts, lane index by lane index: alive[j] streams start a lane j.
-    # Streams are taken longest first, so those are a prefix of the ones before.
-    alive = [len(gens)] + [int((lanes > j).sum()) for j in range(1, int(lanes.max()))]
-    rank = np.argsort(-lanes, kind="stable")
-    bits = _bits(np.array([gens[r]._s for r in rank], dtype=np.uint64).reshape(-1, 4))
-    jump, blocks = _lane_jump(), [bits]
-    for m in alive[1:]:
-        bits = ((bits[:m] @ jump).astype(np.int32) & 1).astype(np.uint8)
-        blocks.append(bits)
-    # Stream i, of rank r, has lane j at row sum(alive[:j]) + r of the blocks.
-    base = np.cumsum([0] + alive)
-    place = np.argsort(rank)
-    order = np.concatenate([base[:k] + place[i] for i, k in enumerate(lanes)])
-    starts = _words(np.concatenate(blocks)[order])
-    s = [starts[:, w].copy() for w in range(4)]
-    # Each stream's last lane takes its last draw at step n - (lanes - 1) * LANE.
-    ends: dict[int, list[int]] = {}
-    for i, n in enumerate(counts):
-        if n:
-            ends.setdefault(int(n - (lanes[i] - 1) * LANE), []).append(i)
-    out = np.empty((len(starts), LANE), dtype=np.float64)
-    words = out.view(np.uint64)  # each step's pre-step s1, turned into floats in place below
-    for k in range(1, LANE + 1):
-        words[:, k - 1] = s[1]
+    starts = np.empty((first[-1], 256), dtype=np.uint8)
+    live = np.arange(len(requests))
+    bits = _bits(np.array([state for state, _, _, _ in requests], dtype=np.uint64).reshape(-1, 4))
+    for j in range(int(lanes.max())):
+        # Lane j of the streams that have one starts from their lane j-1 times the jump.
+        keep = lanes[live] > j
+        live, bits = live[keep], bits[keep]
+        if j:
+            bits = ((bits @ _lane_jump()).astype(np.int32) & 1).astype(np.uint8)
+        starts[first[live] + j] = bits
+    s = list(_words(starts).T.copy())
+    words = np.empty((len(starts), LANE), dtype=np.uint64)  # each step's pre-step s1
+    for k in range(LANE):
+        words[:, k] = s[1]
         _step(s)
-        for i in ends.get(k, ()):
-            gens[i]._s = [int(w[first[i + 1] - 1]) for w in s]
     draws = []
-    for i, (_, n, lo, hi) in enumerate(requests):
+    for i, (_, n, lo, hi) in enumerate(requests):  # stream by stream, which stays in cache
         x = words[first[i]:first[i + 1]] * _U[5]
         x = ((x << _U[7]) | (x >> _U[57])) * _U[9]
-        part = out[first[i]:first[i + 1]]
-        part[...] = x >> _U[11]
-        part *= 2.0**-53
-        part *= hi - lo
-        part += lo
-        draws.append(part.reshape(-1)[:n])
+        draws.append(((x >> _U[11]) * 2.0**-53 * (hi - lo) + lo).reshape(-1)[:n])
     return draws

@@ -5,6 +5,7 @@ import gc
 import hashlib
 import inspect
 import json
+import math
 import os
 import re
 import struct
@@ -17,7 +18,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import jaeger.encoders
 import jaeger.fusion
 import jaeger.harness.checkpoint
 import jaeger.harness.train
@@ -39,7 +39,7 @@ from jaeger.harness.train import (_answer_sets, _batch_loss, corpus_texts, encod
                                   evaluate, evaluate_checkpoint, three_way_split, train,
                                   train_step)
 from jaeger.model import EncodedCandidates, JaegerModel, encode_sample
-from jaeger.numerics import Tape, Tensor, _sigmoid, bce_with_logits, seeded, seeded_init
+from jaeger.numerics import Tape, Tensor, _sigmoid, bce_with_logits, seeded
 from jaeger.text import Vocabulary, build_vocab
 
 from fdcheck import assert_grads_match
@@ -997,16 +997,37 @@ class TestCheckpoint:
         with pytest.raises(CompatibilityError, match=f"unexpected parameter '{re.escape(name)}'"):
             load_model(path)
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda a: a.update({"content.blk0.w9": a.pop("content.blk0.w1")}),
+         "checkpoint is missing parameter 'content.blk0.w1'"),
+        (lambda a: a.update({"content.blk0.w1": a["content.blk0.w1"].reshape(-1)}),
+         "parameter 'content.blk0.w1' has shape {flat}, model expects {shape}"),
+        (lambda a: a.update({"content.blk0.w1": a["content.blk0.w1"].reshape(-1),
+                             "fusion.spare": np.zeros(3, np.float32)}),
+         "parameter 'content.blk0.w1' has shape {flat}, model expects {shape}"),
+        (lambda a: a.update({"fusion.spare": np.zeros(3, np.float32)}),
+         "checkpoint has unexpected parameter 'fusion.spare'"),
+    ], ids=["renamed", "reshaped", "reshaped-and-spare", "spare"])
+    def test_load_check_reports_missing_or_misshapen_before_unexpected(
+            self, tmp_path, edit, message):
+        """A registered tensor the file lacks or holds in another shape is reported
+        before a tensor the model does not register: a renamed tensor is
+        missing under its old name, not unexpected under its new one."""
+        _, _, _, path = self._trained(tmp_path)
+        shape = load_checkpoint(path)[0]["content.blk0.w1"].shape
+        self._rewrite_tensors(path, edit)
+        message = message.format(flat=(math.prod(shape),), shape=shape)
+        with pytest.raises(CompatibilityError, match=f"^{re.escape(message)}$"):
+            load_model(path)
+
     def test_loading_draws_no_initial_values(self, tmp_path, monkeypatch):
-        """Every weight comes from the tensor file, so init is never called."""
+        """Every weight comes from the tensor file, so the draw engine is never called."""
         corpus, cfg, result, path = self._trained(tmp_path)
 
         def refuse(*args, **kwargs):
             raise AssertionError("load_model drew initial values")
 
-        for module in (numerics, jaeger.encoders, jaeger.fusion):
-            if hasattr(module, "seeded_init"):
-                monkeypatch.setattr(module, "seeded_init", refuse)
+        monkeypatch.setattr(numerics, "uniform_streams", refuse)
         restored = load_model(path)
         train_docs, _, _ = three_way_split(corpus, cfg)
         sample = encode_split(train_docs, result.model.vocab, cfg)[0]
@@ -1040,8 +1061,8 @@ class TestCheckpoint:
 class TestFreshInit:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_each_parameter_is_drawn_from_its_registry_name(self, dtype):
-        """A fresh tensor equals seeded_init with its registry name as the
-        stream; loading a checkpoint by the same names relies on this."""
+        """A fresh tensor equals a request of one to seeded with its registry name;
+        loading a checkpoint by the same names relies on this."""
         cfg = small_config()
         vocab = build_vocab(["alpha beta"])
         model = JaegerModel(cfg, vocab, seeded(cfg.seed, dtype))
@@ -1053,7 +1074,7 @@ class TestFreshInit:
                 scheme = "ones"
             else:
                 scheme = "xavier_uniform"
-            expected = seeded_init(p.data.shape, scheme, cfg.seed, name, dtype=dtype).data
+            expected = seeded(cfg.seed, dtype)(name, p.data.shape, scheme).data
             assert p.data.dtype == dtype
             np.testing.assert_array_equal(p.data, expected, err_msg=name)
             np.testing.assert_array_equal(default[name].data, expected.astype(np.float32),

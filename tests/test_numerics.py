@@ -10,7 +10,7 @@ from jaeger.encoders import attention_bias
 from jaeger.errors import ContractError, IndexOutOfRange, ShapeError
 from jaeger.numerics import (Tape, Tensor, _emit, add, bce_with_logits, concat_last,
                              embedding_lookup, feed_forward, linear, masked_mean_rows,
-                             merge_rows, reshape, residual_norm, seeded_init, self_attention,
+                             merge_rows, reshape, residual_norm, seeded, self_attention,
                              sgd_step, softmax_in_place, xavier_bound)
 
 from conftest import project
@@ -1108,31 +1108,31 @@ class TestSgd:
 
 class TestSeededInit:
     def test_replay_is_bit_identical(self):
-        a = seeded_init((4, 5), "xavier_uniform", 42, "w")
-        b = seeded_init((4, 5), "xavier_uniform", 42, "w")
+        a = seeded(42)("w", (4, 5), "xavier_uniform")
+        b = seeded(42)("w", (4, 5), "xavier_uniform")
         np.testing.assert_array_equal(a.data, b.data)
 
     def test_streams_differ(self):
-        a = seeded_init((4, 5), "xavier_uniform", 42, "w1")
-        b = seeded_init((4, 5), "xavier_uniform", 42, "w2")
+        a = seeded(42)("w1", (4, 5), "xavier_uniform")
+        b = seeded(42)("w2", (4, 5), "xavier_uniform")
         assert not np.array_equal(a.data, b.data)
 
     def test_xavier_bound_for_square(self):
         """fan_in = fan_out = 3 gives bound sqrt(6/6) = 1."""
         assert xavier_bound((3, 3)) == 1.0
-        vals = seeded_init((3, 3), "xavier_uniform", 0, "sq").data
+        vals = seeded(0)("sq", (3, 3), "xavier_uniform").data
         assert np.abs(vals).max() <= 1.0
 
     def test_samples_respect_bound(self):
         b = xavier_bound((32, 48))
-        vals = seeded_init((32, 48), "xavier_uniform", 1, "r").data
+        vals = seeded(1)("r", (32, 48), "xavier_uniform").data
         assert np.abs(vals).max() <= b
         assert np.abs(vals).max() > 0.8 * b
 
     def test_zeros_and_ones(self):
-        np.testing.assert_array_equal(seeded_init((2, 2), "zeros", 0).data, np.zeros((2, 2)))
-        np.testing.assert_array_equal(seeded_init((3,), "ones", 0).data, np.ones(3))
+        np.testing.assert_array_equal(seeded(0)("", (2, 2), "zeros").data, np.zeros((2, 2)))
+        np.testing.assert_array_equal(seeded(0)("", (3,), "ones").data, np.ones(3))
 
     def test_unknown_scheme_rejected(self):
         with pytest.raises(ContractError):
-            seeded_init((2,), "normal", 0)
+            seeded(0)("", (2,), "normal")

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jaeger.rng import LANE, Xoshiro256, derive_stream, splitmix64, uniform_streams
+from jaeger.rng import (LANE, Xoshiro256, derive_stream, splitmix64, stream_state,
+                        uniform_streams)
 
 
 class TestSplitmix:
@@ -111,49 +112,38 @@ class TestXoshiro:
         gen._s = [1, 2, 3, 4]
         assert [gen.next_u64() for _ in range(4)] == [
             11520, 0, 1509978240, 1215971899390074240]
-        gen._s = [1, 2, 3, 4]
         expected = [(v >> 11) * 2.0**-53 for v in (11520, 0, 1509978240, 1215971899390074240)]
-        assert gen.uniforms(4, 0.0, 1.0).tolist() == expected
+        assert uniform_streams([([1, 2, 3, 4], 4, 0.0, 1.0)])[0].tolist() == expected
 
 
 class TestUniforms:
-    """uniforms(n, lo, hi) is n uniform(lo, hi) calls drawn in one pass."""
-
-    @staticmethod
-    def _pair(state=None):
-        a, b = Xoshiro256(7, "weights"), Xoshiro256(7, "weights")
-        if state is not None:
-            a._s, b._s = list(state), list(state)
-        return a, b
+    """A request of one, (state, n, lo, hi), is n uniform(lo, hi) calls of a
+    generator in that state."""
 
     @pytest.mark.parametrize("n", [0, 1, 2, 1000])
     @pytest.mark.parametrize("lo,hi", [(-0.2886751345948129, 0.2886751345948129),
                                        (1.0, 2.0), (0.0, 0.0)])
     def test_matches_per_draw_calls_bit_for_bit(self, n, lo, hi):
-        batch, single = self._pair()
-        got = batch.uniforms(n, lo, hi)
+        single = Xoshiro256(7, "weights")
+        got = uniform_streams([(stream_state(7, "weights"), n, lo, hi)])[0]
         want = np.array([single.uniform(lo, hi) for _ in range(n)], dtype=np.float64)
         assert got.dtype == np.float64 and got.shape == (n,)
         assert got.tobytes() == want.tobytes()
-        assert batch.next_u64() == single.next_u64()
 
-    def test_state_words_at_or_above_two_to_the_63_wrap(self):
+    def test_state_words_at_or_above_two_to_the_63_wrap_bit_for_bit(self):
         """Every state word has its top bit set, so *5, the rotate and *9
         all overflow 64 bits and must wrap exactly as next_u64 masks them."""
         state = [(1 << 64) - 1, (1 << 63) | 0x9E3779B97F4A7C15, 1 << 63,
                  (1 << 64) - 0x1234567]
-        batch, single = self._pair(state)
-        got = batch.uniforms(500, -1.5, 0.5)
+        single = Xoshiro256(0)
+        single._s = list(state)
+        got = uniform_streams([(state, 500, -1.5, 0.5)])[0]
         want = np.array([single.uniform(-1.5, 0.5) for _ in range(500)])
         assert got.tobytes() == want.tobytes()
-        assert batch._s == single._s
-        assert batch.next_u64() == single.next_u64()
 
     def test_zero_draws_return_an_empty_float64_array(self):
-        gen, untouched = self._pair()
-        got = gen.uniforms(0, -1.0, 1.0)
+        got = uniform_streams([(stream_state(7, "weights"), 0, -1.0, 1.0)])[0]
         assert got.dtype == np.float64 and got.shape == (0,)
-        assert gen._s == untouched._s
 
 
 # A lane boundary on either side, one whole lane, and streams of several lanes.
@@ -171,26 +161,20 @@ class TestUniformStreams:
     @given(seed=st.integers(0, 2**64 - 1), streams=STREAMS)
     def test_each_stream_is_its_per_draw_calls_bit_for_bit_alone_or_together(self, seed,
                                                                             streams):
-        together = [Xoshiro256(seed, name) for name, _, _, _ in streams]
-        got = uniform_streams([(gen, n, lo, hi)
-                               for gen, (_, n, lo, hi) in zip(together, streams)])
+        got = uniform_streams([(stream_state(seed, name), n, lo, hi)
+                               for name, n, lo, hi in streams])
         assert len(got) == len(streams)
-        for gen, values, (name, n, lo, hi) in zip(together, got, streams):
+        for values, (name, n, lo, hi) in zip(got, streams):
             single = Xoshiro256(seed, name)
             want = np.array([single.uniform(lo, hi) for _ in range(n)], dtype=np.float64)
             assert values.dtype == np.float64 and values.shape == (n,)
             assert values.tobytes() == want.tobytes()
-            assert gen._s == single._s
-            alone = Xoshiro256(seed, name)
-            assert uniform_streams([(alone, n, lo, hi)])[0].tobytes() == want.tobytes()
-            assert alone._s == single._s
+            alone = uniform_streams([(stream_state(seed, name), n, lo, hi)])[0]
+            assert alone.tobytes() == want.tobytes()
 
     def test_no_streams_draw_nothing(self):
         assert uniform_streams([]) == []
 
-    def test_a_shared_generator_or_a_negative_count_is_refused(self):
-        gen = Xoshiro256(1, "w")
-        with pytest.raises(ValueError, match="share"):
-            uniform_streams([(gen, 3, 0.0, 1.0), (gen, 2, 0.0, 1.0)])
+    def test_a_negative_count_is_refused(self):
         with pytest.raises(ValueError, match="negative"):
-            uniform_streams([(gen, -1, 0.0, 1.0)])
+            uniform_streams([(stream_state(1, "w"), -1, 0.0, 1.0)])
