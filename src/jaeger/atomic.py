@@ -7,19 +7,18 @@ import os
 
 
 @contextlib.contextmanager
-def replacing(*paths):
-    """Yield one temporary path beside each target; replace the targets on success.
+def replacing(path: str):
+    """Yield a temporary path beside path; move it onto path with one os.replace
+    on success.
 
-    Every temporary is written before the first os.replace, so a failure
-    while writing any of them leaves all targets as they were. No
-    temporary survives the block, whether it succeeds or raises.
+    A failure while writing the temporary, or in the os.replace itself,
+    leaves path as it was. The temporary does not survive the block,
+    whether it succeeds or raises.
     """
-    temps = [f"{path}.tmp-{os.getpid()}" for path in paths]
+    tmp = f"{path}.tmp-{os.getpid()}"
     try:
-        yield temps
-        for tmp, path in zip(temps, paths):
-            os.replace(tmp, path)
+        yield tmp
+        os.replace(tmp, path)
     finally:
-        for tmp in temps:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(tmp)
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)

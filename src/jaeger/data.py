@@ -324,7 +324,7 @@ def _doc_to_record(doc: Document) -> dict:
 
 def write_jsonl(docs: list[Document], path: str) -> None:
     """One compact JSON document per line, in corpus order; replaces path atomically."""
-    with replacing(path) as (tmp,), open(tmp, "w", encoding="utf-8") as f:
+    with replacing(path) as tmp, open(tmp, "w", encoding="utf-8") as f:
         for doc in docs:
             f.write(json.dumps(_doc_to_record(doc), separators=(",", ":")) + "\n")
 

@@ -1,20 +1,20 @@
-"""Binary checkpoint format.
+"""Binary checkpoint format: one file, sealed by one digest.
 
 Layout, all little-endian:
 
-    magic "JGR1" | version u32 | tensor count u32
+    magic "JGR1" | version u32
+    config length u32, the training config as UTF-8 JSON
+    vocabulary length u32, one token per line as UTF-8
+    tensor count u32
     per tensor: name length u16, UTF-8 name, rank u8, dims u32 each,
                 float32 values in row-major order
+    SHA-256 of every byte before it (32 bytes)
 
-The training config rides in a JSON sidecar at <path>.json and the
-vocabulary at <path>.vocab, one token per line; the tensor file alone
-does not identify the tokens it was trained with. The sidecar also holds
-the SHA-256 of the tensor file and of the vocabulary file ("sha256":
-{"tensors", "vocab"}), taken from the bytes written, so a sidecar or
-vocabulary from another run does not load. A sidecar that lacks either
-digest does not load either, nor one whose "format_version" is not the
-int VERSION. The reader makes one bounds-checked pass
-over the tensor file's bytes and copies each tensor's values once.
+The reader checks the magic and the version, then the digest, so a file
+edited, cut or extended anywhere after the version does not load. It
+then makes one bounds-checked pass over the sections and copies each
+tensor's values once. Format 1, which kept the config and the vocabulary
+in files beside the tensors, is refused: retrain such a checkpoint.
 """
 
 from __future__ import annotations
@@ -28,64 +28,48 @@ import numpy as np
 
 from ..atomic import replacing
 from ..config import TrainConfig
-from ..errors import CheckpointFormatError, CompatibilityError, SchemaError
+from ..errors import CheckpointFormatError, CompatibilityError
 from ..model import JaegerModel
 from ..numerics import ParamSource, ParamSpec
 from ..text import Vocabulary
 
 MAGIC = b"JGR1"
-VERSION = 1
-
-
-def config_path(path: str) -> str:
-    return path + ".json"
-
-
-def vocab_path(path: str) -> str:
-    return path + ".vocab"
+VERSION = 2
+DIGEST_SIZE = 32
 
 
 def save_checkpoint(path: str, model: JaegerModel) -> None:
-    """Write the model's named tensors, config sidecar and vocabulary.
+    """Write the model's config, vocabulary and named tensors as one file.
 
-    All three files are built as bytes first, so both digests are of the
-    bytes written. They go to temporaries and only then move into place,
-    so a failed save leaves the previous checkpoint whole.
+    The file is built as bytes first, and its digest is of those bytes. It
+    goes to a temporary and moves into place with one os.replace, so a
+    failed save leaves the previous checkpoint whole.
     """
-    tensors = _tensor_bytes(model.state_arrays())
+    config = json.dumps(model.cfg.to_dict(), sort_keys=True).encode("utf-8")
     vocab = model.vocab.to_bytes()
-    sidecar = {"format_version": VERSION, "config": model.cfg.to_dict(),
-               "sha256": {"tensors": _sha256(tensors), "vocab": _sha256(vocab)}}
-    config = (json.dumps(sidecar, indent=2, sort_keys=True) + "\n").encode("utf-8")
-    with replacing(path, config_path(path), vocab_path(path)) as temps:
-        for tmp, data in zip(temps, (tensors, config, vocab)):
-            with open(tmp, "wb") as f:
-                f.write(data)
-
-
-def _sha256(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
-def _tensor_bytes(arrays: dict[str, np.ndarray]) -> bytes:
-    parts = [MAGIC, struct.pack("<II", VERSION, len(arrays))]
+    arrays = model.state_arrays()
+    parts = [MAGIC, struct.pack("<II", VERSION, len(config)), config,
+             struct.pack("<I", len(vocab)), vocab, struct.pack("<I", len(arrays))]
     for name, arr in arrays.items():
         encoded = name.encode("utf-8")
         parts += [struct.pack("<H", len(encoded)), encoded, struct.pack("<B", arr.ndim),
                   struct.pack(f"<{arr.ndim}I", *arr.shape), arr.astype("<f4").tobytes()]
-    return b"".join(parts)
+    body = b"".join(parts)
+    with replacing(path) as tmp, open(tmp, "wb") as f:
+        f.write(body)
+        f.write(hashlib.sha256(body).digest())
 
 
 def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], TrainConfig, Vocabulary]:
     """Read tensors, config and vocabulary; rejects corrupt files."""
     with open(path, "rb") as f:
         blob = f.read()
-    pos = 0
+    end, pos = len(blob), 0
 
     def claim(n: int) -> int:
         """Offset of the next n bytes, which the reader moves past; refuses a short file."""
         nonlocal pos
-        if pos + n > len(blob):
+        if pos + n > end:
             raise CheckpointFormatError(f"{path} is truncated at byte {pos}")
         pos += n
         return pos - n
@@ -93,9 +77,32 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], TrainConfig, Voca
     magic = blob[claim(4):4]
     if magic != MAGIC:
         raise CheckpointFormatError(f"{path} has bad magic {magic!r}, expected {MAGIC!r}")
-    version, count = struct.unpack_from("<II", blob, claim(8))
+    (version,) = struct.unpack_from("<I", blob, claim(4))
+    if version == 1:
+        raise CheckpointFormatError(
+            f"{path} is a format-1 checkpoint, which this build does not read; "
+            f"retrain it with the current code")
     if version != VERSION:
         raise CheckpointFormatError(f"{path} has unsupported version {version}")
+    end -= DIGEST_SIZE
+    if end < pos or hashlib.sha256(memoryview(blob)[:end]).digest() != blob[end:]:
+        raise CheckpointFormatError(
+            f"{path} does not match its SHA-256 digest: it was changed or cut after it was saved")
+
+    def section() -> bytes:
+        """The bytes of the next length-prefixed section."""
+        (length,) = struct.unpack_from("<I", blob, claim(4))
+        start = claim(length)
+        return blob[start:pos]
+
+    config = section()
+    try:
+        raw = json.loads(config.decode("utf-8"))
+    except (ValueError, RecursionError) as e:  # UnicodeDecodeError is a ValueError
+        raise CheckpointFormatError(f"{path} holds a config that is not UTF-8 JSON ({e})") from None
+    cfg = TrainConfig.from_dict(raw, where=f"config in {path}")
+    vocab = Vocabulary.parse(section(), f"in {path}")
+    (count,) = struct.unpack_from("<I", blob, claim(4))
     arrays: dict[str, np.ndarray] = {}
     for _ in range(count):
         (length,) = struct.unpack_from("<H", blob, claim(2))
@@ -117,33 +124,8 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], TrainConfig, Voca
         except ValueError:
             raise CheckpointFormatError(
                 f"{path} tensor {name!r} has an unsupported shape of rank {rank}") from None
-    if pos != len(blob):
-        raise CheckpointFormatError(f"{path} has {len(blob) - pos} trailing bytes")
-
-    with open(config_path(path), encoding="utf-8") as f:
-        try:
-            sidecar = json.load(f)
-        except ValueError as e:
-            raise CheckpointFormatError(f"{config_path(path)} is not valid JSON ({e})") from None
-    if not isinstance(sidecar, dict) or "config" not in sidecar:
-        raise SchemaError(f"{config_path(path)} is missing the config object")
-    version = sidecar.get("format_version")
-    if type(version) is not int or version != VERSION:  # true and 1.0 equal 1 in Python
-        raise CheckpointFormatError(
-            f"{config_path(path)} has format_version {version!r}, this build reads {VERSION}")
-    cfg = TrainConfig.from_dict(sidecar["config"], where=f"config in {config_path(path)}")
-    with open(vocab_path(path), "rb") as f:
-        vocab_blob = f.read()
-    digests = sidecar.get("sha256")
-    for key, file, data in (("tensors", path, blob), ("vocab", vocab_path(path), vocab_blob)):
-        if not isinstance(digests, dict) or key not in digests:
-            raise CheckpointFormatError(
-                f"{config_path(path)} has no sha256 digest for {key!r}")
-        if digests[key] != _sha256(data):
-            raise CheckpointFormatError(
-                f"{file} does not match the digest in {config_path(path)}: "
-                f"it was not saved with this checkpoint")
-    vocab = Vocabulary.parse(vocab_blob, vocab_path(path))
+    if pos != end:
+        raise CheckpointFormatError(f"{path} has {end - pos} trailing bytes")
     return arrays, cfg, vocab
 
 

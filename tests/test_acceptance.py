@@ -14,7 +14,7 @@ import pytest
 from jaeger.cli import main
 from jaeger.data import GenConfig, generate_document
 from jaeger.fusion import init_fusion, pair_features, score_candidates
-from jaeger.harness.checkpoint import config_path, load_model, save_checkpoint, vocab_path
+from jaeger.harness.checkpoint import load_model, save_checkpoint
 from jaeger.harness.gradcheck import format_gradcheck, run_gradcheck
 from jaeger.harness.metrics import ema
 from jaeger.harness.overfit import run_overfit
@@ -154,10 +154,7 @@ def test_c06_determinism(tmp_path, capsys):
                      "--out", str(tmp_path / name)]) == 0
         logs.append(capsys.readouterr().out.replace(name, "CKPT"))
     assert logs[0] == logs[1]
-    for suffix in ("", ".json", ".vocab"):
-        p1 = (tmp_path / "m1.ckpt").with_name("m1.ckpt" + suffix)
-        p2 = (tmp_path / "m2.ckpt").with_name("m2.ckpt" + suffix)
-        assert p1.read_bytes() == p2.read_bytes(), suffix
+    assert (tmp_path / "m1.ckpt").read_bytes() == (tmp_path / "m2.ckpt").read_bytes()
     with capsys.disabled():
         _passed("c06 determinism: gen-data rewrites byte-identical JSONL and "
                 "train rewrites bit-identical checkpoints and metrics")
@@ -182,8 +179,6 @@ def test_c07_checkpoint_integrity(tmp_path):
     blob = Path(path).read_bytes()
     bad_magic = tmp_path / "bad.ckpt"
     bad_magic.write_bytes(b"XXXX" + blob[4:])
-    Path(str(bad_magic) + ".json").write_text(Path(config_path(path)).read_text())
-    Path(str(bad_magic) + ".vocab").write_text(Path(vocab_path(path)).read_text())
     try:
         load_model(str(bad_magic))
         raise AssertionError("bad magic was accepted")
@@ -192,8 +187,6 @@ def test_c07_checkpoint_integrity(tmp_path):
 
     truncated = tmp_path / "short.ckpt"
     truncated.write_bytes(blob[: len(blob) - 9])
-    Path(str(truncated) + ".json").write_text(Path(config_path(path)).read_text())
-    Path(str(truncated) + ".vocab").write_text(Path(vocab_path(path)).read_text())
     try:
         load_model(str(truncated))
         raise AssertionError("truncated file was accepted")

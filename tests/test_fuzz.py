@@ -1,7 +1,7 @@
 """Corrupt corpus and checkpoint files, and content element lengths, driven by hypothesis.
 
 A flipped, dropped or inserted byte, or any JSON value in place of a
-record or of the sidecar's config, must end in a JaegerError (which the
+record or of a checkpoint's config, must end in a JaegerError (which the
 CLI prints as `error:` with exit 1) or in a file that still parses; any
 other exception would reach the user as a traceback. Content elements of
 any mix of lengths must each encode as they would alone. Every op that
@@ -13,8 +13,8 @@ import inspect
 import json
 import math
 import re
-import shutil
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +26,7 @@ from jaeger.config import TrainConfig
 from jaeger.data import GenConfig, generate_corpus, read_jsonl, write_jsonl
 from jaeger.encoders import EncoderConfig, encode_content, init_content
 from jaeger.errors import JaegerError
-from jaeger.harness.checkpoint import config_path, load_model, save_checkpoint, vocab_path
+from jaeger.harness.checkpoint import load_model, save_checkpoint
 from jaeger.harness.train import corpus_texts
 from jaeger.model import JaegerModel
 from jaeger.numerics import (Tensor, add, bce_with_logits, concat_last, embedding_lookup,
@@ -35,6 +35,7 @@ from jaeger.numerics import (Tensor, add, bce_with_logits, concat_last, embeddin
 from jaeger.text import build_vocab
 
 from test_encoders import VOCAB, element_stack, untrimmed_content
+from test_harness import reseal, section_offsets, with_section
 
 # (kind, position, payload): positions wrap around the data's length.
 MUTATIONS = st.one_of(
@@ -43,7 +44,7 @@ MUTATIONS = st.one_of(
     st.tuples(st.just("insert"), st.integers(0, 1 << 20), st.binary(min_size=1, max_size=8)),
 )
 
-# Any value json.loads can return, in place of one record or the sidecar config.
+# Any value json.loads can return, in place of one record or a checkpoint's config.
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=4)
@@ -146,17 +147,21 @@ def test_any_json_record_raises_only_jaeger_errors(corpus_file, field, value):
             pass
 
 
-@pytest.mark.parametrize("which", ["tensors", "config", "vocab"])
+@pytest.mark.parametrize("which", ["config", "vocab", "tensors"])
 @given(mutation=MUTATIONS)
-def test_corrupt_checkpoint_file_raises_only_jaeger_errors(checkpoint, which, mutation):
+def test_corrupt_checkpoint_part_raises_only_jaeger_errors(checkpoint, which, mutation):
+    """A mutation inside one part of the file fails the digest as it stands, and
+    resealed it reaches the reader's own checks of that part."""
     good, bad = checkpoint
-    for name in (lambda p: p, config_path, vocab_path):
-        shutil.copyfile(name(good), name(bad))
-    target = {"tensors": bad, "config": config_path(bad), "vocab": vocab_path(bad)}[which]
-    with open(target, "rb") as f:
-        data = f.read()
-    with open(target, "wb") as f:
-        f.write(mutate(data, mutation))
+    blob = Path(good).read_bytes()
+    offsets = section_offsets(blob) + [len(blob) - 32]
+    i = ["config", "vocab", "tensors"].index(which)
+    damaged = (blob[:offsets[i]] + mutate(blob[offsets[i]:offsets[i + 1]], mutation)
+               + blob[offsets[i + 1]:])
+    Path(bad).write_bytes(damaged)
+    with pytest.raises(JaegerError):
+        load_model(bad)
+    Path(bad).write_bytes(reseal(damaged))
     try:
         load_model(bad)
     except JaegerError:
@@ -164,15 +169,10 @@ def test_corrupt_checkpoint_file_raises_only_jaeger_errors(checkpoint, which, mu
 
 
 @given(value=JSON_VALUES)
-def test_any_json_sidecar_config_raises_only_jaeger_errors(checkpoint, value):
+def test_any_json_config_raises_only_jaeger_errors(checkpoint, value):
     good, bad = checkpoint
-    for name in (lambda p: p, vocab_path):
-        shutil.copyfile(name(good), name(bad))
-    with open(config_path(good), encoding="utf-8") as f:
-        sidecar = json.load(f)
-    sidecar["config"] = value
-    with open(config_path(bad), "w", encoding="utf-8") as f:
-        json.dump(sidecar, f)
+    Path(bad).write_bytes(with_section(Path(good).read_bytes(), 0,
+                                       json.dumps(value).encode("utf-8")))
     try:
         load_model(bad)
     except JaegerError:

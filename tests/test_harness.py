@@ -27,12 +27,11 @@ from jaeger.config import TrainConfig
 from jaeger.data import GenConfig, generate_corpus, generate_document, generate_questions
 from jaeger.encoders import WIDTH_STEP
 from jaeger.errors import (CheckpointFormatError, CompatibilityError, ContractError,
-                           JaegerError, SchemaError, TrainingDiverged)
+                           JaegerError, ParseError, SchemaError, TrainingDiverged)
 from jaeger.fusion import predict_answer_set
 from jaeger.harness import gradcheck
 from jaeger.harness.ablate import ablate, format_ablation_table
-from jaeger.harness.checkpoint import (config_path, load_checkpoint, load_model,
-                                       save_checkpoint, vocab_path)
+from jaeger.harness.checkpoint import load_checkpoint, load_model, save_checkpoint
 from jaeger.harness.gradcheck import format_gradcheck, run_gradcheck, tiny_gradcheck_config
 from jaeger.harness.metrics import ema
 from jaeger.harness.train import (_answer_sets, _batch_loss, corpus_texts, encode_split,
@@ -40,7 +39,7 @@ from jaeger.harness.train import (_answer_sets, _batch_loss, corpus_texts, encod
                                   train_step)
 from jaeger.model import EncodedCandidates, JaegerModel, encode_sample
 from jaeger.numerics import Tape, Tensor, _sigmoid, bce_with_logits, seeded
-from jaeger.text import Vocabulary, build_vocab
+from jaeger.text import build_vocab
 
 from fdcheck import assert_grads_match
 
@@ -790,6 +789,37 @@ class TestChunkAnswerSets:
             evaluate(model, samples, "val")
 
 
+def reseal(blob: bytes) -> bytes:
+    """blob with its trailing SHA-256 rewritten as the digest of the bytes before
+    it, so an edit made before the digest reaches the reader's own check."""
+    body = blob[:-32]
+    return body + hashlib.sha256(body).digest()
+
+
+def section_offsets(blob: bytes) -> list[int]:
+    """Offsets of a checkpoint's config section, vocabulary section and tensor count."""
+    offsets = [8]
+    for _ in range(2):
+        offsets.append(offsets[-1] + 4 + struct.unpack_from("<I", blob, offsets[-1])[0])
+    return offsets
+
+
+def with_section(blob: bytes, index: int, data: bytes) -> bytes:
+    """The checkpoint resealed with data as its config (index 0) or vocabulary (1)."""
+    offsets = section_offsets(blob)
+    return reseal(blob[:offsets[index]] + struct.pack("<I", len(data)) + data
+                  + blob[offsets[index + 1]:])
+
+
+def with_config(blob: bytes, edit) -> bytes:
+    """The checkpoint resealed with edit applied to its parsed config dict."""
+    start = section_offsets(blob)[0]
+    (length,) = struct.unpack_from("<I", blob, start)
+    config = json.loads(blob[start + 4:start + 4 + length])
+    edit(config)
+    return with_section(blob, 0, json.dumps(config).encode("utf-8"))
+
+
 class TestCheckpoint:
     def _trained(self, tmp_path):
         corpus = small_corpus(n_docs=6)
@@ -816,41 +846,96 @@ class TestCheckpoint:
         assert restored_vocab.tokens == result.model.vocab.tokens
         assert set(arrays) == set(result.model.state_arrays())
 
+    def test_a_save_writes_one_file_ending_in_the_digest_of_every_byte_before_it(
+            self, tmp_path):
+        _, _, _, path = self._trained(tmp_path)
+        assert os.listdir(tmp_path) == ["model.ckpt"]
+        blob = Path(path).read_bytes()
+        assert blob[-32:] == hashlib.sha256(blob[:-32]).digest()
+
     def test_bad_magic_rejected(self, tmp_path):
         _, _, _, path = self._trained(tmp_path)
         blob = bytearray(Path(path).read_bytes())
         blob[:4] = b"NOPE"
-        Path(path).write_bytes(bytes(blob))
+        Path(path).write_bytes(reseal(bytes(blob)))
         with pytest.raises(CheckpointFormatError, match="magic"):
             load_model(path)
+
+    @pytest.mark.parametrize("version", [0, 3, 4096])
+    def test_other_version_rejected(self, tmp_path, version):
+        _, _, _, path = self._trained(tmp_path)
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(reseal(blob[:4] + struct.pack("<I", version) + blob[8:]))
+        with pytest.raises(CheckpointFormatError, match=f"unsupported version {version}$"):
+            load_model(path)
+
+    def test_format_1_tensor_file_is_refused_by_its_header(self, tmp_path):
+        """A format-1 tensor file (here one with no tensors) is told to retrain,
+        whether or not its sidecar and vocabulary lie beside it."""
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(b"JGR1" + struct.pack("<II", 1, 0))
+        with pytest.raises(CheckpointFormatError,
+                           match="is a format-1 checkpoint, which this build does not read; "
+                                 "retrain it with the current code"):
+            load_checkpoint(str(path))
+
+    def test_edited_cut_or_extended_file_fails_its_digest(self, tmp_path):
+        _, _, _, path = self._trained(tmp_path)
+        blob = Path(path).read_bytes()
+        for damaged in (blob[:-1], blob + b"\x00", blob[:-40] + bytes([blob[-40] ^ 1])
+                        + blob[-39:], blob[:40]):
+            Path(path).write_bytes(damaged)
+            with pytest.raises(CheckpointFormatError, match="does not match its SHA-256 digest"):
+                load_model(path)
 
     def test_truncation_rejected(self, tmp_path):
         _, _, _, path = self._trained(tmp_path)
         blob = Path(path).read_bytes()
-        Path(path).write_bytes(blob[: len(blob) // 2])
+        Path(path).write_bytes(reseal(blob[: len(blob) // 2]))
         with pytest.raises(CheckpointFormatError, match="truncated"):
             load_model(path)
 
     def test_trailing_garbage_rejected(self, tmp_path):
         _, _, _, path = self._trained(tmp_path)
-        with open(path, "ab") as f:
-            f.write(b"\x00\x00\x00\x00")
-        with pytest.raises(CheckpointFormatError, match="trailing"):
+        blob = Path(path).read_bytes()
+        Path(path).write_bytes(reseal(blob[:-32] + b"\x00\x00\x00\x00" + blob[-32:]))
+        with pytest.raises(CheckpointFormatError, match="4 trailing bytes"):
             load_model(path)
+
+    def _with_tensor_records(self, tmp_path, count, records):
+        """A fresh checkpoint's config and vocabulary, then count and records, sealed."""
+        path = tmp_path / "built.ckpt"
+        save_checkpoint(str(path), JaegerModel(small_config(), build_vocab(["alpha beta"])))
+        blob = path.read_bytes()
+        path.write_bytes(reseal(blob[:section_offsets(blob)[2]] + struct.pack("<I", count)
+                                + records + bytes(32)))
+        return str(path)
 
     def test_rank_beyond_numpy_rejected(self, tmp_path):
         """A 65-dimensional empty tensor needs no value bytes but cannot be built."""
-        path = tmp_path / "deep.ckpt"
-        path.write_bytes(b"JGR1" + struct.pack("<IIH", 1, 1, 1) + b"w"
-                         + struct.pack("<B", 65) + struct.pack("<65I", *[0] * 65))
+        path = self._with_tensor_records(
+            tmp_path, 1, struct.pack("<H", 1) + b"w" + struct.pack("<B", 65)
+            + struct.pack("<65I", *[0] * 65))
         with pytest.raises(CheckpointFormatError, match="shape"):
-            load_checkpoint(str(path))
+            load_checkpoint(path)
+
+    def test_repeated_tensor_rejected(self, tmp_path):
+        record = struct.pack("<H", 1) + b"w" + struct.pack("<BIf", 1, 1, 0.5)
+        path = self._with_tensor_records(tmp_path, 2, record + record)
+        with pytest.raises(CheckpointFormatError, match="repeats tensor 'w'"):
+            load_checkpoint(path)
+
+    def test_tensor_name_that_is_not_utf8_rejected(self, tmp_path):
+        path = self._with_tensor_records(
+            tmp_path, 1, struct.pack("<H", 1) + b"\xff" + struct.pack("<BIf", 1, 1, 0.5))
+        with pytest.raises(CheckpointFormatError, match="not valid UTF-8"):
+            load_checkpoint(path)
 
     def test_every_cut_and_every_flipped_byte_ends_in_a_jaeger_error(self, tmp_path):
-        """The tensor file cut at each length, and with each byte inverted in turn,
-        never loads and never escapes as a bare exception. Width 4 keeps all 63
-        tensor headers but only a third of the value bytes, so each of the
-        9,754 loads is quick."""
+        """The checkpoint cut at each length, and with each byte inverted in
+        turn, never loads and never escapes as a bare exception. Width 4 keeps
+        all 63 tensor headers but only a third of the value bytes, so each of
+        the 10,654 loads is quick."""
         cfg = small_config(d_bidir=4, d_causal=4, d_content=4, d_visual=4, d_reduced=4,
                            scorer_hidden=4, max_question_len=8, max_content_len=8)
         path = tmp_path / "fresh.ckpt"
@@ -864,115 +949,59 @@ class TestCheckpoint:
                 load_checkpoint(str(path))
 
     def test_width_mismatch_rejected(self, tmp_path):
-        """A sidecar that disagrees with the stored tensors must not load."""
+        """A config that disagrees with the stored tensors must not load."""
         _, _, _, path = self._trained(tmp_path)
-        sidecar = json.loads(Path(config_path(path)).read_text())
-        sidecar["config"]["d_visual"] = 12
-        Path(config_path(path)).write_text(json.dumps(sidecar))
+        blob = with_config(Path(path).read_bytes(),
+                           lambda config: config.update(d_visual=12))
+        Path(path).write_bytes(blob)
         with pytest.raises(CompatibilityError):
             load_model(path)
 
-    def test_sidecar_holds_the_digests_of_both_files(self, tmp_path):
+    @pytest.mark.parametrize("data", [b"{not json", b'{"seed": "caf\xff"}', b"", b"[" * 100_000],
+                             ids=["not-json", "not-utf8", "empty", "nested-too-deep"])
+    def test_config_that_is_not_json_names_the_file(self, tmp_path, data):
         _, _, _, path = self._trained(tmp_path)
-        digests = json.loads(Path(config_path(path)).read_text())["sha256"]
-        assert digests == {
-            "tensors": hashlib.sha256(Path(path).read_bytes()).hexdigest(),
-            "vocab": hashlib.sha256(Path(vocab_path(path)).read_bytes()).hexdigest()}
-
-    def test_same_size_vocabulary_from_another_run_rejected(self, tmp_path):
-        _, _, result, path = self._trained(tmp_path)
-        tokens = list(result.model.vocab.tokens)
-        tokens[4], tokens[5] = tokens[5], tokens[4]
-        other = Vocabulary(tokens[4:])
-        assert len(other) == len(result.model.vocab) and other.tokens != result.model.vocab.tokens
-        Path(vocab_path(path)).write_bytes(other.to_bytes())
-        with pytest.raises(CheckpointFormatError, match="model.ckpt.vocab"):
-            load_model(path)
-
-    def test_tensor_file_from_another_run_rejected(self, tmp_path):
-        corpus, cfg, _, path = self._trained(tmp_path)
-        other = str(tmp_path / "other.ckpt")
-        save_checkpoint(other, train(dataclasses.replace(cfg, learning_rate=0.02), corpus).model)
-        os.replace(other, path)
-        with pytest.raises(CheckpointFormatError, match="digest"):
-            load_model(path)
-
-    def test_renamed_digest_key_rejected(self, tmp_path):
-        """A one-byte edit of the sidecar key must not let a tensor file from another run in."""
-        corpus, cfg, _, path = self._trained(tmp_path)
-        other = str(tmp_path / "other.ckpt")
-        save_checkpoint(other, train(dataclasses.replace(cfg, learning_rate=0.02), corpus).model)
-        os.replace(other, path)
-        sidecar = json.loads(Path(config_path(path)).read_text())
-        sidecar["sha257"] = sidecar.pop("sha256")
-        Path(config_path(path)).write_text(json.dumps(sidecar))
-        with pytest.raises(CheckpointFormatError, match="sha256"):
-            load_model(path)
-
-    def test_sidecar_without_digests_rejected(self, tmp_path):
-        _, _, _, path = self._trained(tmp_path)
-        sidecar = json.loads(Path(config_path(path)).read_text())
-        del sidecar["sha256"]
-        Path(config_path(path)).write_text(json.dumps(sidecar))
-        with pytest.raises(CheckpointFormatError, match="model.ckpt.json"):
+        Path(path).write_bytes(with_section(Path(path).read_bytes(), 0, data))
+        with pytest.raises(CheckpointFormatError,
+                           match=r"model\.ckpt holds a config that is not UTF-8 JSON"):
             load_model(path)
 
     @pytest.mark.parametrize("config", [5, None, [1, "a"], "x"])
-    def test_sidecar_config_that_is_not_an_object_rejected(self, tmp_path, config):
+    def test_config_that_is_not_an_object_rejected(self, tmp_path, config):
         _, _, _, path = self._trained(tmp_path)
-        sidecar = json.loads(Path(config_path(path)).read_text())
-        sidecar["config"] = config
-        Path(config_path(path)).write_text(json.dumps(sidecar))
-        with pytest.raises(SchemaError, match="model.ckpt.json must be a JSON object"):
+        Path(path).write_bytes(with_section(Path(path).read_bytes(), 0,
+                                            json.dumps(config).encode("utf-8")))
+        with pytest.raises(SchemaError, match=r"config in .*model\.ckpt must be a JSON object"):
             load_model(path)
 
     @pytest.mark.parametrize("field,value", [("momentum", 0.9), ("epochs", "3")],
                              ids=["unknown-field", "wrong-type"])
-    def test_sidecar_config_field_error_names_the_sidecar(self, tmp_path, field, value):
+    def test_config_field_error_names_the_file(self, tmp_path, field, value):
         _, _, _, path = self._trained(tmp_path)
-        sidecar = json.loads(Path(config_path(path)).read_text())
-        sidecar["config"][field] = value
-        Path(config_path(path)).write_text(json.dumps(sidecar))
-        with pytest.raises(SchemaError, match="model.ckpt.json") as err:
+        Path(path).write_bytes(with_config(Path(path).read_bytes(),
+                                           lambda config: config.update({field: value})))
+        with pytest.raises(SchemaError, match=r"config in .*model\.ckpt:") as err:
             load_model(path)
         assert repr(field) in str(err.value)
 
     @pytest.mark.parametrize("field,value", [("epochs", 0), ("learning_rate", -1.0),
                                              ("d_reduced", 0)])
-    def test_sidecar_config_out_of_range_names_the_sidecar(self, tmp_path, field, value):
+    def test_config_out_of_range_names_the_file(self, tmp_path, field, value):
         _, _, _, path = self._trained(tmp_path)
-        sidecar = json.loads(Path(config_path(path)).read_text())
-        sidecar["config"][field] = value
-        Path(config_path(path)).write_text(json.dumps(sidecar))
-        with pytest.raises(ContractError, match="model.ckpt.json") as err:
+        Path(path).write_bytes(with_config(Path(path).read_bytes(),
+                                           lambda config: config.update({field: value})))
+        with pytest.raises(ContractError, match=r"config in .*model\.ckpt") as err:
             load_model(path)
         assert field in str(err.value)
 
-    @pytest.mark.parametrize("key", ["tensors", "vocab"])
-    def test_sidecar_missing_one_digest_rejected(self, tmp_path, key):
+    @pytest.mark.parametrize("data, error, message", [
+        (b"<pad>\n<unk>\n<cls>\n<sep>\ncaf\xff\n", ParseError, "is not valid UTF-8"),
+        (b"alpha\nbeta\n", ContractError, "does not start with the reserved tokens"),
+    ], ids=["not-utf8", "no-reserved-tokens"])
+    def test_bad_vocabulary_names_the_file(self, tmp_path, data, error, message):
         _, _, _, path = self._trained(tmp_path)
-        sidecar = json.loads(Path(config_path(path)).read_text())
-        del sidecar["sha256"][key]
-        Path(config_path(path)).write_text(json.dumps(sidecar))
-        with pytest.raises(CheckpointFormatError, match=key):
-            load_model(path)
-
-    @pytest.mark.parametrize("version", ["missing", 2, 4096, 0.5, float("nan"), None, "dual",
-                                         True, 1.0],
-                             ids=["missing", "2", "4096", "0.5", "NaN", "null", "dual", "true",
-                                  "1.0"])
-    def test_sidecar_format_version_other_than_this_builds_rejected(self, tmp_path, version):
-        """Only the int this build writes loads. true and 1.0 compare equal to 1 in
-        Python, yet neither is the version a save writes."""
-        _, _, _, path = self._trained(tmp_path)
-        sidecar = json.loads(Path(config_path(path)).read_text())
-        assert sidecar["format_version"] == 1
-        if version == "missing":
-            del sidecar["format_version"]
-        else:
-            sidecar["format_version"] = version
-        Path(config_path(path)).write_text(json.dumps(sidecar))
-        with pytest.raises(CheckpointFormatError, match=r"model\.ckpt\.json has format_version"):
+        Path(path).write_bytes(with_section(Path(path).read_bytes(), 1, data))
+        with pytest.raises(error, match=rf"vocabulary file in .*model\.ckpt {message}"):
             load_model(path)
 
     def _rewrite_tensors(self, path, edit):
@@ -1036,26 +1065,75 @@ class TestCheckpoint:
 
 
     def test_failed_save_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
-        """A save that fails while writing a sidecar leaves the old checkpoint
-        whole, with no temporary file beside it."""
+        """A save that fails while writing its temporary file leaves the old
+        checkpoint whole, with no temporary file beside it."""
         corpus, cfg, result, path = self._trained(tmp_path)
         train_docs, _, _ = three_way_split(corpus, cfg)
         sample = encode_split(train_docs, result.model.vocab, cfg)[0]
         before = load_model(path).forward(sample).data
         files = sorted(os.listdir(tmp_path))
 
-        def disk_full_at_the_sidecar(file, mode="r", *args, **kwargs):
-            if file.startswith(config_path(path) + ".tmp-"):
+        def disk_full_at_the_temporary(file, mode="r", *args, **kwargs):
+            if file.startswith(path + ".tmp-"):
                 raise OSError(f"no space left for {file}")
             return open(file, mode, *args, **kwargs)
 
-        monkeypatch.setattr(jaeger.harness.checkpoint, "open", disk_full_at_the_sidecar,
+        monkeypatch.setattr(jaeger.harness.checkpoint, "open", disk_full_at_the_temporary,
                             raising=False)
         with pytest.raises(OSError, match="no space"):
             save_checkpoint(path, JaegerModel(cfg, result.model.vocab))
         monkeypatch.undo()
         assert sorted(os.listdir(tmp_path)) == files
         np.testing.assert_array_equal(load_model(path).forward(sample).data, before)
+
+    def test_a_changed_config_digit_is_refused(self, tmp_path):
+        """A config edited after the save, here its seed, does not load: loaded,
+        it would split a corpus another way and score other questions."""
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, JaegerModel(small_config(seed=42), build_vocab(["alpha beta"])))
+        edited = []
+        for file in tmp_path.iterdir():
+            data = file.read_bytes()
+            if b'"seed": 42' in data:
+                file.write_bytes(data.replace(b'"seed": 42', b'"seed": 43'))
+                edited.append(file.name)
+        assert len(edited) == 1
+        with pytest.raises(CheckpointFormatError):
+            load_model(path)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_a_save_whose_kth_rename_fails_leaves_a_loadable_checkpoint(
+            self, tmp_path, monkeypatch, k):
+        """Whichever os.replace of a save raises, the checkpoint on disk loads:
+        as the old model if the save raised, as the new one if it did not."""
+        doc = small_corpus(n_docs=1)[0]
+
+        def logits(model):
+            return model.forward(encode_sample(doc, doc.questions[0], model.vocab,
+                                               model.cfg)).data
+
+        old = JaegerModel(small_config(), build_vocab(["alpha beta"]))
+        new = JaegerModel(small_config(seed=12), build_vocab(["gamma delta epsilon"]))
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, old)
+        files = sorted(os.listdir(tmp_path))
+        replace, calls = os.replace, []
+
+        def failing_at_k(src, dst):
+            calls.append(dst)
+            if len(calls) == k:
+                raise OSError(f"rename {k} failed")
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", failing_at_k)
+        try:
+            save_checkpoint(path, new)
+            expected = new
+        except OSError:
+            expected = old
+        monkeypatch.undo()
+        assert sorted(os.listdir(tmp_path)) == files
+        np.testing.assert_array_equal(logits(load_model(path)), logits(expected))
 
 
 class TestFreshInit:
@@ -1080,14 +1158,30 @@ class TestFreshInit:
             np.testing.assert_array_equal(default[name].data, expected.astype(np.float32),
                                           err_msg=name)
 
-    # SHA-256 of a freshly initialised model's tensor file, per variant. The
-    # bytes follow the registry: every name, in order, with its shape and
-    # values. Fresh values are xoshiro draws cast to float32, so the digests
-    # hold on any platform.
+    # SHA-256 of a fresh model's state_arrays(), per variant: each name's UTF-8
+    # bytes, then its values as little-endian float32, in registry order. No
+    # file layout enters it, so it holds across checkpoint formats.
     @pytest.mark.parametrize("variant, digest", [
-        ("dual", "53b021b48cd79fc2e71b0d3fbf317a39ba46c8db82efe42856adb53dc62af0f8"),
-        ("bidir_only", "47b3fd0a639cf3cb20c788ddb1461aec87145f67b30d3b0864d75d0f63d9a669"),
-        ("causal_only", "5fa54bfdfd6c5d2c46b2a179737372646a5dc7199fcf940521e7716d67b0d35a"),
+        ("dual", "960f7ba51cfeba7879f7954b0a43a4d3366535a490f7b6bea80c34a2dfd224ce"),
+        ("bidir_only", "483d0e1b3981d4d59dfd1bf7f5aa0ae8bb7c2d22044eb7caa9b839dcb61220d8"),
+        ("causal_only", "a92bc6339e16c81332110e35cc6809579498095f60155f485be981eefd661ddd"),
+    ], ids=["dual", "bidir_only", "causal_only"])
+    def test_fresh_state_arrays_are_pinned(self, variant, digest):
+        model = JaegerModel(small_config(variant=variant), build_vocab(["alpha beta"]))
+        h = hashlib.sha256()
+        for name, arr in model.state_arrays().items():
+            h.update(name.encode("utf-8"))
+            h.update(arr.astype("<f4").tobytes())
+        assert h.hexdigest() == digest
+
+    # SHA-256 of a freshly initialised model's checkpoint file, per variant: its
+    # config, its vocabulary, and its tensors in registry order, every name
+    # with its shape and values. Fresh values are xoshiro draws cast to
+    # float32, so the digests hold on any platform.
+    @pytest.mark.parametrize("variant, digest", [
+        ("dual", "46edfebc19a609c71d8488ad7a35d5909497780ee7ee10c7b6e515497db649da"),
+        ("bidir_only", "fdab26882dcb3504263519a42f76aa9f432a13f2b803a9c6cda2e407f768e48f"),
+        ("causal_only", "149e98cf71c55c1ba31e72002ccbe1bacfba235905e68fe5471aec858be3b0e7"),
     ], ids=["dual", "bidir_only", "causal_only"])  # a re-pin keeps the test ids
     def test_fresh_tensor_file_is_pinned(self, tmp_path, variant, digest):
         path = str(tmp_path / "fresh.ckpt")
@@ -1095,15 +1189,6 @@ class TestFreshInit:
                                           build_vocab(["alpha beta"])))
         with open(path, "rb") as f:
             assert hashlib.sha256(f.read()).hexdigest() == digest
-
-    def test_fresh_sidecar_and_vocabulary_are_pinned(self, tmp_path):
-        """The SHA-256 of the other two files of a fresh dual save."""
-        path = str(tmp_path / "fresh.ckpt")
-        save_checkpoint(path, JaegerModel(small_config(), build_vocab(["alpha beta"])))
-        digests = [hashlib.sha256(Path(file).read_bytes()).hexdigest()
-                   for file in (config_path(path), vocab_path(path))]
-        assert digests == ["0c57022ebb2e43acdadbfc498aeb79d24a7d8768cf962b481eeb4417732ef1c7",
-                           "238d80ad24cdf16b1e06d5930d5e1e6c15c3cd0262766142bc341b715446afe2"]
 
     def test_float64_fresh_tensors_are_pinned(self):
         """The float32 pins above hide low-bit changes in the float64 draws
