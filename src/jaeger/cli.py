@@ -106,61 +106,65 @@ def _cmd_gradcheck(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Each command once: its help line, its handler, and a function that adds its arguments.
+COMMANDS = {
+    "gen-data": ("generate a synthetic corpus", _cmd_gen_data, lambda p: (
+        p.add_argument("--seed", type=int, required=True),
+        p.add_argument("--docs", type=int, required=True),
+        p.add_argument("--out", required=True),
+        p.add_argument("--pages", type=int, default=1),
+        p.add_argument("--min-elements", type=int, default=4),
+        p.add_argument("--max-elements", type=int, default=8),
+        p.add_argument("--max-depth", type=int, default=4),
+        p.add_argument("--questions", type=int, default=4),
+        p.add_argument("--d-vis", type=int, default=8))),
+    "train": ("train a model and save a checkpoint", _cmd_train, lambda p: (
+        p.add_argument("--config", default=None, help="JSON config; defaults otherwise"),
+        p.add_argument("--data", required=True),
+        p.add_argument("--out", required=True))),
+    "eval": ("report EMA for a held-out split", _cmd_eval, lambda p: (
+        p.add_argument("--ckpt", required=True),
+        p.add_argument("--data", required=True),
+        p.add_argument("--split", choices=("val", "test"), required=True),
+        p.add_argument("--threshold", type=float, default=None))),
+    "predict": ("answer one question against one document", _cmd_predict, lambda p: (
+        p.add_argument("--ckpt", required=True),
+        p.add_argument("--question", required=True),
+        p.add_argument("--doc-id", required=True),
+        p.add_argument("--data", required=True))),
+    "ablate": ("train and score all encoder variants", _cmd_ablate, lambda p: (
+        p.add_argument("--config", default=None),
+        p.add_argument("--data", required=True))),
+    "gradcheck": ("finite-difference gradient verification", _cmd_gradcheck, lambda p: (
+        p.add_argument("--config", default=None),
+        p.add_argument("--samples", type=int, default=48,
+                       help="entries checked per parameter; 0 means all"))),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with only the named command's subparser, so a call builds none it does
+    not use, or with all six when the word names none. Help, usage and errors read the
+    same either way."""
     parser = argparse.ArgumentParser(
         prog="jaeger",
         description="Hierarchy question answering over synthetic documents.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    gen = sub.add_parser("gen-data", help="generate a synthetic corpus")
-    gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--docs", type=int, required=True)
-    gen.add_argument("--out", required=True)
-    gen.add_argument("--pages", type=int, default=1)
-    gen.add_argument("--min-elements", type=int, default=4)
-    gen.add_argument("--max-elements", type=int, default=8)
-    gen.add_argument("--max-depth", type=int, default=4)
-    gen.add_argument("--questions", type=int, default=4)
-    gen.add_argument("--d-vis", type=int, default=8)
-    gen.set_defaults(fn=_cmd_gen_data)
-
-    tr = sub.add_parser("train", help="train a model and save a checkpoint")
-    tr.add_argument("--config", default=None, help="JSON config; defaults otherwise")
-    tr.add_argument("--data", required=True)
-    tr.add_argument("--out", required=True)
-    tr.set_defaults(fn=_cmd_train)
-
-    ev = sub.add_parser("eval", help="report EMA for a held-out split")
-    ev.add_argument("--ckpt", required=True)
-    ev.add_argument("--data", required=True)
-    ev.add_argument("--split", choices=("val", "test"), required=True)
-    ev.add_argument("--threshold", type=float, default=None)
-    ev.set_defaults(fn=_cmd_eval)
-
-    pr = sub.add_parser("predict", help="answer one question against one document")
-    pr.add_argument("--ckpt", required=True)
-    pr.add_argument("--question", required=True)
-    pr.add_argument("--doc-id", required=True)
-    pr.add_argument("--data", required=True)
-    pr.set_defaults(fn=_cmd_predict)
-
-    ab = sub.add_parser("ablate", help="train and score all encoder variants")
-    ab.add_argument("--config", default=None)
-    ab.add_argument("--data", required=True)
-    ab.set_defaults(fn=_cmd_ablate)
-
-    gc = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    gc.add_argument("--config", default=None)
-    gc.add_argument("--samples", type=int, default=48,
-                    help="entries checked per parameter; 0 means all")
-    gc.set_defaults(fn=_cmd_gradcheck)
-
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    # The usage line that an unrecognized argument prints names every command.
+    every = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every)
+    for name in names:
+        summary, handler, add_arguments = COMMANDS[name]
+        p = sub.add_parser(name, help=summary)
+        add_arguments(p)
+        p.set_defaults(fn=handler)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.fn(args)
     except (JaegerError, OSError, MemoryError) as e:

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-import json
 import sys
 from dataclasses import asdict, dataclass, fields
 
-from .errors import ContractError, SchemaError
+from .errors import ContractError, SchemaError, parse_json
 
 VARIANTS = ("dual", "bidir_only", "causal_only")
 
@@ -126,9 +125,6 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, path: str) -> "TrainConfig":
-        with open(path, encoding="utf-8") as f:
-            try:
-                raw = json.load(f)
-            except ValueError as e:
-                raise SchemaError(f"{path} is not valid JSON ({e})") from None
+        with open(path, "rb") as f:
+            raw = parse_json(f.read(), lambda e: SchemaError(f"{path} is not valid JSON ({e})"))
         return cls.from_dict(raw, where=path)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .atomic import replacing
 from .errors import (ContractError, GenerationError, ParseError, SchemaError,
-                     UnknownElementError)
+                     UnknownElementError, parse_json)
 from .rng import Xoshiro256, derive_stream
 
 CATEGORIES = ("title", "section", "paragraph", "figure", "table", "caption", "list")
@@ -450,10 +450,8 @@ def read_jsonl(path: str, doc_id: str | None = None) -> list[Document]:
                 raise ParseError(f"{where}: not valid UTF-8 ({e.reason})") from None
             if not line.strip():
                 raise ParseError(f"{where}: blank line in corpus")
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{where}: invalid JSON ({e.msg})") from None
+            raw = parse_json(line, lambda e: ParseError(
+                f"{where}: invalid JSON ({getattr(e, 'msg', e)})"))
             if not isinstance(raw, dict):
                 raise SchemaError(f"{where}: document record must be an object")
             if doc_id is None:

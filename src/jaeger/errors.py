@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON parse that raises them."""
+
+import json
 
 
 class JaegerError(Exception):
@@ -43,3 +45,11 @@ class CompatibilityError(JaegerError, ValueError):
 
 class TrainingDiverged(JaegerError, RuntimeError):
     """Training produced a non-finite loss."""
+
+
+def parse_json(data: bytes | str, fail) -> object:
+    """json.loads of text or UTF-8 bytes, raising fail(e) for what it refuses, deep nesting too."""
+    try:
+        return json.loads(data if isinstance(data, str) else data.decode("utf-8"))
+    except (ValueError, RecursionError) as e:  # UnicodeDecodeError is a ValueError
+        raise fail(e) from None

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..atomic import replacing
 from ..config import TrainConfig
-from ..errors import CheckpointFormatError, CompatibilityError
+from ..errors import CheckpointFormatError, CompatibilityError, parse_json
 from ..model import JaegerModel
 from ..numerics import ParamSource, ParamSpec
 from ..text import Vocabulary
@@ -95,12 +95,8 @@ def load_checkpoint(path: str) -> tuple[dict[str, np.ndarray], TrainConfig, Voca
         start = claim(length)
         return blob[start:pos]
 
-    config = section()
-    try:
-        raw = json.loads(config.decode("utf-8"))
-    except (ValueError, RecursionError) as e:  # UnicodeDecodeError is a ValueError
-        raise CheckpointFormatError(f"{path} holds a config that is not UTF-8 JSON ({e})") from None
-    cfg = TrainConfig.from_dict(raw, where=f"config in {path}")
+    cfg = TrainConfig.from_dict(parse_json(section(), lambda e: CheckpointFormatError(
+        f"{path} holds a config that is not UTF-8 JSON ({e})")), where=f"config in {path}")
     vocab = Vocabulary.parse(section(), f"in {path}")
     (count,) = struct.unpack_from("<I", blob, claim(4))
     arrays: dict[str, np.ndarray] = {}

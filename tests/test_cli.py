@@ -1,5 +1,6 @@
 """End-to-end command flows through the argparse entry point."""
 
+import argparse
 import json
 import os
 import struct
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import jaeger
-from jaeger.cli import main
+from jaeger.cli import build_parser, main
 from jaeger.harness.checkpoint import load_model, save_checkpoint
 
 from test_harness import reseal, section_offsets, with_section
@@ -49,6 +50,78 @@ def run_cli(argv):
         [sys.executable, "-W", "default", "-c",
          "import sys; from jaeger.cli import main; sys.exit(main(sys.argv[1:]))", *argv],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+
+
+COMMAND_NAMES = ["gen-data", "train", "eval", "predict", "ablate", "gradcheck"]
+
+
+def exit_output(capsys, call):
+    """The exit code and the (stdout, stderr) of a call that argparse ends."""
+    with pytest.raises(SystemExit) as ended:
+        call()
+    return ended.value.code, tuple(capsys.readouterr())
+
+
+class TestParserOfTheInvokedCommand:
+    """main builds only the subparser of the command it is given, and prints and parses
+    what the parser of all six commands does."""
+
+    @pytest.mark.parametrize("tail", [["--help"], [], ["--bogus"]],
+                             ids=["help", "missing-arguments", "unrecognized-argument"])
+    @pytest.mark.parametrize("command", COMMAND_NAMES)
+    def test_prints_what_the_full_parser_prints(self, capsys, command, tail):
+        argv = [command, *tail]
+        if argv == ["gradcheck"]:  # every gradcheck argument is optional, so this would run
+            argv = ["gradcheck", "--samples", "many"]
+        expected = exit_output(capsys, lambda: build_parser().parse_args(argv))
+        assert exit_output(capsys, lambda: main(argv)) == expected
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-data", "--seed", "7", "--docs", "3", "--out", "c.jsonl", "--d-vis", "4"],
+        ["train", "--config", "cfg.json", "--data", "c.jsonl", "--out", "m.ckpt"],
+        ["eval", "--ckpt", "m.ckpt", "--data", "c.jsonl", "--split", "test", "--threshold", "0.3"],
+        ["predict", "--ckpt", "m.ckpt", "--data", "c.jsonl", "--doc-id", "doc-1",
+         "--question", "which elements are the children of the title?"],
+        ["ablate", "--data", "c.jsonl"],
+        ["gradcheck", "--config", "cfg.json", "--samples", "0"],
+    ], ids=COMMAND_NAMES)
+    def test_parses_what_the_full_parser_parses(self, argv):
+        assert build_parser(argv[0]).parse_args(argv) == build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("argv, code", [([], 2), (["--help"], 0), (["nope"], 2)],
+                             ids=["no-command", "help", "unknown-command"])
+    def test_any_other_word_lists_every_command(self, capsys, argv, code):
+        expected = exit_output(capsys, lambda: build_parser().parse_args(argv))
+        assert exit_output(capsys, lambda: main(argv)) == expected
+        assert expected[0] == code
+        assert "{gen-data,train,eval,predict,ablate,gradcheck}" in "".join(expected[1])
+
+    def test_main_reads_sys_argv(self, tmp_path, capsys, monkeypatch):
+        out = str(tmp_path / "c.jsonl")
+        monkeypatch.setattr(sys, "argv", ["jaeger", "gen-data", "--seed", "7", "--docs", "2",
+                                          "--out", out])
+        assert main() == 0
+        assert capsys.readouterr().out.startswith("wrote 2 documents")
+        for argv in [["predict", "--help"], []]:
+            monkeypatch.setattr(sys, "argv", ["jaeger", *argv])
+            expected = exit_output(capsys, lambda: build_parser().parse_args(argv))
+            assert exit_output(capsys, main) == expected
+
+    def test_a_command_word_builds_its_subparser_alone(self, monkeypatch):
+        """Each add_argument call builds a help formatter, most of a parser's cost:
+        predict's parser makes 6 (two -h and its four options), all six commands' 31."""
+        counts = []
+        add_argument = argparse.ArgumentParser.add_argument
+
+        def counted(self, *args, **kwargs):
+            counts[-1] += 1
+            return add_argument(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+        for command in ["predict", None]:
+            counts.append(0)
+            build_parser(command)
+        assert counts == [6, 31]
 
 
 class TestGenData:
@@ -449,6 +522,56 @@ class TestBadJsonAtTheBoundary:
         assert code == 1
         assert err.startswith("error:") and message in err and "cfg.json" in err
         assert not os.path.exists(tmp_path / "m.ckpt")
+
+
+class TestJsonPastThePythonLimitsAtTheBoundary:
+    """JSON nested past the recursion limit, in a corpus or a config, and a corpus number
+    past the int-string limit end in one error: line naming the file, not a traceback."""
+
+    DEEP = "[" * 100_000 + "\n"
+    LONG_NUMBER = '{"doc_id": ' + "1" * 5_000 + "}\n"
+
+    @pytest.fixture(scope="class")
+    def trained(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("limits")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(TINY_CONFIG))
+        corpus = gen_corpus(tmp_path)
+        ckpt = str(tmp_path / "model.ckpt")
+        assert main(["train", "--config", str(config), "--data", corpus, "--out", ckpt]) == 0
+        return str(config), corpus, ckpt
+
+    @pytest.mark.parametrize("name, text, argv", [
+        ("deep.jsonl", DEEP, ["train", "--config", "{config}", "--data", "{bad}",
+                              "--out", "{out}"]),
+        ("deep.json", DEEP, ["train", "--config", "{bad}", "--data", "{corpus}",
+                             "--out", "{out}"]),
+        ("deep.json", DEEP, ["ablate", "--config", "{bad}", "--data", "{corpus}"]),
+        ("deep.json", DEEP, ["gradcheck", "--config", "{bad}"]),
+        ("deep.jsonl", DEEP, ["eval", "--ckpt", "{ckpt}", "--data", "{bad}", "--split", "test"]),
+        ("deep.jsonl", DEEP, ["predict", "--ckpt", "{ckpt}", "--data", "{bad}",
+                              "--doc-id", "d", "--question", "anything?"]),
+        ("long.jsonl", LONG_NUMBER, ["train", "--config", "{config}", "--data", "{bad}",
+                                     "--out", "{out}"]),
+        ("long.jsonl", LONG_NUMBER, ["predict", "--ckpt", "{ckpt}", "--data", "{bad}",
+                                     "--doc-id", "d", "--question", "anything?"]),
+    ], ids=["train-data", "train-config", "ablate-config", "gradcheck-config", "eval-data",
+            "predict-data", "train-data-long-number", "predict-data-long-number"])
+    def test_ends_in_one_error_line_naming_the_file(self, tmp_path, trained, capsys, name,
+                                                    text, argv):
+        config, corpus, ckpt = trained
+        bad = tmp_path / name
+        bad.write_text(text)
+        paths = {"config": config, "corpus": corpus, "ckpt": ckpt, "bad": str(bad),
+                 "out": str(tmp_path / "m.ckpt")}
+        capsys.readouterr()
+        code = main([arg.format(**paths) for arg in argv])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        [line] = err.splitlines()
+        where = str(bad) + (" line 1" if name.endswith(".jsonl") else "")
+        assert line.startswith("error: ") and where in line
+        assert not (tmp_path / "m.ckpt").exists()
 
 
 class TestInvalidUtf8AtTheBoundary:
