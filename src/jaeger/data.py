@@ -4,7 +4,9 @@ Documents are forests: titles and standalone elements are roots,
 sections sit under titles, body elements under sections, captions under
 the figure or table they describe. Boxes are laid out top to bottom per
 page without overlap. Every random draw comes from named deterministic
-streams, so a seed fully pins a corpus byte for byte.
+streams, so a seed fully pins a corpus byte for byte. generate_corpus derives
+every document's streams in one pass and draws their layout words ahead in one
+stream_words call; each document reads the same words as it would alone.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 from .atomic import replacing
 from .errors import (ContractError, GenerationError, ParseError, SchemaError,
                      UnknownElementError, parse_json)
-from .rng import Xoshiro256, derive_stream
+from .rng import Xoshiro256, derive_streams, stream_states, stream_words
 
 CATEGORIES = ("title", "section", "paragraph", "figure", "table", "caption", "list")
 QUESTION_TYPES = ("parent", "children")
@@ -42,6 +44,9 @@ _FLOAT32_MAX = 3.4028234663852886e38
 _MIN_HEIGHT = 0.03
 _GAP = 0.012
 _MARGIN = 0.04
+# The most layout words generate_corpus draws ahead in one call, which bounds the
+# memory they take; every benchmark corpus (200 documents) is one call.
+_WORDS_AHEAD = 1 << 17
 
 
 @dataclass
@@ -151,8 +156,10 @@ def _pick_structure(rng: Xoshiro256, st: _BuildState, max_depth: int) -> tuple[s
 
 def generate_document(seed: int, cfg: GenConfig | None = None) -> Document:
     """Build one document; raises GenerationError if a page cannot fit."""
-    cfg = cfg or GenConfig()
-    rng = Xoshiro256(seed, "layout")
+    return _build_document(Xoshiro256(seed, "layout"), seed, cfg or GenConfig())
+
+
+def _build_document(rng: Xoshiro256, seed: int, cfg: GenConfig) -> Document:
     elements: list[DocumentElement] = []
     st = _BuildState()
     next_id = 0
@@ -233,11 +240,14 @@ def generate_questions(doc: Document, seed: int, count: int) -> list[QASample]:
     When the document has any parent-child edge, at least one generated
     children-question has a non-empty answer set.
     """
+    return _ask(doc, Xoshiro256(seed, "questions"), count)
+
+
+def _ask(doc: Document, rng: Xoshiro256, count: int) -> list[QASample]:
     if count < 1:
         raise ContractError(f"count must be at least 1, got {count}")
     if not doc.elements:
         raise ContractError("cannot ask questions about an empty document")
-    rng = Xoshiro256(seed, "questions")
     ids = [el.id for el in doc.elements]
     samples = [
         _make_question(doc, rng.choice(QUESTION_TYPES), rng.choice(ids), i)
@@ -253,15 +263,28 @@ def generate_questions(doc: Document, seed: int, count: int) -> list[QASample]:
 
 def generate_corpus(seed: int, n_docs: int, cfg: GenConfig | None = None,
                     questions_per_doc: int = 4) -> list[Document]:
-    """n_docs documents with questions attached, fully pinned by the seed."""
+    """n_docs documents with questions attached, fully pinned by the seed.
+
+    Document i is generate_document(derive_stream(seed, f"doc.{i}"), cfg) with
+    generate_questions(doc, derive_stream(seed, f"questions.{i}"), questions_per_doc)
+    attached, byte for byte. Its layout words are drawn ahead, all documents' in one
+    stream_words call: one randint a page and d_vis + 7 words an element.
+    """
     if n_docs < 1:
         raise ContractError(f"n_docs must be at least 1, got {n_docs}")
+    cfg = cfg or GenConfig()
+    ids = derive_streams([(seed, f"{kind}.{i}") for kind in ("doc", "questions")
+                          for i in range(n_docs)]).tolist()
+    states = stream_states([(s, "layout") for s in ids[:n_docs]]
+                           + [(s, "questions") for s in ids[n_docs:]])
+    budget = min(cfg.n_pages * (1 + cfg.elements_per_page[1] * (cfg.d_vis + 7)), _WORDS_AHEAD)
+    per_call = max(1, _WORDS_AHEAD // budget)
     docs = []
     for i in range(n_docs):
-        doc_seed = derive_stream(seed, f"doc.{i}")
-        doc = generate_document(doc_seed, cfg)
-        doc.questions = generate_questions(doc, derive_stream(seed, f"questions.{i}"),
-                                           questions_per_doc)
+        if i % per_call == 0:
+            drawn = stream_words([(state, budget) for state in states[i:min(i + per_call, n_docs)]])
+        doc = _build_document(Xoshiro256.from_state(states[i], drawn[i % per_call]), ids[i], cfg)
+        doc.questions = _ask(doc, Xoshiro256.from_state(states[n_docs + i]), questions_per_doc)
         docs.append(doc)
     return docs
 

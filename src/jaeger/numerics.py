@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .errors import ContractError, IndexOutOfRange, ShapeError
-from .rng import stream_state, uniform_streams
+from .rng import stream_states, uniform_streams
 
 Array = np.ndarray
 
@@ -567,9 +567,9 @@ class ParamSource:
 
 
 def seeded(seed: int, dtype=np.float32) -> ParamSource:
-    """Fresh parameters: each xavier_uniform tensor takes its draws from
-    stream_state(seed, name), and one uniform_streams call draws every stream
-    of a request; zeros and ones tensors draw nothing.
+    """Fresh parameters: each xavier_uniform tensor draws from stream (seed, name).
+    One stream_states call derives every stream state of a request, and one
+    uniform_streams call draws every stream; zeros and ones tensors draw nothing.
 
     Draws happen in float64 and are then cast, so float32 and float64 models
     share the same underlying sample sequence.
@@ -582,10 +582,11 @@ def seeded(seed: int, dtype=np.float32) -> ParamSource:
                 raise ShapeError(f"negative dimension in shape {dims}")
             if scheme == "xavier_uniform":
                 b = xavier_bound(dims)
-                drawn.append((stream_state(seed, name), math.prod(dims), -b, b))
+                drawn.append((name, math.prod(dims), -b, b))
             elif scheme not in ("zeros", "ones"):
                 raise ContractError(f"unknown init scheme {scheme!r}")
-        values = iter(uniform_streams(drawn))
+        states = stream_states([(seed, name) for name, *_ in drawn])
+        values = iter(uniform_streams([(state, *rest) for state, (_, *rest) in zip(states, drawn)]))
         return [np.zeros(dims, dtype) if scheme == "zeros" else
                 np.ones(dims, dtype) if scheme == "ones" else
                 next(values).reshape(dims).astype(dtype)

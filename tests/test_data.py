@@ -1,6 +1,7 @@
 """Synthetic document generation, the hierarchy oracle, JSONL io, and splits."""
 
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -14,6 +15,22 @@ from jaeger.data import (CATEGORIES, Document, GenConfig,
                          hierarchy_oracle, read_jsonl, split_corpus, write_jsonl)
 from jaeger.errors import (ContractError, GenerationError, ParseError, SchemaError,
                            UnknownElementError)
+from jaeger.rng import Xoshiro256
+
+
+# name: (seed, documents, config, SHA-256 of the corpus's JSONL), four questions a document.
+PINNED_CORPORA = {
+    "quick-start": (7, 200, GenConfig(),
+                    "2fde7065e7f339865e20255b8077c6f77c04deeccdd2605ba9bef4d3d9b26c03"),
+    "benchmark-1-page": (1, 20, GenConfig(n_pages=1, elements_per_page=(4, 8), max_depth=4,
+                                          d_vis=8),
+                         "52f0b9e567b82ade545fb90513f08e515aa36b10046d7c9ebab6170cba4910b6"),
+    "benchmark-3-pages": (1, 20, GenConfig(n_pages=3, elements_per_page=(8, 12), max_depth=4,
+                                           d_vis=8),
+                          "e48d6a815626ef22cacba9fb99d43505fd50ee68358b0a9e390f01dee5a8cf2c"),
+    "edge": (99, 20, GenConfig(n_pages=2, elements_per_page=(1, 3), max_depth=1, d_vis=9),
+             "a957a49f6c44274ac0729720ae42c9172ebbcf622ab9871d539cc3f8169c41c7"),
+}
 
 
 def children_map(doc: Document) -> dict:
@@ -175,6 +192,46 @@ class TestGenerateCorpus:
 
     def test_seed_changes_content(self):
         assert generate_corpus(21, 3) != generate_corpus(22, 3)
+
+    @pytest.mark.parametrize("name", list(PINNED_CORPORA))
+    def test_corpus_bytes_are_pinned(self, tmp_path, name):
+        """The JSONL a seed gives never changes: the README quick start, both
+        benchmark configs, and an edge config whose odd d_vis carries a gauss
+        spare value from one element to the next and whose max_depth 1 takes
+        the flat branch."""
+        seed, n_docs, cfg, digest = PINNED_CORPORA[name]
+        write_jsonl(generate_corpus(seed, n_docs, cfg), tmp_path / "corpus.jsonl")
+        assert hashlib.sha256((tmp_path / "corpus.jsonl").read_bytes()).hexdigest() == digest
+
+    def test_pages_that_cannot_fit_raise_before_drawing_them_all_ahead(self):
+        """The words drawn ahead are capped, so a config whose pages could hold
+        far more elements than fit still ends in GenerationError."""
+        with pytest.raises(GenerationError):
+            generate_corpus(0, 3, GenConfig(n_pages=10**6, elements_per_page=(200, 10**9)))
+
+    @pytest.mark.parametrize("name", list(PINNED_CORPORA))
+    def test_every_layout_word_of_a_pinned_corpus_is_drawn_ahead(self, monkeypatch, name):
+        """No document of the pinned corpora reads past the layout words drawn
+        for it, so generating them never steps a layout generator on its own."""
+        seed, n_docs, cfg, _ = PINNED_CORPORA[name]
+        layouts, stepped = {}, {}  # id: generator, kept alive so that no id is reused
+        from_state, step = Xoshiro256.from_state, Xoshiro256._step
+
+        def recording_from_state(state, drawn=()):
+            gen = from_state(state, drawn)
+            if len(drawn):
+                layouts[id(gen)] = gen
+            return gen
+
+        def recording_step(gen):
+            stepped[id(gen)] = gen
+            return step(gen)
+
+        monkeypatch.setattr(Xoshiro256, "from_state", recording_from_state)
+        monkeypatch.setattr(Xoshiro256, "_step", recording_step)
+        docs = generate_corpus(seed, n_docs, cfg)
+        assert len(layouts) == n_docs and len(docs) == n_docs
+        assert not layouts.keys() & stepped.keys()
 
 
 class TestJsonl:

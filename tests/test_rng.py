@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from jaeger.rng import (LANE, Xoshiro256, derive_stream, splitmix64, stream_state,
-                        uniform_streams)
+from jaeger.rng import (LANE, Xoshiro256, derive_stream, derive_streams, splitmix64,
+                        stream_state, stream_states, stream_words, uniform_streams)
 
 
 class TestSplitmix:
@@ -178,3 +178,107 @@ class TestUniformStreams:
     def test_a_negative_count_is_refused(self):
         with pytest.raises(ValueError, match="negative"):
             uniform_streams([(stream_state(1, "w"), -1, 0.0, 1.0)])
+
+
+def per_byte_stream_id(seed: int, name: str) -> int:
+    """The stream id, one splitmix64 step per UTF-8 byte of the name: the reference
+    derive_streams steps every pair through together."""
+    state = seed & ((1 << 64) - 1)
+    for b in name.encode("utf-8"):
+        _, state = splitmix64(state ^ b)
+    return splitmix64(state)[1]
+
+
+def per_byte_stream_state(seed: int, name: str) -> list[int]:
+    state, words = per_byte_stream_id(seed, name), []
+    for _ in range(4):
+        state, out = splitmix64(state)
+        words.append(out)
+    return words
+
+
+SEEDS = st.one_of(st.integers(0, 2**64 - 1), st.integers(2**63, 2**64 - 1),
+                  st.integers(-2**70, 2**70))
+NAMES = st.one_of(st.just(""), st.text(max_size=20), st.sampled_from(["é", "层", "🙂", "doc.10"]))
+
+
+class TestStreamStates:
+    """derive_streams and stream_states step every (seed, name) pair together."""
+
+    @settings(max_examples=80)
+    @given(pairs=st.lists(st.tuples(SEEDS, NAMES), min_size=1, max_size=8))
+    def test_every_pair_is_its_per_byte_derivation_bit_for_bit(self, pairs):
+        ids = derive_streams(pairs)
+        states = stream_states(pairs)
+        assert ids.dtype == states.dtype == np.uint64 and states.shape == (len(pairs), 4)
+        assert ids.tolist() == [per_byte_stream_id(seed, name) for seed, name in pairs]
+        assert states.tolist() == [per_byte_stream_state(seed, name) for seed, name in pairs]
+        for (seed, name), state in zip(pairs, states.tolist()):
+            assert derive_stream(seed, name) == per_byte_stream_id(seed, name)
+            assert stream_state(seed, name) == state
+
+    def test_no_pairs_derive_nothing(self):
+        assert derive_streams([]).shape == (0,) and stream_states([]).shape == (0, 4)
+
+
+class CountingXoshiro(Xoshiro256):
+    """The plain generator, counting the words it draws."""
+
+    words = 0
+
+    def next_u64(self) -> int:
+        self.words += 1
+        return super().next_u64()
+
+
+def call(gen: Xoshiro256, op: str, i: int) -> str:
+    """The repr of what the i-th call, of kind op, returns (a repr tells -0.0 from 0.0)."""
+    if op == "randint":
+        return repr(gen.randint(-3, 3 + i % 50))
+    if op == "uniform":
+        return repr(gen.uniform(-2.0, 5.0))
+    if op == "random":
+        return repr(gen.random())
+    if op == "gauss":
+        return repr(gen.gauss(1.0, 2.0))
+    if op == "choice":
+        return repr(gen.choice("abcdefg"[:1 + i % 7]))
+    items = list(range(i % 9))
+    gen.shuffle(items)
+    return repr(items)
+
+
+# Words drawn ahead: none, a lane boundary on either side, one whole lane, a few lanes.
+AHEAD = st.sampled_from([0, 1, LANE - 1, LANE, LANE + 1, 2 * LANE, 3 * LANE + 5])
+OPS = st.lists(st.sampled_from(["randint", "uniform", "random", "gauss", "choice", "shuffle"]),
+               min_size=1, max_size=20)
+
+
+class TestPreDrawnGenerator:
+    """A generator that starts with its first k words drawn by stream_words returns
+    what the plain generator returns, before, across and well past word k."""
+
+    @settings(max_examples=80)
+    @given(seed=SEEDS, name=NAMES, k=AHEAD, ops=OPS)
+    # A gauss pair astride word k, so its spare value is drawn half before and
+    # half after; and a pair that ends on word k, whose spare is used after it.
+    @example(seed=7, name="layout", k=1, ops=["gauss"])
+    @example(seed=7, name="layout", k=LANE + 1, ops=["gauss", "random"])
+    @example(seed=7, name="layout", k=2, ops=["gauss"])
+    def test_calls_are_the_plain_generators_bit_for_bit(self, seed, name, k, ops):
+        state = stream_state(seed, name)
+        ahead = Xoshiro256.from_state(state, stream_words([(state, k)])[0])
+        plain = CountingXoshiro(seed, name)
+        i = 0
+        while plain.words < k + 40:
+            op = ops[i % len(ops)]
+            assert call(ahead, op, i) == call(plain, op, i)
+            i += 1
+        assert [ahead.next_u64() for _ in range(8)] == [plain.next_u64() for _ in range(8)]
+
+    @pytest.mark.parametrize("n", [0, 1, LANE - 1, LANE, LANE + 1, 3 * LANE + 5])
+    def test_stream_words_are_next_u64_bit_for_bit(self, n):
+        state = stream_state(9, "words")
+        words = stream_words([(state, n), (stream_state(9, "other"), 2 * LANE)])[0]
+        plain = Xoshiro256(9, "words")
+        assert words.dtype == np.uint64 and words.tolist() == [plain.next_u64() for _ in range(n)]
